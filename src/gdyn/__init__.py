@@ -21,7 +21,6 @@ from .algebra import (
     trivial_action,
 )
 from .checkers import (
-    NgHits,
     Preconditions,
     ProductMinimality,
     PropertyReport,
@@ -38,7 +37,6 @@ from .checkers import (
     is_totally_g_transitive,
     is_weakly_g_mixing,
     minimality_cover_criterion,
-    n_g_hits,
     precondition_flags,
     product_minimality_criterion,
     quotient_minimality,
@@ -61,18 +59,14 @@ from .corpus import (
 )
 from .dynamics import (
     GSystem,
-    Invariance,
     IterateCache,
     f_orbit,
     gf_orbit,
     gf_periodic_mask,
     gf_periodic_points,
-    invariance,
     nfold_system,
     periodic_points,
     product_system,
-    saturate_backward,
-    saturate_forward,
     trivialized,
 )
 from .errors import (

@@ -4,7 +4,8 @@ finite spaces by homeomorphisms.
 Groups are validated exhaustively at construction (totality,
 associativity, identity, inverses); actions are validated against the
 action axioms and every translation is checked to be a homeomorphism.
-Both are immutable value types.
+Products of validated groups and actions satisfy the axioms by
+construction and skip the checks.  Both are immutable value types.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from .bitsets import bits
 from .errors import PreconditionError, ValidationError
-from .topology import Space, compose, identity_table, is_continuous, map_image
+from .topology import Space, identity_table, is_continuous, map_image, product
 
 
 class Group:
@@ -62,12 +63,24 @@ class Group:
                     break
             if inv[a] is None:
                 raise ValidationError(f"group: no inverse for {elems[a]}")
+        self._set(elems, table, ident, tuple(inv), name)
+
+    @classmethod
+    def _trusted(cls, elements: tuple[str, ...], mul: tuple[tuple[int, ...], ...],
+                 identity: int, inv: tuple[int, ...], name: str) -> Group:
+        """A group from tables already known to satisfy the axioms."""
+        g = cls.__new__(cls)
+        g._set(elements, mul, identity, inv, name)
+        return g
+
+    def _set(self, elements: tuple[str, ...], mul: tuple[tuple[int, ...], ...],
+             identity: int, inv: tuple[int, ...], name: str) -> None:
         self.name = name
-        self.elements = elems
-        self.index = {g: i for i, g in enumerate(elems)}
-        self.mul = table
-        self.identity = ident
-        self.inv = tuple(inv)
+        self.elements = elements
+        self.index = {g: i for i, g in enumerate(elements)}
+        self.mul = mul
+        self.identity = identity
+        self.inv = inv
 
     @property
     def order(self) -> int:
@@ -200,14 +213,24 @@ class Action:
                 raise ValidationError(
                     f"action: inverse translation of {group.elements[g]} is not continuous"
                 )
+        self._set(group, space, table)
+
+    @classmethod
+    def _trusted(cls, group: Group, space: Space, act: tuple[tuple[int, ...], ...]) -> Action:
+        """An action from a table already known to satisfy the axioms."""
+        a = cls.__new__(cls)
+        a._set(group, space, act)
+        return a
+
+    def _set(self, group: Group, space: Space, act: tuple[tuple[int, ...], ...]) -> None:
         self.group = group
         self.space = space
-        self.act = table
+        self.act = act
         orbit_of = []
-        for x in range(n):
+        for x in range(space.n):
             o = 0
-            for g in range(m):
-                o |= 1 << table[g][x]
+            for row in act:
+                o |= 1 << row[x]
             orbit_of.append(o)
         self._orbit_of = tuple(orbit_of)
 
@@ -252,41 +275,43 @@ class Action:
 
 
 def trivial_action(space: Space) -> Action:
-    return Action(cyclic_group(1), space, (identity_table(space.n),))
-
-
-def action_from_tables(group: Group, space: Space, rows: Sequence[Sequence[int]]) -> Action:
-    return Action(group, space, rows)
+    return Action._trusted(cyclic_group(1), space, (identity_table(space.n),))
 
 
 def product_group(g1: Group, g2: Group) -> Group:
+    """Componentwise product; the index of (a, b) is ``a * |G2| + b``."""
+    n1, n2 = g1.order, g2.order
     names = tuple(f"({a}|{b})" for a in g1.elements for b in g2.elements)
-    n2 = g2.order
-    mul = []
-    for a1 in range(g1.order):
-        for b1 in range(n2):
-            row = []
-            for a2 in range(g1.order):
-                for b2 in range(n2):
-                    row.append(g1.mul[a1][a2] * n2 + g2.mul[b1][b2])
-            mul.append(row)
-    return Group(names, mul, name=f"{g1.name}x{g2.name}")
+    mul = tuple(
+        tuple(
+            g1.mul[a1][a2] * n2 + g2.mul[b1][b2]
+            for a2 in range(n1)
+            for b2 in range(n2)
+        )
+        for a1 in range(n1)
+        for b1 in range(n2)
+    )
+    inv = tuple(g1.inv[a] * n2 + g2.inv[b] for a in range(n1) for b in range(n2))
+    return Group._trusted(
+        names, mul, g1.identity * n2 + g2.identity, inv, f"{g1.name}x{g2.name}"
+    )
 
 
-def product_action(a1: Action, a2: Action, prod_space: Space) -> Action:
+def product_action(a1: Action, a2: Action) -> Action:
     """Componentwise action of G1 x G2 on the product space."""
-    g = product_group(a1.group, a2.group)
     n1, n2 = a1.space.n, a2.space.n
-    rows = []
-    for i in range(a1.group.order):
-        for j in range(a2.group.order):
-            row = []
-            for x in range(n1):
-                gx = a1.act[i][x] * n2
-                for y in range(n2):
-                    row.append(gx + a2.act[j][y])
-            rows.append(row)
-    return Action(g, prod_space, rows)
+    rows = tuple(
+        tuple(
+            r1[x] * n2 + r2[y]
+            for x in range(n1)
+            for y in range(n2)
+        )
+        for r1 in a1.act
+        for r2 in a2.act
+    )
+    return Action._trusted(
+        product_group(a1.group, a2.group), product(a1.space, a2.space), rows
+    )
 
 
 # -- equivariance ----------------------------------------------------------
@@ -364,39 +389,11 @@ def quotient(action: Action, f: Sequence[int] | None = None) -> QuotientSystem:
             s |= grow
         mo.append(s)
     names = tuple(src.points[next(bits(m))] for m in orbit_masks)
-    qspace = Space(names, mo)
-
-    # the projection must be continuous, onto and open; all three are
-    # guaranteed by construction, so a failure here is an internal bug
-    for s in _open_orbit_sets_exhaustive(qspace):
-        if not src.is_open(preimage_of(s)):
-            raise RuntimeError("internal: quotient projection not continuous")
-    if len(set(proj)) != k:
-        raise RuntimeError("internal: quotient projection not onto")
-    for x in range(src.n):
-        img = 0
-        for y in bits(src.min_open[x]):
-            img |= 1 << proj[y]
-        if not qspace.is_open(img):
-            raise RuntimeError("internal: quotient projection not open")
-
+    qspace = Space._trusted(names, tuple(mo))
     induced = None
     if f is not None and is_pseudoequivariant(action, f):
         induced = tuple(proj[f[next(bits(m))]] for m in orbit_masks)
-        for x in range(src.n):
-            if induced[proj[x]] != proj[f[x]]:
-                raise RuntimeError("internal: induced map does not commute with projection")
-        if not is_continuous(qspace, induced):
-            raise RuntimeError("internal: induced map not continuous on the quotient")
     return QuotientSystem(qspace, tuple(proj), orbit_masks, induced)
-
-
-def _open_orbit_sets_exhaustive(qspace: Space):
-    if qspace.n <= 12:
-        yield from qspace.opens()
-    else:
-        # too many subsets to sweep; check the generating basis only
-        yield from qspace.min_open
 
 
 def require_induced(qs: QuotientSystem) -> tuple[int, ...]:

@@ -25,10 +25,6 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
-def size(mask: int) -> int:
-    return mask.bit_count()
-
-
 def subsets(full: int) -> Iterator[int]:
     """All subsets of ``full`` (including 0 and ``full`` itself).
 

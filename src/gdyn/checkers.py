@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .algebra import is_pseudoequivariant, quotient, require_induced, trivial_action
+from .algebra import quotient, require_induced, trivial_action
 from .bitsets import bits
 from .dynamics import (
     GSystem,
@@ -33,7 +33,7 @@ from .dynamics import (
     nfold_system,
     product_system,
 )
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError
 from .topology import map_image, map_preimage
 
 CertificateLimit = 10_000
@@ -59,36 +59,6 @@ def precondition_flags(sys: GSystem) -> Preconditions:
         pseudoequivariant=sys.pseudoequivariant(),
         dense_gf_periodic=sys.space.is_dense(gf_periodic_mask(sys)),
     )
-
-
-# -- hit sets ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NgHits:
-    """Exponents k in [1, p+q] with g.f^k(U) meeting V for some g,
-    together with whether every large exponent is a hit."""
-
-    exponents: tuple[int, ...]
-    eventual: bool
-    preperiod: int
-    period: int
-
-
-def n_g_hits(sys: GSystem, u: int, v: int) -> NgHits:
-    if not u or not v:
-        raise ValidationError("hit set: U and V must be nonempty")
-    if u & ~sys.space.full or v & ~sys.space.full:
-        raise ValidationError("hit set: U and V must be subsets of the carrier")
-    c = sys.cache()
-    sat = sys.action.saturate(v)
-    ks = tuple(
-        k for k in range(1, c.horizon + 1)
-        if map_image(c.powers[k - 1], u) & sat
-    )
-    cyc = set(c.cycle_exponents())
-    eventual = cyc.issubset(ks)
-    return NgHits(ks, eventual, c.preperiod, c.period)
 
 
 class _Ctx:
@@ -205,19 +175,11 @@ def is_totally_g_transitive(sys: GSystem) -> PropertyReport:
 def is_weakly_g_mixing(sys: GSystem) -> PropertyReport:
     """The doubled map f x f on the product space is (G x G)-transitive.
 
-    Computed twice, by structurally different routes: once on the
-    explicitly constructed product system, once directly on the base
-    system by asking for a single exponent serving two basis pairs at
-    once.  The two routes must agree.
+    Decided on the base system: for all basis opens U, V, E, F a single
+    exponent k must send U into contact with G(E) and V with G(F), which
+    links the product's basis pair (U x V, E x F).  The product route is
+    ``is_n_fold_transitive(sys, 2)``; the tests compare the two.
     """
-    direct = _wgm_direct(sys)
-    prod_verdict = is_g_transitive(product_system(sys, sys)).verdict
-    if prod_verdict != direct.verdict:
-        raise RuntimeError("internal: weak mixing routes disagree")
-    return direct
-
-
-def _wgm_direct(sys: GSystem) -> PropertyReport:
     ctx = _Ctx(sys)
     flags = precondition_flags(sys)
     horizon = ctx.cache.horizon
@@ -348,37 +310,11 @@ def g_minimal_sets(sys: GSystem) -> list[int]:
     the map and under every translation, in which every point has orbit
     closure equal to the whole set.
 
-    For pseudoequivariant maps the relation x -> y iff y lies in the
-    closure of the saturated orbit of x is a preorder, and the cores are
-    exactly its terminal equivalence classes.  The general path collects
-    the least closed invariant superset of each point and filters by the
-    definition; on pseudoequivariant systems both paths agree and this is
-    asserted.
+    Collects the least closed invariant superset of each point and keeps
+    those that satisfy the definition.  For pseudoequivariant maps the
+    cores are also the terminal classes of the preorder x -> y iff y lies
+    in the closure of the saturated orbit of x; the tests compare the two.
     """
-    general = _minimal_sets_general(sys)
-    if sys.pseudoequivariant():
-        fast = _minimal_sets_terminal_classes(sys)
-        if fast != general:
-            raise RuntimeError("internal: minimal-set routes disagree")
-    return general
-
-
-def _minimal_sets_terminal_classes(sys: GSystem) -> list[int]:
-    n = sys.space.n
-    reach = [sys.space.closure(gf_orbit(sys, x)) for x in range(n)]
-    out = []
-    for x in range(n):
-        cls = 0
-        rx = reach[x]
-        for y in bits(rx):
-            if (reach[y] >> x) & 1:
-                cls |= 1 << y
-        if cls == rx and rx not in out:
-            out.append(rx)
-    return sorted(out, key=lambda m: m & -m)
-
-
-def _minimal_sets_general(sys: GSystem) -> list[int]:
     n = sys.space.n
     candidates: list[int] = []
     for x in range(n):
@@ -435,7 +371,7 @@ def quotient_minimality(sys: GSystem) -> QuotientMinimality:
         )
     qs = quotient(sys.action, sys.f)
     induced = require_induced(qs)
-    q_sys = GSystem(trivial_action(qs.space), induced)
+    q_sys = GSystem._trusted(trivial_action(qs.space), induced)
     return QuotientMinimality(
         gm=is_g_minimal(sys).verdict,
         induced_minimal=is_g_minimal(q_sys).verdict,

@@ -35,12 +35,16 @@ from .checkers import (
 )
 from .corpus import GeneratorConfig, generate, mine
 from .dynamics import GSystem
-from .errors import Error, GenerationError, ValidationError
+from .errors import Error, GenerationError, ParseError, ValidationError
 from .sysfile import parse, serialize
 
 
 def _load(path: str) -> GSystem:
-    return parse(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse(text)
 
 
 def _fmt(names) -> str:
@@ -179,7 +183,7 @@ def _cmd_gen(args) -> int:
         return 1
     text = serialize(sys_)
     if args.output:
-        Path(args.output).write_text(text)
+        Path(args.output).write_text(text, encoding="utf-8")
     else:
         print(text, end="")
     return 0
@@ -192,7 +196,7 @@ def _cmd_mine(args) -> int:
         print(f"found: target={res.target} phase={res.phase} ({res.detail})")
         text = serialize(res.system)
         if args.output:
-            Path(args.output).write_text(text)
+            Path(args.output).write_text(text, encoding="utf-8")
         else:
             print(text, end="")
         return 0
@@ -253,11 +257,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except Error as exc:
+    except (Error, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
+    except Exception as exc:
+        # a defect, not a verdict: exit 1 would read as "false"
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return 2
 
 

@@ -11,10 +11,8 @@ exactly the exponents reducing into [p+1, p+q].
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .algebra import Action, is_pseudoequivariant, product_action, trivial_action
-from .bitsets import bits
 from .errors import LimitError, ValidationError
 from .topology import (
     Space,
@@ -22,10 +20,12 @@ from .topology import (
     compose,
     find_discontinuity,
     identity_table,
-    map_image,
-    map_preimage,
-    product,
 )
+
+# bound on the entries of the tables materialised for one system: the
+# iterate tables (p+q of them, each |X| long) and the group and action
+# tables of an n-fold product
+MaxTableEntries = 4_000_000
 
 
 class IterateCache:
@@ -40,6 +40,11 @@ class IterateCache:
         t = tuple(f)
         m = 1
         while t not in seen:
+            if (m + 1) * n > MaxTableEntries:
+                raise LimitError(
+                    f"iterate cache: {n} points need more than {m} tables,"
+                    f" over the bound of {MaxTableEntries} entries"
+                )
             seen[t] = m
             powers.append(t)
             t = compose(tuple(f), t)
@@ -85,8 +90,18 @@ class GSystem:
                 f"map: not continuous at {p[bad]}: the image of its minimal "
                 f"neighbourhood is not contained in min_open({p[table[bad]]})"
             )
+        self._set(action, table)
+
+    @classmethod
+    def _trusted(cls, action: Action, f: tuple[int, ...]) -> GSystem:
+        """A system from a map already known to be continuous."""
+        s = cls.__new__(cls)
+        s._set(action, f)
+        return s
+
+    def _set(self, action: Action, f: tuple[int, ...]) -> None:
         self.action = action
-        self.f = table
+        self.f = f
         self._cache: IterateCache | None = None
         self._pseudo: bool | None = None
 
@@ -168,72 +183,41 @@ def gf_periodic_mask(sys: GSystem) -> int:
     return out
 
 
-def saturate_forward(sys: GSystem, a: int) -> int:
-    """Least superset of a closed under the map image and all translations.
-
-    For pseudoequivariant maps this equals the union of all g.f^k(a),
-    k >= 0; in general it is the least fixed point containing that union.
-    """
-    s = a
-    while True:
-        grown = s | map_image(sys.f, s) | sys.action.saturate(s)
-        if grown == s:
-            return s
-        s = grown
-
-
-def saturate_backward(sys: GSystem, a: int) -> int:
-    """Least superset of a closed under the map preimage and translations."""
-    s = a
-    n = sys.space.n
-    while True:
-        grown = s | map_preimage(sys.f, s, n) | sys.action.saturate(s)
-        if grown == s:
-            return s
-        s = grown
-
-
-@dataclass(frozen=True)
-class Invariance:
-    forward: bool   # f(A) <= A
-    backward: bool  # preimage of A under f <= A
-    exact: bool     # f(A) == A
-    group: bool     # g.A == A for every g
-
-
-def invariance(sys: GSystem, a: int) -> Invariance:
-    img = map_image(sys.f, a)
-    pre = map_preimage(sys.f, a, sys.space.n)
-    return Invariance(
-        forward=not (img & ~a),
-        backward=not (pre & ~a),
-        exact=img == a,
-        group=sys.action.saturate(a) == a,
-    )
-
-
 # -- products ----------------------------------------------------------------
 
 
 def product_system(s1: GSystem, s2: GSystem) -> GSystem:
     """The product map on the product space with the componentwise action."""
-    prod_space = product(s1.space, s2.space)
-    act = product_action(s1.action, s2.action, prod_space)
     n2 = s2.space.n
     f = tuple(
         s1.f[x] * n2 + s2.f[y]
         for x in range(s1.space.n)
         for y in range(n2)
     )
-    return GSystem(act, f)
+    return GSystem._trusted(product_action(s1.action, s2.action), f)
 
 
 def nfold_system(sys: GSystem, n: int, max_carrier: int = 20000) -> GSystem:
+    """The n-fold product of the system with itself.  Raises LimitError
+    when the carrier would pass ``max_carrier`` points or the group and
+    action tables ``MaxTableEntries`` entries."""
     if n < 1:
         raise ValueError("nfold_system: n must be >= 1")
-    if sys.space.n ** n > max_carrier:
+    # a carrier of two or more points passes max_carrier within this many
+    # factors, and further factors of a one-point carrier add nothing
+    if n > max_carrier.bit_length():
+        raise LimitError(
+            f"nfold_system: {n} factors exceed the bound {max_carrier.bit_length()}"
+        )
+    points, order = sys.space.n ** n, sys.group.order ** n
+    if points > max_carrier:
         raise LimitError(
             f"nfold_system: {sys.space.n}^{n} points exceeds the bound {max_carrier}"
+        )
+    if order * (order + points) > MaxTableEntries:
+        raise LimitError(
+            f"nfold_system: a group of order {sys.group.order}^{n} acting on"
+            f" {points} points exceeds the bound of {MaxTableEntries} table entries"
         )
     out = sys
     for _ in range(n - 1):
@@ -243,4 +227,4 @@ def nfold_system(sys: GSystem, n: int, max_carrier: int = 20000) -> GSystem:
 
 def trivialized(sys: GSystem) -> GSystem:
     """The same map with the group forgotten (trivial action)."""
-    return GSystem(trivial_action(sys.space), sys.f)
+    return GSystem._trusted(trivial_action(sys.space), sys.f)

@@ -93,10 +93,6 @@ def _image(table: tuple[int, ...], a: int) -> int:
     return out
 
 
-def _some_translate_meets(ctx: OracleContext, a: int, v: int) -> bool:
-    return any(t & v for t in ctx.translates(a))
-
-
 def _translate_union(ctx: OracleContext, a: int) -> int:
     out = 0
     for t in ctx.translates(a):

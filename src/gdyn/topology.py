@@ -63,10 +63,20 @@ class Space:
                         f"space: base condition fails: {pts[y]} in min_open({pts[x]}) "
                         f"but min_open({pts[y]}) is not contained in it"
                     )
-        self.points = pts
-        self.min_open = mo
-        self.index = {name: i for i, name in enumerate(pts)}
-        self.full = full
+        self._set(pts, mo)
+
+    @classmethod
+    def _trusted(cls, points: tuple[str, ...], min_open: tuple[int, ...]) -> Space:
+        """A space from a minimal-open table already known to be valid."""
+        s = cls.__new__(cls)
+        s._set(points, min_open)
+        return s
+
+    def _set(self, points: tuple[str, ...], min_open: tuple[int, ...]) -> None:
+        self.points = points
+        self.min_open = min_open
+        self.index = {name: i for i, name in enumerate(points)}
+        self.full = (1 << len(points)) - 1
 
     @property
     def n(self) -> int:
@@ -195,7 +205,7 @@ def product(s1: Space, s2: Space) -> Space:
                 for b in bits(s2.min_open[j]):
                     m |= 1 << (base + b)
             mo.append(m)
-    return Space(names, mo)
+    return Space._trusted(names, tuple(mo))
 
 
 # -- maps as index tables -------------------------------------------------

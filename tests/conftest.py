@@ -52,3 +52,24 @@ def refute_pair(sys, u_names, v_names, m=1, horizon_pad=4):
             for x in bits(cur):
                 tr |= 1 << row[x]
             assert not (tr & v), "witness pair is actually reachable"
+
+
+def cycles_text(lengths, group_order=1):
+    """System file text for disjoint cycles of the given lengths on a
+    discrete carrier, the cyclic group of ``group_order`` acting trivially.
+    The iterate horizon is the lcm of the lengths."""
+    pts, maps = [], []
+    for c in lengths:
+        base = len(pts)
+        for i in range(c):
+            pts.append(f"p{base + i}")
+            maps.append(f"map p{base + i} p{base + (i + 1) % c}")
+    elems = [str(g) for g in range(group_order)]
+    lines = [f"points {' '.join(pts)}", *(f"open {p}" for p in pts)]
+    lines += [f"group {' '.join(elems)}", "identity 0"]
+    lines += [
+        f"mul {a} " + " ".join(elems[(int(a) + int(b)) % group_order] for b in elems)
+        for a in elems
+    ]
+    lines += [f"act {g} {p} {p}" for g in elems for p in pts]
+    return "\n".join(lines + maps) + "\n"

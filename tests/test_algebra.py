@@ -220,8 +220,8 @@ class TestProducts:
     def test_product_action_componentwise(self, fixture_map):
         s1 = fixture_map["z4mod2"].system
         s2 = fixture_map["z2swap-id"].system
-        ps = product(s1.space, s2.space)
-        pa = product_action(s1.action, s2.action, ps)
+        pa = product_action(s1.action, s2.action)
+        assert pa.space == product(s1.space, s2.space)
         n2 = s2.space.n
         for g1 in range(2):
             for g2 in range(2):

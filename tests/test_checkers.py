@@ -6,45 +6,13 @@ from gdyn import checkers as ck
 from gdyn.algebra import trivial_action
 from gdyn.corpus import enumerate_systems
 from gdyn.dynamics import GSystem, trivialized
-from gdyn.errors import PreconditionError, ValidationError
+from gdyn.errors import PreconditionError
 from gdyn.topology import compose, discrete_space, map_image
 from tests.conftest import refute_pair
 
 
 def _one_point_system():
     return GSystem(trivial_action(discrete_space(("x",))), (0,))
-
-
-class TestHitSets:
-    def test_rot4_single_step(self, fixture_map):
-        sys = fixture_map["rot4"].system
-        h = ck.n_g_hits(sys, 0b0001, 0b0010)
-        assert h == ck.NgHits(exponents=(1,), eventual=False, preperiod=0, period=4)
-
-    def test_z2swap_eventual(self, fixture_map):
-        sys = fixture_map["z2swap-id"].system
-        h = ck.n_g_hits(sys, 0b01, 0b10)
-        assert h.exponents == (1,)
-        assert h.eventual
-
-    def test_rejects_empty(self, fixture_map):
-        sys = fixture_map["rot4"].system
-        with pytest.raises(ValidationError, match="nonempty"):
-            ck.n_g_hits(sys, 0, 0b0001)
-        with pytest.raises(ValidationError, match="carrier"):
-            ck.n_g_hits(sys, 0b0001, 1 << 9)
-
-    def test_hits_match_definition(self, fixture_map):
-        # every reported exponent genuinely hits, every omitted one does not
-        sys = fixture_map["two-triangles"].system
-        c = sys.cache()
-        for u in sys.space.min_open:
-            for v in sys.space.min_open:
-                h = ck.n_g_hits(sys, u, v)
-                sat = sys.action.saturate(v)
-                for k in range(1, c.horizon + 1):
-                    hit = bool(map_image(c.powers[k - 1], u) & sat)
-                    assert hit == (k in h.exponents)
 
 
 def _check_gt_certificate(sys, cert):

@@ -1,5 +1,7 @@
 import pytest
 
+from conftest import cycles_text
+from gdyn import cli
 from gdyn.cli import main
 from gdyn.sysfile import parse, serialize
 
@@ -208,3 +210,35 @@ class TestRoundTrip:
             with open(path) as fh:
                 text = fh.read()
             assert serialize(parse(text)) == text
+
+
+class TestErrorsExitTwo:
+    def test_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "latin1.gds"
+        p.write_bytes("points a \xe9\n".encode("latin-1"))
+        assert main(["validate", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not UTF-8" in err
+
+    def test_internal_error(self, files, capsys, monkeypatch):
+        def broken(sys_):
+            raise RuntimeError("simulated defect")
+
+        monkeypatch.setattr(cli, "full_report", broken)
+        assert main(["report", files["rot4"]]) == 2
+        assert capsys.readouterr().err == "error: internal: RuntimeError: simulated defect\n"
+
+    def test_horizon_limit(self, tmp_path, capsys):
+        p = tmp_path / "primes.gds"
+        p.write_text(cycles_text((2, 3, 5, 7, 11, 13, 17, 19)))
+        assert main(["check", str(p), "--property", "gt"]) == 2
+        assert "iterate cache" in capsys.readouterr().err
+
+    def test_nfold_limits(self, tmp_path, capsys):
+        p = tmp_path / "one_point.gds"
+        p.write_text(cycles_text((1,)))
+        assert main(["check", str(p), "--property", "nfold:200000"]) == 2
+        assert "factors" in capsys.readouterr().err
+        p.write_text(cycles_text((1,), group_order=8))
+        assert main(["check", str(p), "--property", "nfold:4"]) == 2
+        assert "group of order 8^4" in capsys.readouterr().err

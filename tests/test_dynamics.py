@@ -4,25 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cycles_text
 from gdyn.algebra import trivial_action
 from gdyn.corpus import enumerate_systems
 from gdyn.dynamics import (
     GSystem,
     IterateCache,
-    Invariance,
     f_orbit,
     gf_orbit,
     gf_periodic_mask,
     gf_periodic_points,
-    invariance,
     nfold_system,
     periodic_points,
     product_system,
-    saturate_backward,
-    saturate_forward,
     trivialized,
 )
 from gdyn.errors import LimitError, ValidationError
+from gdyn.sysfile import parse
 from gdyn.topology import Space, compose, discrete_space, identity_table
 
 
@@ -67,6 +65,16 @@ class TestIterateCache:
                 assert c.powers[r - 1] == t
                 t = compose(tuple(f), t)
 
+    def test_horizon_bounded(self):
+        # horizon 9,699,690 on 77 points: the tables would take several GB
+        sys = parse(cycles_text((2, 3, 5, 7, 11, 13, 17, 19)))
+        with pytest.raises(LimitError, match="iterate cache"):
+            sys.cache()
+
+    def test_horizon_bound_admits_long_period(self):
+        sys = parse(cycles_text((2, 3, 5, 7, 11)))
+        assert sys.cache().horizon == 2310
+
     def test_reduce_fixed_on_window(self):
         c = IterateCache((1, 2, 3, 4, 2))
         assert [c.reduce(m) for m in range(1, 6)] == [1, 2, 3, 4, 5]
@@ -109,17 +117,6 @@ class TestOrbits:
         sys = fixture_map["z4mod2"].system
         assert gf_orbit(sys, 0) == sys.space.full
 
-    def test_gf_orbit_vs_saturate_forward(self):
-        # the forward saturation always contains the g.f^k(x) union and
-        # coincides with it when orbits are mapped onto orbits
-        for sys in itertools.islice(enumerate_systems(3, ("Z2", "Z3")), 500):
-            for x in range(sys.space.n):
-                go = gf_orbit(sys, x)
-                sf = saturate_forward(sys, 1 << x)
-                assert go & ~sf == 0
-                if sys.pseudoequivariant():
-                    assert go == sf
-
 
 class TestPeriodicity:
     def test_periodic_points_skew3(self, fixture_map):
@@ -149,34 +146,6 @@ class TestPeriodicity:
                     assert not (orb >> c.powers[j - 1][x]) & 1
 
 
-class TestInvariance:
-    def test_double_mod5(self, fixture_map):
-        # doubling mod 5 is a bijection fixing 0, so both {0} and its
-        # complement are invariant in every sense
-        sys = fixture_map["double-mod5"].system
-        zero = 1 << sys.space.index["0"]
-        rest = sys.space.full & ~zero
-        assert invariance(sys, zero) == Invariance(True, True, True, True)
-        assert invariance(sys, rest) == Invariance(True, True, True, True)
-        # a set meeting both orbits nontrivially is not invariant
-        part = zero | (1 << sys.space.index["1"])
-        inv = invariance(sys, part)
-        assert not inv.forward and not inv.group
-
-    def test_saturate_backward_contains_forward_preimages(self, fixture_map):
-        sys = fixture_map["double-mod5"].system
-        zero = 1 << sys.space.index["0"]
-        b = saturate_backward(sys, zero)
-        # 0 only reachable from 0 (doubling hits 0 only from 0 mod 5)
-        assert b == zero
-
-    def test_empty_and_full_are_invariant(self, fixture_map):
-        for fx in fixture_map.values():
-            sys = fx.system
-            assert saturate_forward(sys, 0) == 0
-            assert saturate_forward(sys, sys.space.full) == sys.space.full
-
-
 class TestProducts:
     def test_product_cache_parameters(self, fixture_map):
         s = fixture_map["rot4"].system
@@ -198,6 +167,21 @@ class TestProducts:
             nfold_system(s, 7)
         with pytest.raises(ValueError):
             nfold_system(s, 0)
+
+    def test_nfold_fold_count_bounded_before_sizes(self, fixture_map):
+        # 5 ** 10**9 alone would be a 290 MB integer; a one-point carrier
+        # never grows, so only the fold count stops it
+        with pytest.raises(LimitError, match="factors"):
+            nfold_system(fixture_map["double-mod5"].system, 10**9)
+        one_point = GSystem(trivial_action(discrete_space(("x",))), (0,))
+        with pytest.raises(LimitError, match="factors"):
+            nfold_system(one_point, 200_000)
+
+    def test_nfold_group_order_bounded(self):
+        sys = parse(cycles_text((1,), group_order=8))  # Z8 on one point
+        assert nfold_system(sys, 3).group.order == 512
+        with pytest.raises(LimitError, match="group of order 8\\^4"):
+            nfold_system(sys, 4)
 
     def test_product_map_componentwise(self, fixture_map):
         s1 = fixture_map["disc2-swap"].system

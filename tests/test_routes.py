@@ -1,0 +1,81 @@
+"""Second routes.  The library decides each property one way; these
+tests recompute weak mixing, minimal cores, quotients and derived
+products another way over every system of the miner's sweep (all
+systems on up to three points over Z1, Z2 and Z3) and require the two
+to agree."""
+
+import pytest
+
+from gdyn import checkers as ck
+from gdyn.algebra import Action, Group, quotient
+from gdyn.bitsets import bits
+from gdyn.corpus import enumerate_systems
+from gdyn.dynamics import GSystem, gf_orbit, product_system
+from gdyn.topology import Space, is_continuous, map_image
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    return list(enumerate_systems())
+
+
+def test_wgm_is_transitivity_of_the_square(sweep):
+    for sys in sweep:
+        assert (ck.is_weakly_g_mixing(sys).verdict
+                == ck.is_n_fold_transitive(sys, 2).verdict)
+
+
+def test_products_pass_full_validation(sweep):
+    # products are built without re-validation; the public constructors
+    # must accept every table they produce
+    for sys in sweep:
+        p = product_system(sys, sys)
+        g = Group(p.group.elements, p.group.mul)
+        assert g == p.group
+        assert (g.identity, g.inv) == (p.group.identity, p.group.inv)
+        space = Space(p.space.points, p.space.min_open)
+        assert GSystem(Action(g, space, p.action.act), p.f) == p
+
+
+def _terminal_classes(sys):
+    """Terminal classes of the preorder x -> y iff y lies in the closure
+    of the saturated orbit of x."""
+    n = sys.space.n
+    reach = [sys.space.closure(gf_orbit(sys, x)) for x in range(n)]
+    out = []
+    for x in range(n):
+        cls = 0
+        rx = reach[x]
+        for y in bits(rx):
+            if (reach[y] >> x) & 1:
+                cls |= 1 << y
+        if cls == rx and rx not in out:
+            out.append(rx)
+    return sorted(out, key=lambda m: m & -m)
+
+
+def test_minimal_sets_are_terminal_classes(sweep):
+    checked = 0
+    for sys in sweep:
+        if sys.pseudoequivariant():
+            assert ck.g_minimal_sets(sys) == _terminal_classes(sys)
+            checked += 1
+    assert checked
+
+
+def test_quotient_projection_and_induced_map(sweep):
+    for sys in sweep:
+        qs = quotient(sys.action, sys.f)
+        q, proj, n = qs.space, qs.proj, sys.space.n
+        assert Space(q.points, q.min_open) == q
+        assert set(proj) == set(range(q.n))
+        for s in q.opens():
+            pre = sum(1 << x for x in range(n) if (s >> proj[x]) & 1)
+            assert sys.space.is_open(pre)
+        for x in range(n):
+            assert q.is_open(map_image(proj, sys.space.min_open[x]))
+        assert (qs.induced is not None) == sys.pseudoequivariant()
+        if qs.induced is not None:
+            assert is_continuous(q, qs.induced)
+            for x in range(n):
+                assert qs.induced[proj[x]] == proj[sys.f[x]]
