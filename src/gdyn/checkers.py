@@ -1,7 +1,7 @@
 """Decision procedures for transitivity, mixing and minimality of a
 continuous map on a finite G-space.
 
-Two reductions make every property decidable by a finite scan:
+Three reductions make every property decidable by a finite scan:
 
 * the iterate cache bounds all quantifiers over exponents by the window
   [1, p+q], since composed tables repeat beyond it;
@@ -11,17 +11,23 @@ Two reductions make every property decidable by a finite scan:
 * universal quantifiers over nonempty open sets are monotone in both
   arguments, so they are decided on the basis of minimal opens.
 
+The scan is one table: for basis opens U and V, the hit mask has bit k
+set, for k in [1, p+q], iff f^k(U) meets G(V).  Transitivity, total
+transitivity, weak and strong mixing are predicates on these masks.
+
 Every checker returns a PropertyReport whose witness makes the verdict
 auditable: false verdicts carry a concrete failing pair of basis opens
 (plus the iterate exponent where relevant), true verdicts carry per-pair
-(exponent, group element) certificates when small enough.  An
-independent brute-force module (`gdyn.oracle`) re-derives all verdicts
-from the raw definitions; the test suite keeps the two in agreement.
+(exponent, group element) certificates when small enough.  Certificates
+are built from the hit masks when the witness's ``certificates`` entry
+is first read.  An independent brute-force module (`gdyn.oracle`)
+re-derives all verdicts from the raw definitions; the test suite keeps
+the two in agreement.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 from .algebra import quotient, require_induced, trivial_action
@@ -63,9 +69,9 @@ def precondition_flags(sys: GSystem) -> Preconditions:
 
 class _Ctx:
     """Shared per-system scan state: deduplicated basis, saturations and
-    memoized images of basis sets under iterate tables."""
+    the hit-mask table.  ``img`` and ``find_g`` serve certificates only."""
 
-    __slots__ = ("sys", "cache", "basis", "sat", "_img")
+    __slots__ = ("sys", "cache", "basis", "sat", "_reach", "_hits", "_img")
 
     def __init__(self, sys: GSystem):
         self.sys = sys
@@ -75,7 +81,40 @@ class _Ctx:
             seen.setdefault(m)
         self.basis = list(seen)
         self.sat = {v: sys.action.saturate(v) for v in self.basis}
+        self._reach: dict[int, dict[int, int]] = {}
+        self._hits: dict[tuple[int, int], int] = {}
         self._img: dict[tuple[int, int], int] = {}
+
+    def reach(self, u: int) -> dict[int, int]:
+        """Point y -> mask of the exponents k in [1, p+q] with y in f^k(U)."""
+        out = self._reach.get(u)
+        if out is None:
+            out = {}
+            for x in bits(u):
+                for k, t in enumerate(self.cache.powers, 1):
+                    y = t[x]
+                    out[y] = out.get(y, 0) | 1 << k
+            self._reach[u] = out
+        return out
+
+    def hits(self, u: int, v: int) -> int:
+        """Mask of the exponents k in [1, p+q] with f^k(U) meeting G(V)."""
+        sat = self.sat[v]
+        key = (u, sat)
+        out = self._hits.get(key)
+        if out is None:
+            reach = self.reach(u)
+            out = 0
+            # walk the smaller side: the points U reaches or those of G(V)
+            if len(reach) < sat.bit_count():
+                for y, ks in reach.items():
+                    if (sat >> y) & 1:
+                        out |= ks
+            else:
+                for y in bits(sat):
+                    out |= reach.get(y, 0)
+            self._hits[key] = out
+        return out
 
     def img(self, u: int, k: int) -> int:
         key = (u, k)
@@ -91,6 +130,57 @@ class _Ctx:
                 return g
         raise RuntimeError("internal: saturation hit without a witnessing element")
 
+    def element(self, u: int, k: int, v: int) -> str:
+        """The first group element g with g.f^k(U) meeting V."""
+        return self.sys.group.elements[self.find_g(self.img(u, k), v)]
+
+
+class _Certified(Mapping):
+    """A true verdict's witness: fixed entries, then ``certificates``,
+    which is built from the scan table when it is first read."""
+
+    __slots__ = ("_fixed", "_build", "_certs")
+
+    def __init__(self, fixed: dict, build: Callable[[], tuple]):
+        self._fixed = fixed
+        self._build: Callable[[], tuple] | None = build
+        self._certs: tuple = ()
+
+    def __getitem__(self, key):
+        if key != "certificates":
+            return self._fixed[key]
+        if self._build is not None:
+            self._certs = self._build()
+            self._build = None  # drops the scan table
+        return self._certs
+
+    def __contains__(self, key) -> bool:
+        return key == "certificates" or key in self._fixed
+
+    def __iter__(self):
+        yield from self._fixed
+        yield "certificates"
+
+    def __len__(self) -> int:
+        return len(self._fixed) + 1
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
+def _witness(count: int, summary: str, build: Callable[[], tuple], **fixed) -> Mapping:
+    """Certificates built on first read, or a summary past the limit."""
+    if count > CertificateLimit:
+        return {"summary": f"{count} {summary} verified", **fixed}
+    return _Certified(fixed, build)
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
 
 def _names(sys: GSystem, mask: int) -> tuple[str, ...]:
     return sys.space.names(mask)
@@ -104,72 +194,65 @@ def is_g_transitive(sys: GSystem) -> PropertyReport:
     for all U, V there are k >= 1 and g with g.f^k(U) meeting V."""
     ctx = _Ctx(sys)
     flags = precondition_flags(sys)
-    hits: list[tuple[int, int, int]] = []
-    for u in ctx.basis:
-        for v in ctx.basis:
-            sat = ctx.sat[v]
-            for k in range(1, ctx.cache.horizon + 1):
-                if ctx.img(u, k) & sat:
-                    hits.append((u, v, k))
-                    break
-            else:
+    basis = ctx.basis
+    for u in basis:
+        for v in basis:
+            if not ctx.hits(u, v):
                 return PropertyReport(
                     "gt", False, {"U": _names(sys, u), "V": _names(sys, v)}, flags
                 )
-    witness = _gt_certificates(ctx, hits)
-    return PropertyReport("gt", True, witness, flags)
 
+    def build() -> tuple:
+        out = []
+        for u in basis:
+            for v in basis:
+                k = _lowest(ctx.hits(u, v))
+                out.append((_names(sys, u), _names(sys, v), k, ctx.element(u, k, v)))
+        return tuple(out)
 
-def _gt_certificates(ctx: _Ctx, hits: list[tuple[int, int, int]]) -> Mapping:
-    if len(hits) > CertificateLimit:
-        return {"summary": f"{len(hits)} basis pairs verified"}
-    sys = ctx.sys
-    certs = tuple(
-        (_names(sys, u), _names(sys, v), k, sys.group.elements[ctx.find_g(ctx.img(u, k), v)])
-        for u, v, k in hits
-    )
-    return {"certificates": certs}
+    return PropertyReport("gt", True, _witness(len(basis) ** 2, "basis pairs", build), flags)
 
 
 def is_totally_g_transitive(sys: GSystem) -> PropertyReport:
     """Every iterate f^m, m >= 1, is itself G-transitive.  Distinct tables
-    of iterates all occur with m <= p+q, so the scan is finite; the inner
-    exponent search for f^m walks the reduced exponents m*j."""
+    of iterates all occur with m <= p+q, so the scan is finite; f^m hits
+    at the reduced exponents m*j, j in [1, p+q]."""
     ctx = _Ctx(sys)
     flags = precondition_flags(sys)
     c = ctx.cache
-    seen_tables: set[tuple[int, ...]] = set()
-    all_hits: list[tuple[int, int, int, int]] = []
-    for m in range(1, c.horizon + 1):
-        t = c.powers[m - 1]
-        if t in seen_tables:
-            continue
-        seen_tables.add(t)
-        for u in ctx.basis:
-            for v in ctx.basis:
-                sat = ctx.sat[v]
-                for j in range(1, c.horizon + 1):
-                    if ctx.img(u, c.reduce(m * j)) & sat:
-                        all_hits.append((m, u, v, c.reduce(m * j)))
-                        break
-                else:
+    basis = ctx.basis
+    # f^1 .. f^(p+q-1) are distinct tables, and f^(p+q) repeats f^p
+    # unless p = 0
+    ms = range(1, c.horizon + 1 if c.preperiod == 0 else c.horizon)
+    for m in ms:
+        reduced = 0
+        for j in range(1, c.horizon + 1):
+            reduced |= 1 << c.reduce(m * j)
+        for u in basis:
+            for v in basis:
+                if not ctx.hits(u, v) & reduced:
                     return PropertyReport(
                         "tgt",
                         False,
                         {"m": m, "U": _names(sys, u), "V": _names(sys, v)},
                         flags,
                     )
-    if len(all_hits) > CertificateLimit:
-        witness: Mapping = {"summary": f"{len(all_hits)} (iterate, pair) checks verified"}
-    else:
-        witness = {
-            "certificates": tuple(
-                (m, _names(sys, u), _names(sys, v), k,
-                 sys.group.elements[ctx.find_g(ctx.img(u, k), v)])
-                for m, u, v, k in all_hits
-            )
-        }
-    return PropertyReport("tgt", True, witness, flags)
+
+    def build() -> tuple:
+        out = []
+        for m in ms:
+            for u in basis:
+                for v in basis:
+                    h = ctx.hits(u, v)
+                    k = next(k for k in (c.reduce(m * j) for j in range(1, c.horizon + 1))
+                             if (h >> k) & 1)
+                    out.append((m, _names(sys, u), _names(sys, v), k, ctx.element(u, k, v)))
+        return tuple(out)
+
+    count = len(ms) * len(basis) ** 2
+    return PropertyReport(
+        "tgt", True, _witness(count, "(iterate, pair) checks", build), flags
+    )
 
 
 def is_weakly_g_mixing(sys: GSystem) -> PropertyReport:
@@ -177,51 +260,46 @@ def is_weakly_g_mixing(sys: GSystem) -> PropertyReport:
 
     Decided on the base system: for all basis opens U, V, E, F a single
     exponent k must send U into contact with G(E) and V with G(F), which
-    links the product's basis pair (U x V, E x F).  The product route is
-    ``is_n_fold_transitive(sys, 2)``; the tests compare the two.
+    links the product's basis pair (U x V, E x F): every two hit masks
+    intersect.  The product route is ``is_n_fold_transitive(sys, 2)``;
+    the tests compare the two.
     """
     ctx = _Ctx(sys)
     flags = precondition_flags(sys)
-    horizon = ctx.cache.horizon
     pairs = [(u, e) for u in ctx.basis for e in ctx.basis]
-    hmask: dict[tuple[int, int], int] = {}
-    for u, e in pairs:
-        sat = ctx.sat[e]
-        m = 0
-        for k in range(1, horizon + 1):
-            if ctx.img(u, k) & sat:
-                m |= 1 << k
-        hmask[(u, e)] = m
-    certs = []
-    for u, e in pairs:
-        m1 = hmask[(u, e)]
-        for v, w in pairs:
-            joint = m1 & hmask[(v, w)]
-            if not joint:
-                return PropertyReport(
-                    "wgm",
-                    False,
-                    {
-                        "U": _names(sys, u), "V": _names(sys, v),
-                        "E": _names(sys, e), "F": _names(sys, w),
-                    },
-                    flags,
-                )
-            certs.append((u, v, e, w, joint.bit_length() - 1))
-    if len(certs) > CertificateLimit:
-        witness: Mapping = {"summary": f"{len(certs)} basis 4-tuples verified"}
-    else:
-        witness = {
-            "certificates": tuple(
-                (
+    distinct = {ctx.hits(u, e) for u, e in pairs}
+    # the verdict depends on the distinct masks only; the ordered scan
+    # names the first failing 4-tuple
+    if not all(a & b for a in distinct for b in distinct):
+        for u, e in pairs:
+            m1 = ctx.hits(u, e)
+            for v, w in pairs:
+                if not m1 & ctx.hits(v, w):
+                    return PropertyReport(
+                        "wgm",
+                        False,
+                        {
+                            "U": _names(sys, u), "V": _names(sys, v),
+                            "E": _names(sys, e), "F": _names(sys, w),
+                        },
+                        flags,
+                    )
+
+    def build() -> tuple:
+        out = []
+        for u, e in pairs:
+            m1 = ctx.hits(u, e)
+            for v, w in pairs:
+                k = (m1 & ctx.hits(v, w)).bit_length() - 1
+                out.append((
                     _names(sys, u), _names(sys, v), _names(sys, e), _names(sys, w), k,
-                    sys.group.elements[ctx.find_g(ctx.img(u, k), e)],
-                    sys.group.elements[ctx.find_g(ctx.img(v, k), w)],
-                )
-                for u, v, e, w, k in certs
-            )
-        }
-    return PropertyReport("wgm", True, witness, flags)
+                    ctx.element(u, k, e), ctx.element(v, k, w),
+                ))
+        return tuple(out)
+
+    return PropertyReport(
+        "wgm", True, _witness(len(pairs) ** 2, "basis 4-tuples", build), flags
+    )
 
 
 def is_n_fold_transitive(sys: GSystem, n: int, max_carrier: int = 20000) -> PropertyReport:
@@ -239,37 +317,36 @@ def is_n_fold_transitive(sys: GSystem, n: int, max_carrier: int = 20000) -> Prop
 def is_strongly_g_mixing(sys: GSystem) -> PropertyReport:
     """For every pair of nonempty opens, all sufficiently large exponents
     hit: some translate of f^n(U) meets V for every n beyond a threshold.
-    Decided on the recurring exponents [p+1, p+q]."""
+    Decided on the recurring exponents [p+1, p+q]: every hit mask covers
+    that window."""
     ctx = _Ctx(sys)
     flags = precondition_flags(sys)
-    cyc = list(ctx.cache.cycle_exponents())
-    certs = []
-    for u in ctx.basis:
-        for v in ctx.basis:
-            sat = ctx.sat[v]
-            for k in cyc:
-                if not (ctx.img(u, k) & sat):
-                    return PropertyReport(
-                        "sgm",
-                        False,
-                        {"U": _names(sys, u), "V": _names(sys, v), "missing_exponent": k},
-                        flags,
-                    )
-            certs.extend((u, v, k) for k in cyc)
-    if len(certs) > CertificateLimit:
-        witness: Mapping = {
-            "summary": f"{len(certs)} (pair, exponent) checks verified",
-            "threshold": ctx.cache.preperiod + 1,
-        }
-    else:
-        witness = {
-            "threshold": ctx.cache.preperiod + 1,
-            "certificates": tuple(
-                (_names(sys, u), _names(sys, v), k,
-                 sys.group.elements[ctx.find_g(ctx.img(u, k), v)])
-                for u, v, k in certs
-            ),
-        }
+    c = ctx.cache
+    basis = ctx.basis
+    window = ((1 << c.period) - 1) << (c.preperiod + 1)
+    for u in basis:
+        for v in basis:
+            missing = window & ~ctx.hits(u, v)
+            if missing:
+                return PropertyReport(
+                    "sgm",
+                    False,
+                    {"U": _names(sys, u), "V": _names(sys, v),
+                     "missing_exponent": _lowest(missing)},
+                    flags,
+                )
+
+    def build() -> tuple:
+        return tuple(
+            (_names(sys, u), _names(sys, v), k, ctx.element(u, k, v))
+            for u in basis
+            for v in basis
+            for k in c.cycle_exponents()
+        )
+
+    count = len(basis) ** 2 * c.period
+    witness = _witness(count, "(pair, exponent) checks", build,
+                       threshold=c.preperiod + 1)
     return PropertyReport("sgm", True, witness, flags)
 
 

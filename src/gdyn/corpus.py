@@ -357,7 +357,10 @@ def _autos(space: Space) -> list[tuple[int, ...]]:
 def _extend_hom(group: Group, gens: tuple[int, ...],
                 images: Mapping[int, tuple[int, ...]], n: int):
     """Extend generator images to a full homomorphism into the symmetric
-    group, or return None if the images are inconsistent."""
+    group, or return None if the images are inconsistent.  With
+    automorphisms of the space as images the result is a valid action
+    table: the identity acts trivially, the homomorphism law is checked
+    and every row is a composite of homeomorphisms."""
     phi: list = [None] * group.order
     phi[group.identity] = identity_table(n)
     queue = [group.identity]
@@ -386,9 +389,9 @@ def _sample_action(rng: random.Random, group: Group, space: Space,
         images = {s: rng.choice(autos) for s in gens}
         phi = _extend_hom(group, gens, images, space.n)
         if phi is not None:
-            return Action(group, space, tuple(phi))
+            return Action._trusted(group, space, tuple(phi))
     ident = identity_table(space.n)
-    return Action(group, space, tuple(ident for _ in range(group.order)))
+    return Action._trusted(group, space, tuple(ident for _ in range(group.order)))
 
 
 def _sample_map(rng: random.Random, action: Action,
@@ -452,7 +455,7 @@ def generate(cfg: GeneratorConfig) -> GSystem:
     group = cat[rng.choice(list(pool))]
     action = _sample_action(rng, group, space)
     f = _sample_map(rng, action, cfg.pseudoequivariant_only, cfg.budget)
-    return GSystem(action, f)
+    return GSystem._trusted(action, f)
 
 
 def generate_robust(cfg: GeneratorConfig, retries: int = 8) -> GSystem:
@@ -518,9 +521,9 @@ def enumerate_systems(max_points: int = 3,
             for gname in group_names:
                 group = cat[gname]
                 for phi in _all_homs(group, autos, n):
-                    action = Action(group, space, phi)
+                    action = Action._trusted(group, space, phi)
                     for f in conts:
-                        yield GSystem(action, f)
+                        yield GSystem._trusted(action, f)
 
 
 # -- property miner -----------------------------------------------------------

@@ -2,12 +2,20 @@ import pytest
 
 from gdyn import fixtures
 from gdyn.bitsets import bits
+from gdyn.corpus import enumerate_systems
 from gdyn.topology import map_image
 
 
 @pytest.fixture(scope="session")
 def fixture_map():
     return {fx.name: fx for fx in fixtures()}
+
+
+@pytest.fixture(scope="session")
+def sweep():
+    """Every system on up to three points over Z1, Z2 and Z3, in the
+    order of ``enumerate_systems()``."""
+    return list(enumerate_systems())
 
 
 def brute_opens(space):

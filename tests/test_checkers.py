@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import pickle
 
 import pytest
 
@@ -15,15 +17,32 @@ def _one_point_system():
     return GSystem(trivial_action(discrete_space(("x",))), (0,))
 
 
+def _iterate(sys, k):
+    """The table of f^k, composed afresh."""
+    t = sys.f
+    for _ in range(k - 1):
+        t = compose(sys.f, t)
+    return t
+
+
 def _check_gt_certificate(sys, cert):
     u_names, v_names, k, g_name = cert
     u = sys.space.mask(u_names)
     v = sys.space.mask(v_names)
-    t = sys.f
-    for _ in range(k - 1):
-        t = compose(sys.f, t)
+    t = _iterate(sys, k)
     g = sys.group.index[g_name]
     assert sys.action.translate(g, map_image(t, u)) & v
+
+
+def _check_wgm_certificate(sys, cert):
+    u_names, v_names, e_names, f_names, k, g1_name, g2_name = cert
+    t = _iterate(sys, k)
+    img_u = map_image(t, sys.space.mask(u_names))
+    img_v = map_image(t, sys.space.mask(v_names))
+    g1 = sys.group.index[g1_name]
+    g2 = sys.group.index[g2_name]
+    assert sys.action.translate(g1, img_u) & sys.space.mask(e_names)
+    assert sys.action.translate(g2, img_v) & sys.space.mask(f_names)
 
 
 class TestTransitivity:
@@ -111,6 +130,17 @@ class TestMixing:
         for k in range(1, c.horizon + 1):
             t = c.powers[k - 1]
             assert not (map_image(t, u) & e and map_image(t, v) & f)
+
+    def test_true_wgm_certificates_replay(self, fixture_map, sweep):
+        systems = [fx.system for fx in fixture_map.values()] + sweep
+        replayed = 0
+        for sys in systems:
+            rep = ck.is_weakly_g_mixing(sys)
+            if rep.verdict:
+                for cert in rep.witness["certificates"]:
+                    _check_wgm_certificate(sys, cert)
+                    replayed += 1
+        assert replayed
 
     def test_nfold_one_equals_gt(self, fixture_map):
         for fx in fixture_map.values():
@@ -282,3 +312,40 @@ class TestPreconditionsAndReports:
         rep = ck.is_g_transitive(sys)
         assert not rep.verdict
         refute_pair(sys, rep.witness["U"], rep.witness["V"])
+
+
+_SCANS = (ck.is_g_transitive, ck.is_totally_g_transitive,
+          ck.is_weakly_g_mixing, ck.is_strongly_g_mixing)
+
+
+class TestWitnesses:
+    def test_sweep_witnesses_are_pinned(self, sweep):
+        # sha256 over the concatenated reports of the four scans on every
+        # sweep system, certificates included
+        h = hashlib.sha256()
+        for sys in sweep:
+            for decide in _SCANS:
+                r = decide(sys)
+                h.update(repr((r.prop, r.verdict, sorted(dict(r.witness).items()))).encode())
+        assert h.hexdigest() == (
+            "5310ce20b233ca887035074e19f0080ba91dc2f6385026515bb646f331f2a5b6"
+        )
+
+    def test_certificates_are_built_on_first_read(self, fixture_map, monkeypatch):
+        images = []
+        img = ck._Ctx.img
+
+        def counted(self, u, k):
+            images.append(k)
+            return img(self, u, k)
+
+        monkeypatch.setattr(ck._Ctx, "img", counted)
+        sys = fixture_map["z2swap-id"].system
+        reps = [decide(sys) for decide in _SCANS]
+        assert all(r.verdict for r in reps)
+        assert all("certificates" in r.witness for r in reps)
+        assert all(list(r.witness)[-1] == "certificates" for r in reps)
+        assert not images
+        certs = reps[0].witness["certificates"]
+        assert images and reps[0].witness["certificates"] is certs
+        assert pickle.loads(pickle.dumps(reps[1])) == reps[1]

@@ -2,21 +2,18 @@
 tests recompute weak mixing, minimal cores, quotients and derived
 products another way over every system of the miner's sweep (all
 systems on up to three points over Z1, Z2 and Z3) and require the two
-to agree."""
+to agree.  Systems that the sweep and the generator build without
+re-validation are rebuilt through the validating constructors."""
 
-import pytest
+import itertools
 
 from gdyn import checkers as ck
 from gdyn.algebra import Action, Group, quotient
 from gdyn.bitsets import bits
-from gdyn.corpus import enumerate_systems
+from gdyn.corpus import generate, suite_configs
 from gdyn.dynamics import GSystem, gf_orbit, product_system
+from gdyn.errors import GenerationError
 from gdyn.topology import Space, is_continuous, map_image
-
-
-@pytest.fixture(scope="module")
-def sweep():
-    return list(enumerate_systems())
 
 
 def test_wgm_is_transitivity_of_the_square(sweep):
@@ -35,6 +32,23 @@ def test_products_pass_full_validation(sweep):
         assert (g.identity, g.inv) == (p.group.identity, p.group.inv)
         space = Space(p.space.points, p.space.min_open)
         assert GSystem(Action(g, space, p.action.act), p.f) == p
+
+
+def _generated(configs):
+    for cfg in configs:
+        try:
+            yield generate(cfg)
+        except GenerationError:
+            pass
+
+
+def test_corpus_systems_pass_full_validation(sweep):
+    # the sweep and the generator build actions and systems from tables
+    # they have already checked; the public constructors must accept them
+    generated = list(itertools.islice(_generated(suite_configs(400)), 300))
+    assert len(generated) == 300
+    for sys in sweep + generated:
+        assert GSystem(Action(sys.group, sys.space, sys.action.act), sys.f) == sys
 
 
 def _terminal_classes(sys):
