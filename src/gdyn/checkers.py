@@ -13,7 +13,13 @@ Three reductions make every property decidable by a finite scan:
 
 The scan is one table: for basis opens U and V, the hit mask has bit k
 set, for k in [1, p+q], iff f^k(U) meets G(V).  Transitivity, total
-transitivity, weak and strong mixing are predicates on these masks.
+transitivity, weak and strong mixing are predicates on these masks, read
+one row per basis open U.  The masks come from the functional graph of
+the map: each point's tail is walked once and its cycle once, and a
+cycle point first met at exponent k recurs at k + L, k + 2L, ... for the
+cycle length L.  The scan context and the precondition flags are
+memoised on the system, so every decider, the full report and the sgm
+sufficient condition share one table and one flag computation.
 
 Every checker returns a PropertyReport whose witness makes the verdict
 auditable: false verdicts carry a concrete failing pair of basis opens
@@ -61,60 +67,116 @@ class PropertyReport:
 
 
 def precondition_flags(sys: GSystem) -> Preconditions:
-    return Preconditions(
-        pseudoequivariant=sys.pseudoequivariant(),
-        dense_gf_periodic=sys.space.is_dense(gf_periodic_mask(sys)),
-    )
+    """The preconditions of the diagram's implications, memoised on the
+    system."""
+    if sys._flags is None:
+        sys._flags = Preconditions(
+            pseudoequivariant=sys.pseudoequivariant(),
+            dense_gf_periodic=sys.space.is_dense(gf_periodic_mask(sys)),
+        )
+    return sys._flags
 
 
 class _Ctx:
     """Shared per-system scan state: deduplicated basis, saturations and
-    the hit-mask table.  ``img`` and ``find_g`` serve certificates only."""
+    the hit-mask table, one row per basis open.  ``img`` and ``find_g``
+    serve certificates only.
 
-    __slots__ = ("sys", "cache", "basis", "sat", "_reach", "_hits", "_img")
+    It keeps the map, the action and the iterate cache, not the system:
+    the system holds its context (``_scan``), and a reference back would
+    make a cycle that only the garbage collector frees."""
+
+    __slots__ = ("f", "action", "cache", "basis", "pos", "window", "cycle_window",
+                 "_sats", "_col", "_steps", "_point", "_rows", "_img")
 
     def __init__(self, sys: GSystem):
-        self.sys = sys
-        self.cache = sys.cache()
-        seen: dict[int, None] = {}
+        self.f = sys.f
+        self.action = action = sys.action
+        self.cache = c = sys.cache()
+        self.pos = pos = {}  # basis open -> its index in the basis
         for m in sys.space.min_open:
-            seen.setdefault(m)
-        self.basis = list(seen)
-        self.sat = {v: sys.action.saturate(v) for v in self.basis}
-        self._reach: dict[int, dict[int, int]] = {}
-        self._hits: dict[tuple[int, int], int] = {}
+            pos.setdefault(m, len(pos))
+        self.basis = list(pos)
+        # each basis open's column: the index of its saturation among the
+        # distinct ones, which are kept with their points; None when the
+        # saturations are all distinct
+        sats: dict[int, int] = {}
+        col = [sats.setdefault(action.saturate(v), len(sats)) for v in self.basis]
+        self._col = None if len(sats) == len(col) else col
+        self._sats = [(sat, tuple(bits(sat))) for sat in sats]
+        self.window = ((1 << c.horizon) - 1) << 1  # exponents [1, p+q]
+        self.cycle_window = ((1 << c.period) - 1) << (c.preperiod + 1)
+        self._steps: dict[int, int] = {}
+        self._point: dict[int, dict[int, int]] = {}
+        self._rows: dict[int, list[int]] = {}
         self._img: dict[tuple[int, int], int] = {}
+
+    def point(self, x: int) -> dict[int, int]:
+        """Point y -> mask of the exponents k in [1, p+q] with f^k(x) = y.
+
+        One walk along x's tail and once round its cycle: a tail point is
+        met at one exponent, and a cycle point first met at k recurs at
+        k + L, k + 2L, ... for the cycle length L."""
+        out = self._point.get(x)
+        if out is None:
+            f = self.f
+            first: dict[int, int] = {}
+            y, k = f[x], 1
+            while y not in first:
+                first[y] = k
+                y = f[y]
+                k += 1
+            entry = first[y]  # the first cycle point met
+            step = k - entry  # the cycle length
+            every = self._steps.get(step)
+            if every is None:
+                # bits 0, L, 2L, ... up to p+q, for L = step
+                terms = self.cache.horizon // step + 1
+                every = ((1 << step * terms) - 1) // ((1 << step) - 1)
+                self._steps[step] = every
+            window = self.window
+            out = {z: (every << j) & window if j >= entry else 1 << j
+                   for z, j in first.items()}
+            self._point[x] = out
+        return out
 
     def reach(self, u: int) -> dict[int, int]:
         """Point y -> mask of the exponents k in [1, p+q] with y in f^k(U)."""
-        out = self._reach.get(u)
+        if not u & (u - 1):
+            return self.point(u.bit_length() - 1)
+        out: dict[int, int] = {}
+        for x in bits(u):
+            for y, ks in self.point(x).items():
+                out[y] = out.get(y, 0) | ks
+        return out
+
+    def row(self, u: int) -> list[int]:
+        """The hit masks of U against the basis opens V, in basis order:
+        bit k, for k in [1, p+q], is set iff f^k(U) meets G(V)."""
+        out = self._rows.get(u)
         if out is None:
-            out = {}
-            for x in bits(u):
-                for k, t in enumerate(self.cache.powers, 1):
-                    y = t[x]
-                    out[y] = out.get(y, 0) | 1 << k
-            self._reach[u] = out
+            reach = self.reach(u)
+            get = reach.get
+            masks = []
+            for sat, points in self._sats:
+                h = 0
+                # walk the smaller side: the points U reaches or those of G(V)
+                if len(reach) < len(points):
+                    for y, ks in reach.items():
+                        if (sat >> y) & 1:
+                            h |= ks
+                else:
+                    for y in points:
+                        h |= get(y, 0)
+                masks.append(h)
+            col = self._col
+            out = masks if col is None else [masks[i] for i in col]
+            self._rows[u] = out
         return out
 
     def hits(self, u: int, v: int) -> int:
         """Mask of the exponents k in [1, p+q] with f^k(U) meeting G(V)."""
-        sat = self.sat[v]
-        key = (u, sat)
-        out = self._hits.get(key)
-        if out is None:
-            reach = self.reach(u)
-            out = 0
-            # walk the smaller side: the points U reaches or those of G(V)
-            if len(reach) < sat.bit_count():
-                for y, ks in reach.items():
-                    if (sat >> y) & 1:
-                        out |= ks
-            else:
-                for y in bits(sat):
-                    out |= reach.get(y, 0)
-            self._hits[key] = out
-        return out
+        return self.row(u)[self.pos[v]]
 
     def img(self, u: int, k: int) -> int:
         key = (u, k)
@@ -125,14 +187,22 @@ class _Ctx:
         return out
 
     def find_g(self, img: int, v: int) -> int:
-        for g in range(self.sys.group.order):
-            if self.sys.action.translate(g, img) & v:
+        action = self.action
+        for g in range(action.group.order):
+            if action.translate(g, img) & v:
                 return g
         raise RuntimeError("internal: saturation hit without a witnessing element")
 
     def element(self, u: int, k: int, v: int) -> str:
         """The first group element g with g.f^k(U) meeting V."""
-        return self.sys.group.elements[self.find_g(self.img(u, k), v)]
+        return self.action.group.elements[self.find_g(self.img(u, k), v)]
+
+
+def _scan(sys: GSystem) -> _Ctx:
+    """The system's scan context, built on first use and kept on it."""
+    if sys._scan is None:
+        sys._scan = _Ctx(sys)
+    return sys._scan
 
 
 class _Certified(Mapping):
@@ -151,7 +221,7 @@ class _Certified(Mapping):
             return self._fixed[key]
         if self._build is not None:
             self._certs = self._build()
-            self._build = None  # drops the scan table
+            self._build = None
         return self._certs
 
     def __contains__(self, key) -> bool:
@@ -192,21 +262,22 @@ def _names(sys: GSystem, mask: int) -> tuple[str, ...]:
 def is_g_transitive(sys: GSystem) -> PropertyReport:
     """Every pair of nonempty opens is linked by some translated iterate:
     for all U, V there are k >= 1 and g with g.f^k(U) meeting V."""
-    ctx = _Ctx(sys)
+    ctx = _scan(sys)
     flags = precondition_flags(sys)
     basis = ctx.basis
     for u in basis:
-        for v in basis:
-            if not ctx.hits(u, v):
-                return PropertyReport(
-                    "gt", False, {"U": _names(sys, u), "V": _names(sys, v)}, flags
-                )
+        row = ctx.row(u)
+        if not all(row):
+            v = basis[row.index(0)]
+            return PropertyReport(
+                "gt", False, {"U": _names(sys, u), "V": _names(sys, v)}, flags
+            )
 
     def build() -> tuple:
         out = []
         for u in basis:
-            for v in basis:
-                k = _lowest(ctx.hits(u, v))
+            for v, h in zip(basis, ctx.row(u)):
+                k = _lowest(h)
                 out.append((_names(sys, u), _names(sys, v), k, ctx.element(u, k, v)))
         return tuple(out)
 
@@ -217,7 +288,7 @@ def is_totally_g_transitive(sys: GSystem) -> PropertyReport:
     """Every iterate f^m, m >= 1, is itself G-transitive.  Distinct tables
     of iterates all occur with m <= p+q, so the scan is finite; f^m hits
     at the reduced exponents m*j, j in [1, p+q]."""
-    ctx = _Ctx(sys)
+    ctx = _scan(sys)
     flags = precondition_flags(sys)
     c = ctx.cache
     basis = ctx.basis
@@ -229,8 +300,8 @@ def is_totally_g_transitive(sys: GSystem) -> PropertyReport:
         for j in range(1, c.horizon + 1):
             reduced |= 1 << c.reduce(m * j)
         for u in basis:
-            for v in basis:
-                if not ctx.hits(u, v) & reduced:
+            for v, h in zip(basis, ctx.row(u)):
+                if not h & reduced:
                     return PropertyReport(
                         "tgt",
                         False,
@@ -242,8 +313,7 @@ def is_totally_g_transitive(sys: GSystem) -> PropertyReport:
         out = []
         for m in ms:
             for u in basis:
-                for v in basis:
-                    h = ctx.hits(u, v)
+                for v, h in zip(basis, ctx.row(u)):
                     k = next(k for k in (c.reduce(m * j) for j in range(1, c.horizon + 1))
                              if (h >> k) & 1)
                     out.append((m, _names(sys, u), _names(sys, v), k, ctx.element(u, k, v)))
@@ -264,17 +334,17 @@ def is_weakly_g_mixing(sys: GSystem) -> PropertyReport:
     intersect.  The product route is ``is_n_fold_transitive(sys, 2)``;
     the tests compare the two.
     """
-    ctx = _Ctx(sys)
+    ctx = _scan(sys)
     flags = precondition_flags(sys)
     pairs = [(u, e) for u in ctx.basis for e in ctx.basis]
-    distinct = {ctx.hits(u, e) for u, e in pairs}
+    masks = [h for u in ctx.basis for h in ctx.row(u)]
+    distinct = set(masks)
     # the verdict depends on the distinct masks only; the ordered scan
     # names the first failing 4-tuple
     if not all(a & b for a in distinct for b in distinct):
-        for u, e in pairs:
-            m1 = ctx.hits(u, e)
-            for v, w in pairs:
-                if not m1 & ctx.hits(v, w):
+        for (u, e), m1 in zip(pairs, masks):
+            for (v, w), m2 in zip(pairs, masks):
+                if not m1 & m2:
                     return PropertyReport(
                         "wgm",
                         False,
@@ -287,10 +357,9 @@ def is_weakly_g_mixing(sys: GSystem) -> PropertyReport:
 
     def build() -> tuple:
         out = []
-        for u, e in pairs:
-            m1 = ctx.hits(u, e)
-            for v, w in pairs:
-                k = (m1 & ctx.hits(v, w)).bit_length() - 1
+        for (u, e), m1 in zip(pairs, masks):
+            for (v, w), m2 in zip(pairs, masks):
+                k = (m1 & m2).bit_length() - 1
                 out.append((
                     _names(sys, u), _names(sys, v), _names(sys, e), _names(sys, w), k,
                     ctx.element(u, k, e), ctx.element(v, k, w),
@@ -319,14 +388,14 @@ def is_strongly_g_mixing(sys: GSystem) -> PropertyReport:
     hit: some translate of f^n(U) meets V for every n beyond a threshold.
     Decided on the recurring exponents [p+1, p+q]: every hit mask covers
     that window."""
-    ctx = _Ctx(sys)
+    ctx = _scan(sys)
     flags = precondition_flags(sys)
     c = ctx.cache
     basis = ctx.basis
-    window = ((1 << c.period) - 1) << (c.preperiod + 1)
+    window = ctx.cycle_window
     for u in basis:
-        for v in basis:
-            missing = window & ~ctx.hits(u, v)
+        for v, h in zip(basis, ctx.row(u)):
+            missing = window & ~h
             if missing:
                 return PropertyReport(
                     "sgm",
@@ -483,11 +552,12 @@ def sgm_sufficient_condition(sys: GSystem) -> SgmCondition:
     if not is_g_transitive(sys).verdict:
         return SgmCondition(False, None, "system is not transitive")
     trans = g_transitive_points(sys)
-    c = sys.cache()
+    ctx = _scan(sys)
+    window = ctx.cycle_window
     for x in bits(trans):
+        # W returns at every recurring exponent: f^k(W) meets G(W)
         w = sys.space.min_open[x]
-        sat = sys.action.saturate(w)
-        if all(map_image(c.powers[k - 1], w) & sat for k in c.cycle_exponents()):
+        if ctx.hits(w, w) & window == window:
             ok = is_strongly_g_mixing(sys).verdict
             return SgmCondition(True, ok, _FiniteSpaceNote)
     return SgmCondition(

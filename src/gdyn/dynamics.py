@@ -79,7 +79,9 @@ class IterateCache:
 class GSystem:
     """An action together with a continuous self-map of its space."""
 
-    __slots__ = ("action", "f", "_cache", "_pseudo")
+    # memos: the iterate cache, the pseudoequivariance flag, and the
+    # checkers' scan context and precondition flags (built on first use)
+    __slots__ = ("action", "f", "_cache", "_pseudo", "_scan", "_flags")
 
     def __init__(self, action: Action, f: Sequence[int]):
         table = check_table(action.space, f)
@@ -104,6 +106,8 @@ class GSystem:
         self.f = f
         self._cache: IterateCache | None = None
         self._pseudo: bool | None = None
+        self._scan = None
+        self._flags = None
 
     @property
     def space(self) -> Space:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import pickle
@@ -6,8 +7,9 @@ import pytest
 
 from gdyn import checkers as ck
 from gdyn.algebra import trivial_action
+from gdyn.bitsets import bits
 from gdyn.corpus import enumerate_systems
-from gdyn.dynamics import GSystem, trivialized
+from gdyn.dynamics import GSystem, nfold_system, trivialized
 from gdyn.errors import PreconditionError
 from gdyn.topology import compose, discrete_space, map_image
 from tests.conftest import refute_pair
@@ -349,3 +351,90 @@ class TestWitnesses:
         certs = reps[0].witness["certificates"]
         assert images and reps[0].witness["certificates"] is certs
         assert pickle.loads(pickle.dumps(reps[1])) == reps[1]
+
+
+def _fresh(sys):
+    """A copy of the system with no memos."""
+    return GSystem._trusted(sys.action, sys.f)
+
+
+def _read_reports(sys, scans):
+    """prop -> (verdict, witness as a plain dict), certificates read."""
+    out = {}
+    for decide in scans:
+        r = decide(sys)
+        out[r.prop] = (r.verdict, dict(r.witness))
+    return out
+
+
+def _report_and_read(sys):
+    """The full report, with every certificates entry read."""
+    for rep in ck.full_report(sys).values():
+        if isinstance(rep, ck.PropertyReport) and "certificates" in rep.witness:
+            rep.witness["certificates"]
+
+
+class TestScanContext:
+    def test_one_context_per_system(self, fixture_map, monkeypatch):
+        # the context and the precondition flags are memoised on the
+        # system: a report and the sgm condition build each once
+        calls = {"ctx": 0, "periodic": 0}
+        init, periodic = ck._Ctx.__init__, ck.gf_periodic_mask
+
+        def counted_init(self, sys):
+            calls["ctx"] += 1
+            init(self, sys)
+
+        def counted_periodic(sys):
+            calls["periodic"] += 1
+            return periodic(sys)
+
+        monkeypatch.setattr(ck._Ctx, "__init__", counted_init)
+        monkeypatch.setattr(ck, "gf_periodic_mask", counted_periodic)
+        for fx in fixture_map.values():
+            sys = _fresh(fx.system)
+            calls.update(ctx=0, periodic=0)
+            ck.full_report(sys)
+            ck.sgm_sufficient_condition(sys)
+            assert calls == {"ctx": 1, "periodic": 1}, fx.name
+
+    def test_memo_adds_no_cycle(self, fixture_map):
+        # a system and its context are freed by reference counting alone
+        enabled, debug = gc.isenabled(), gc.get_debug()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.garbage.clear()
+            for fx in fixture_map.values():
+                _report_and_read(_fresh(fx.system))
+            gc.collect()
+            kept = [o for o in gc.garbage if isinstance(o, (GSystem, ck._Ctx))]
+            assert not kept
+        finally:
+            gc.garbage.clear()
+            gc.set_debug(debug)
+            if enabled:
+                gc.enable()
+
+    def test_decider_order_does_not_matter(self, sweep):
+        for sys in sweep:
+            forward = _read_reports(_fresh(sys), _SCANS)
+            assert _read_reports(_fresh(sys), _SCANS[::-1]) == forward
+
+    def test_reach_matches_table_walk(self, sweep):
+        systems = sweep + [nfold_system(s, 2) for s in sweep[::16][:100]]
+        checked = 0
+        for sys in systems:
+            ctx = ck._scan(sys)
+            tables = [sys.f]
+            while len(tables) < sys.cache().horizon:
+                tables.append(compose(sys.f, tables[-1]))
+            for u in ctx.basis:
+                want = {}
+                for k, t in enumerate(tables, 1):
+                    for x in bits(u):
+                        want[t[x]] = want.get(t[x], 0) | 1 << k
+                assert ctx.reach(u) == want
+                checked += 1
+        assert checked > len(systems)
