@@ -27,7 +27,6 @@ from .checkers import (
     QuotientMinimality,
     SgmCondition,
     diagram_violations,
-    full_report,
     g_minimal_sets,
     g_transitive_points,
     is_g_minimal,
@@ -39,6 +38,7 @@ from .checkers import (
     minimality_cover_criterion,
     precondition_flags,
     product_minimality_criterion,
+    profile,
     quotient_minimality,
     sgm_sufficient_condition,
 )

@@ -18,8 +18,13 @@ one row per basis open U.  The masks come from the functional graph of
 the map: each point's tail is walked once and its cycle once, and a
 cycle point first met at exponent k recurs at k + L, k + 2L, ... for the
 cycle length L.  The scan context and the precondition flags are
-memoised on the system, so every decider, the full report and the sgm
+memoised on the system, so every decider, a profile and the sgm
 sufficient condition share one table and one flag computation.
+
+The list of properties lives in one table, ``Verdicts`` (name -> bool
+verdict, cheapest first).  ``profile(sys, props)`` reads it, and so do the
+command-line report, the fixture check, the implication suite and the
+miner's target literals.
 
 Every checker returns a PropertyReport whose witness makes the verdict
 auditable: false verdicts carry a concrete failing pair of basis opens
@@ -27,16 +32,16 @@ auditable: false verdicts carry a concrete failing pair of basis opens
 (exponent, group element) certificates when small enough.  Certificates
 are built from the hit masks when the witness's ``certificates`` entry
 is first read.  An independent brute-force module (`gdyn.oracle`)
-re-derives all verdicts from the raw definitions; the test suite keeps
-the two in agreement.
+re-derives all verdicts from the raw definitions, in a table with the
+same names; the test suite keeps the two in agreement.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 
-from .algebra import quotient, require_induced, trivial_action
+from .algebra import is_equivariant, quotient, require_induced, trivial_action
 from .bitsets import bits
 from .dynamics import (
     GSystem,
@@ -599,26 +604,32 @@ def product_minimality_criterion(s1: GSystem, s2: GSystem) -> ProductMinimality:
     return ProductMinimality(product_minimal=pm, criterion=crit)
 
 
-# -- aggregate report ----------------------------------------------------------
+# -- the property table ------------------------------------------------------
 
 
-def full_report(sys: GSystem) -> dict:
-    """All diagram properties with precondition flags and the per-row
-    consistency check used by the command-line report."""
-    flags = precondition_flags(sys)
-    row = {
-        "p1": flags.pseudoequivariant,
-        "p2": flags.dense_gf_periodic,
-        "gt": is_g_transitive(sys),
-        "tgt": is_totally_g_transitive(sys),
-        "wgm": is_weakly_g_mixing(sys),
-        "sgm": is_strongly_g_mixing(sys),
-        "gm": is_g_minimal(sys),
-    }
-    row["diagram_violations"] = diagram_violations(
-        {k: (v.verdict if isinstance(v, PropertyReport) else v) for k, v in row.items()}
-    )
-    return row
+# property name -> verdict, cheapest first: the miner tests a target's
+# literals in this order and stops at the first that fails.  Entries look
+# their deciders up by name when called.
+Verdicts: dict[str, Callable[[GSystem], bool]] = {
+    "p1": lambda s: s.pseudoequivariant(),
+    "equivariant": lambda s: is_equivariant(s.action, s.f),
+    "p2": lambda s: precondition_flags(s).dense_gf_periodic,
+    "gt": lambda s: is_g_transitive(s).verdict,
+    "gm": lambda s: is_g_minimal(s).verdict,
+    "sgm": lambda s: is_strongly_g_mixing(s).verdict,
+    "cover": lambda s: minimality_cover_criterion(s),
+    "tgt": lambda s: is_totally_g_transitive(s).verdict,
+    "wgm": lambda s: is_weakly_g_mixing(s).verdict,
+}
+
+# the properties of the implication diagram, in the order the command-line
+# report prints them
+Diagram = ("p1", "p2", "gt", "tgt", "wgm", "sgm", "gm")
+
+
+def profile(sys: GSystem, props: Iterable[str] = Verdicts) -> dict[str, bool]:
+    """Property name -> verdict for each of ``props``, in their order."""
+    return {name: Verdicts[name](sys) for name in props}
 
 
 def diagram_violations(row: Mapping) -> tuple[str, ...]:

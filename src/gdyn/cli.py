@@ -22,7 +22,8 @@ from pathlib import Path
 
 from .algebra import equivariance_failure, pseudoequivariance_failure, quotient
 from .checkers import (
-    full_report,
+    Diagram,
+    diagram_violations,
     g_minimal_sets,
     is_g_minimal,
     is_g_transitive,
@@ -31,6 +32,7 @@ from .checkers import (
     is_totally_g_transitive,
     is_weakly_g_mixing,
     minimality_cover_criterion,
+    profile,
     quotient_minimality,
 )
 from .corpus import GeneratorConfig, generate, mine
@@ -131,12 +133,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_report(args) -> int:
     sys_ = _load(args.file)
-    row = full_report(sys_)
-    for key in ("p1", "p2"):
-        print(f"{key}={str(row[key]).lower()}")
-    for key in ("gt", "tgt", "wgm", "sgm", "gm"):
-        print(f"{key}={str(row[key].verdict).lower()}")
-    bad = row["diagram_violations"]
+    row = profile(sys_, Diagram)
+    for key, verdict in row.items():
+        print(f"{key}={str(verdict).lower()}")
+    bad = diagram_violations(row)
     print("diagram=consistent" if not bad else "diagram=violated:" + ",".join(bad))
     return 0 if not bad else 1
 

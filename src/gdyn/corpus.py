@@ -21,38 +21,19 @@ from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
 
-from .algebra import (
-    Action,
-    Group,
-    catalog,
-    is_equivariant,
-    is_pseudoequivariant,
-)
+from . import oracle
+from .algebra import Action, Group, catalog, is_pseudoequivariant
 from .bitsets import bits
 from .checkers import (
+    Verdicts,
     g_minimal_sets,
-    is_g_minimal,
-    is_g_transitive,
     is_n_fold_transitive,
-    is_strongly_g_mixing,
-    is_totally_g_transitive,
-    is_weakly_g_mixing,
-    minimality_cover_criterion,
-    precondition_flags,
+    profile,
     quotient_minimality,
     sgm_sufficient_condition,
 )
-from .dynamics import GSystem, gf_orbit, gf_periodic_mask, periodic_points
+from .dynamics import GSystem, gf_orbit, periodic_points
 from .errors import GenerationError, ValidationError
-from .oracle import (
-    OracleContext,
-    oracle_cover,
-    oracle_gm,
-    oracle_gt,
-    oracle_sgm,
-    oracle_tgt,
-    oracle_wgm,
-)
 from .sysfile import serialize
 from .topology import (
     Space,
@@ -292,24 +273,12 @@ def _build_fixtures() -> list[Fixture]:
 
 
 def _fixture_profile(sys: GSystem) -> dict:
-    flags = precondition_flags(sys)
-    got = {
-        "p1": flags.pseudoequivariant,
-        "p2": flags.dense_gf_periodic,
-        "equivariant": is_equivariant(sys.action, sys.f),
-        "gt": is_g_transitive(sys).verdict,
-        "tgt": is_totally_g_transitive(sys).verdict,
-        "wgm": is_weakly_g_mixing(sys).verdict,
-        "sgm": is_strongly_g_mixing(sys).verdict,
-        "gm": is_g_minimal(sys).verdict,
-        "cover": minimality_cover_criterion(sys),
-        "minimal_sets": tuple(sys.space.names(m) for m in g_minimal_sets(sys)),
-    }
-    if flags.pseudoequivariant:
+    got: dict = profile(sys)
+    got["minimal_sets"] = tuple(sys.space.names(m) for m in g_minimal_sets(sys))
+    got["quotient"] = None
+    if got["p1"]:
         qm = quotient_minimality(sys)
         got["quotient"] = (qm.gm, qm.induced_minimal)
-    else:
-        got["quotient"] = None
     return got
 
 
@@ -529,27 +498,9 @@ def enumerate_systems(max_points: int = 3,
 # -- property miner -----------------------------------------------------------
 
 
-_LiteralCheck = {
-    "gt": lambda s: is_g_transitive(s).verdict,
-    "tgt": lambda s: is_totally_g_transitive(s).verdict,
-    "wgm": lambda s: is_weakly_g_mixing(s).verdict,
-    "sgm": lambda s: is_strongly_g_mixing(s).verdict,
-    "gm": lambda s: is_g_minimal(s).verdict,
-    "cover": minimality_cover_criterion,
-    "p1": lambda s: s.pseudoequivariant(),
-    "p2": lambda s: s.space.is_dense(gf_periodic_mask(s)),
-    "equivariant": lambda s: is_equivariant(s.action, s.f),
-}
-
-# rough evaluation cost, cheapest first so mismatches exit early
-_LiteralCost = {
-    "p1": 0, "equivariant": 0, "p2": 1, "gt": 2, "gm": 3,
-    "sgm": 4, "cover": 5, "tgt": 6, "wgm": 7,
-}
-
-
 def parse_target(expr: str) -> tuple[tuple[str, bool], ...]:
-    """Conjunction of property literals, e.g. 'gt&!tgt'."""
+    """Conjunction of property literals, e.g. 'gt&!tgt', in the order of
+    the property table (cheapest first)."""
     lits: dict[str, bool] = {}
     for part in expr.split("&"):
         part = part.strip()
@@ -559,41 +510,22 @@ def parse_target(expr: str) -> tuple[tuple[str, bool], ...]:
         if part.startswith("!"):
             want = False
             part = part[1:].strip()
-        if part not in _LiteralCheck:
+        if part not in Verdicts:
             raise ValidationError(f"target: unknown property '{part}'")
         if part in lits and lits[part] != want:
             raise ValidationError(f"target: contradictory literals for '{part}'")
         lits[part] = want
-    if not lits:
-        raise ValidationError("target: empty expression")
-    ordered = sorted(lits.items(), key=lambda kv: _LiteralCost[kv[0]])
-    return tuple(ordered)
+    return tuple((name, lits[name]) for name in Verdicts if name in lits)
 
 
 def _matches(sys: GSystem, lits) -> bool:
-    return all(_LiteralCheck[name](sys) is want for name, want in lits)
-
-
-def _oracle_literal(sys: GSystem, ctx: OracleContext, name: str) -> bool:
-    if name == "gt":
-        return oracle_gt(sys, ctx)
-    if name == "tgt":
-        return oracle_tgt(sys, ctx)
-    if name == "wgm":
-        return oracle_wgm(sys, ctx)
-    if name == "sgm":
-        return oracle_sgm(sys, ctx)
-    if name == "gm":
-        return oracle_gm(sys, ctx)
-    if name == "cover":
-        return oracle_cover(sys, ctx)
-    return _LiteralCheck[name](sys)
+    return all(Verdicts[name](sys) is want for name, want in lits)
 
 
 def verify_against_oracle(sys: GSystem, lits) -> None:
-    ctx = OracleContext(sys)
+    ctx = oracle.OracleContext(sys)
     for name, want in lits:
-        if _oracle_literal(sys, ctx, name) is not want:
+        if oracle.Verdicts[name](sys, ctx) is not want:
             raise RuntimeError(
                 f"internal: mined witness fails oracle check for {name}"
             )
@@ -617,6 +549,8 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
     literal by literal against the brute-force oracle.  The returned
     record makes an exhausted search reproducible."""
     lits = parse_target(target)
+    if budget < 0:
+        raise ValidationError(f"mine: budget must be >= 0, got {budget}")
     sweep_checked = 0
     if sweep:
         for sys in enumerate_systems():
@@ -694,14 +628,9 @@ def suite_configs(trials: int, seed0: int = 0,
 
 def check_system_implications(sys: GSystem, antecedents: Counter,
                               violations: list, label: str) -> None:
-    flags = precondition_flags(sys)
-    p1, p2 = flags.pseudoequivariant, flags.dense_gf_periodic
-    gt = is_g_transitive(sys).verdict
-    tgt = is_totally_g_transitive(sys).verdict
-    wgm = is_weakly_g_mixing(sys).verdict
-    sgm = is_strongly_g_mixing(sys).verdict
-    gm = is_g_minimal(sys).verdict
-    cover = minimality_cover_criterion(sys)
+    v = profile(sys)
+    p1, p2, gm = v["p1"], v["p2"], v["gm"]
+    gt, tgt, wgm, sgm = v["gt"], v["tgt"], v["wgm"], v["sgm"]
     cond = sgm_sufficient_condition(sys)
     msets = g_minimal_sets(sys)
     discrete = sys.space.is_discrete()
@@ -742,11 +671,11 @@ def check_system_implications(sys: GSystem, antecedents: Counter,
          lambda: all(m == full or sys.space.is_nowhere_dense(m)
                      for m in msets)),
         ("p1->gm-iff-induced", p1, quotient_agrees),
-        ("p1->gm-iff-cover", p1, lambda: gm == cover),
+        ("p1->gm-iff-cover", p1, lambda: gm == v["cover"]),
         ("p1->disjoint-cores", p1, disjoint_invariant_cores),
         ("periodic-dense->p2",
          sys.space.is_dense(periodic_points(sys)), lambda: p2),
-        ("equivariant->p1", is_equivariant(sys.action, sys.f), lambda: p1),
+        ("equivariant->p1", v["equivariant"], lambda: p1),
     )
     for name, antecedent, consequent in items:
         if antecedent:

@@ -8,6 +8,9 @@ element (no orbit saturation shortcut), iterate bounds come from a
 freshly built table sequence rather than the shared cache, and closures
 are computed as complements of unions of avoiding opens.  Slow on
 purpose; sizes are capped.
+
+``Verdicts`` maps the property names of `gdyn.checkers.Verdicts` to
+their re-derivations here.
 """
 
 from __future__ import annotations
@@ -111,6 +114,38 @@ def oracle_continuous(sys: GSystem) -> bool:
         if pre not in ctx.opens:
             return False
     return True
+
+
+def oracle_p1(sys: GSystem, ctx: OracleContext | None = None) -> bool:
+    """Pseudoequivariance: the image of every orbit is the orbit of the
+    image, f(G(x)) = G(f(x)), with both orbits collected translate by
+    translate."""
+    ctx = ctx or OracleContext(sys)
+    f = sys.f
+    return all(
+        _image(f, _translate_union(ctx, 1 << x)) == _translate_union(ctx, 1 << f[x])
+        for x in range(sys.space.n)
+    )
+
+
+def oracle_equivariant(sys: GSystem, ctx: OracleContext | None = None) -> bool:
+    """Equivariance: f(g.x) = g.f(x) for every element g and point x."""
+    f = sys.f
+    return all(
+        f[row[x]] == row[f[x]] for row in sys.action.act for x in range(sys.space.n)
+    )
+
+
+def oracle_p2(sys: GSystem, ctx: OracleContext | None = None) -> bool:
+    """The G-periodic points, x with g.f^k(x) = x for some element g and
+    exponent k >= 1, are dense: their closure is the whole space."""
+    ctx = ctx or OracleContext(sys)
+    act = sys.action.act
+    periodic = 0
+    for x in range(sys.space.n):
+        if any(row[t[x]] == x for t in ctx.tables for row in act):
+            periodic |= 1 << x
+    return ctx.closure(periodic) == sys.space.full
 
 
 def oracle_gt(sys: GSystem, ctx: OracleContext | None = None) -> bool:
@@ -225,6 +260,21 @@ def oracle_cover(sys: GSystem, ctx: OracleContext | None = None) -> bool:
         if covered != full:
             return False
     return True
+
+
+# property name -> fn(sys, ctx) -> bool, with the names and the order of
+# `gdyn.checkers.Verdicts`
+Verdicts = {
+    "p1": oracle_p1,
+    "equivariant": oracle_equivariant,
+    "p2": oracle_p2,
+    "gt": oracle_gt,
+    "gm": oracle_gm,
+    "sgm": oracle_sgm,
+    "cover": oracle_cover,
+    "tgt": oracle_tgt,
+    "wgm": oracle_wgm,
+}
 
 
 def oracle_quotient_minimal(sys: GSystem) -> bool:

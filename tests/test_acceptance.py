@@ -26,16 +26,12 @@ def _gate(n: int, name: str, ok: bool, detail: str = "") -> None:
 def _oracle_mismatches(sys, check_quotient: bool) -> list[str]:
     ctx = orc.OracleContext(sys)
     got = []
-    pairs = [
-        ("gt", ck.is_g_transitive(sys).verdict, orc.oracle_gt(sys, ctx)),
-        ("tgt", ck.is_totally_g_transitive(sys).verdict, orc.oracle_tgt(sys, ctx)),
-        ("wgm", ck.is_weakly_g_mixing(sys).verdict, orc.oracle_wgm(sys, ctx)),
-        ("sgm", ck.is_strongly_g_mixing(sys).verdict, orc.oracle_sgm(sys, ctx)),
-        ("gm", ck.is_g_minimal(sys).verdict, orc.oracle_gm(sys, ctx)),
-        ("cover", ck.minimality_cover_criterion(sys), orc.oracle_cover(sys, ctx)),
-        ("minimal-sets", ck.g_minimal_sets(sys), orc.oracle_minimal_sets(sys, ctx)),
-    ]
-    if check_quotient and sys.pseudoequivariant():
+    row = ck.profile(sys)
+    pairs = [(name, row[name], fn(sys, ctx)) for name, fn in orc.Verdicts.items()]
+    pairs.append(
+        ("minimal-sets", ck.g_minimal_sets(sys), orc.oracle_minimal_sets(sys, ctx))
+    )
+    if check_quotient and row["p1"]:
         pairs.append((
             "quotient-minimal",
             ck.quotient_minimality(sys).induced_minimal,

@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from gdyn import checkers as ck
+from gdyn import corpus, dynamics
 from gdyn.algebra import trivial_action
 from gdyn.bitsets import bits
 from gdyn.corpus import enumerate_systems
@@ -287,18 +288,26 @@ class TestPreconditionsAndReports:
             assert flags.pseudoequivariant == fx.expected["p1"]
             assert flags.dense_gf_periodic == fx.expected["p2"]
 
-    def test_full_report_keys(self, fixture_map):
-        rep = ck.full_report(fixture_map["z4mod2"].system)
-        assert set(rep) == {"p1", "p2", "gt", "tgt", "wgm", "sgm", "gm",
-                            "diagram_violations"}
-        assert rep["diagram_violations"] == ()
-        for key in ("gt", "tgt", "wgm", "sgm", "gm"):
-            assert isinstance(rep[key], ck.PropertyReport)
-            assert rep[key].prop == key
+    def test_profile_keys(self, fixture_map):
+        sys = fixture_map["z4mod2"].system
+        row = ck.profile(sys)
+        assert list(row) == list(ck.Verdicts)
+        assert all(type(v) is bool for v in row.values())
+        decided = {"gt": ck.is_g_transitive, "tgt": ck.is_totally_g_transitive,
+                   "wgm": ck.is_weakly_g_mixing, "sgm": ck.is_strongly_g_mixing,
+                   "gm": ck.is_g_minimal}
+        for key, decide in decided.items():
+            assert row[key] == decide(sys).verdict
+        diagram = ck.profile(sys, ck.Diagram)
+        assert list(diagram) == ["p1", "p2", "gt", "tgt", "wgm", "sgm", "gm"]
+        assert diagram == {k: row[k] for k in ck.Diagram}
+        assert ck.diagram_violations(diagram) == ()
 
-    def test_full_report_consistent_everywhere(self, fixture_map):
+    def test_profile_consistent_everywhere(self, fixture_map):
         for fx in fixture_map.values():
-            assert ck.full_report(fx.system)["diagram_violations"] == ()
+            row = ck.profile(fx.system)
+            assert ck.diagram_violations(row) == ()
+            assert row == {k: fx.expected[k] for k in row}
 
     def test_diagram_violations_fabricated(self):
         row = {"p1": True, "p2": True, "gt": False, "tgt": True,
@@ -368,9 +377,12 @@ def _read_reports(sys, scans):
 
 
 def _report_and_read(sys):
-    """The full report, with every certificates entry read."""
-    for rep in ck.full_report(sys).values():
-        if isinstance(rep, ck.PropertyReport) and "certificates" in rep.witness:
+    """Every property, with every certificates entry read through the
+    deciders."""
+    ck.profile(sys)
+    for decide in _SCANS:
+        rep = decide(sys)
+        if "certificates" in rep.witness:
             rep.witness["certificates"]
 
 
@@ -394,9 +406,27 @@ class TestScanContext:
         for fx in fixture_map.values():
             sys = _fresh(fx.system)
             calls.update(ctx=0, periodic=0)
-            ck.full_report(sys)
+            ck.profile(sys)
             ck.sgm_sufficient_condition(sys)
             assert calls == {"ctx": 1, "periodic": 1}, fx.name
+
+    def test_mining_computes_flags_once(self, fixture_map, monkeypatch):
+        # the miner's p2 literal reads the memoised precondition flags,
+        # which the deciders of the later literals read again
+        calls = []
+        periodic = dynamics.gf_periodic_points
+
+        def counted(sys):
+            calls.append(sys)
+            return periodic(sys)
+
+        monkeypatch.setattr(dynamics, "gf_periodic_points", counted)
+        lits = corpus.parse_target("p2&gt&tgt")
+        for fx in fixture_map.values():
+            sys = _fresh(fx.system)
+            calls.clear()
+            corpus._matches(sys, lits)
+            assert calls == [sys], fx.name
 
     def test_memo_adds_no_cycle(self, fixture_map):
         # a system and its context are freed by reference counting alone

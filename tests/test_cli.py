@@ -194,6 +194,19 @@ class TestMine:
         assert main(["mine", "--target", "gt&!gt"]) == 2
         assert "contradictory" in capsys.readouterr().err
 
+    def test_negative_budget(self, capsys):
+        rc = main(["mine", "--target", "gm&!gt", "--budget", "-3", "--no-sweep"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "budget" in captured.err
+
+    @pytest.mark.parametrize("name", ["minimal_sets", "quotient",
+                                      "diagram_violations", "nfold:2"])
+    def test_target_outside_the_table(self, name, capsys):
+        assert main(["mine", "--target", f"gt&{name}", "--budget", "0"]) == 2
+        assert "unknown property" in capsys.readouterr().err
+
 
 class TestRoundTrip:
     def test_gen_check_pipeline(self, tmp_path, capsys):
@@ -221,10 +234,10 @@ class TestErrorsExitTwo:
         assert err.startswith("error:") and "not UTF-8" in err
 
     def test_internal_error(self, files, capsys, monkeypatch):
-        def broken(sys_):
+        def broken(sys_, props):
             raise RuntimeError("simulated defect")
 
-        monkeypatch.setattr(cli, "full_report", broken)
+        monkeypatch.setattr(cli, "profile", broken)
         assert main(["report", files["rot4"]]) == 2
         assert capsys.readouterr().err == "error: internal: RuntimeError: simulated defect\n"
 

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from gdyn import checkers as ck
 from gdyn import corpus
 from gdyn.errors import GenerationError, ValidationError
 
@@ -101,6 +102,17 @@ class TestTargets:
         with pytest.raises(ValidationError, match="contradictory"):
             corpus.parse_target("gt&!gt")
 
+    def test_parse_orders_by_table(self):
+        # cheapest first; ties between equal costs follow the table, not
+        # the order the literals are written in
+        table = list(ck.Verdicts)
+        assert table == ["p1", "equivariant", "p2", "gt", "gm", "sgm",
+                         "cover", "tgt", "wgm"]
+        for a, b in itertools.permutations(table, 2):
+            lits = corpus.parse_target(f"{a}&!{b}")
+            assert [n for n, _ in lits] == [n for n in table if n in (a, b)]
+            assert dict(lits) == {a: True, b: False}
+
     def test_parse_rejects_empty(self):
         with pytest.raises(ValidationError):
             corpus.parse_target("")
@@ -119,6 +131,12 @@ class TestMining:
         res = corpus.mine("sgm&!gm", budget=0)
         assert res.found
         corpus.verify_against_oracle(res.system, corpus.parse_target("sgm&!gm"))
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValidationError, match="budget"):
+            corpus.mine("gm&!gt", budget=-1, sweep=False)
+        res = corpus.mine("gm&!gt", budget=0, sweep=False)
+        assert not res.found and res.record["random_trials"] == 0
 
     def test_implied_property_negation_exhausts(self):
         # minimality implies transitivity, so this must exhaust

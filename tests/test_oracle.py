@@ -9,6 +9,7 @@ from gdyn.algebra import trivial_action
 from gdyn.corpus import enumerate_systems
 from gdyn.dynamics import GSystem
 from gdyn.errors import LimitError
+from gdyn.sysfile import serialize
 from gdyn.topology import discrete_space
 
 
@@ -80,6 +81,9 @@ class TestOracleAgreement:
             assert orc.oracle_minimal_sets(sys, ctx) == ck.g_minimal_sets(sys)
             assert orc.oracle_cover(sys, ctx) == ck.minimality_cover_criterion(sys)
 
+    def test_table_matches_checkers(self):
+        assert list(orc.Verdicts) == list(ck.Verdicts)
+
     def test_quotient_minimal_fixtures(self, fixture_map):
         for fx in fixture_map.values():
             sys = fx.system
@@ -91,6 +95,5 @@ class TestOracleAgreement:
     def test_exhaustive_small_sweep(self):
         for sys in itertools.islice(enumerate_systems(3, ("Z2", "Z3")), 250):
             ctx = orc.OracleContext(sys)
-            assert orc.oracle_gt(sys, ctx) == ck.is_g_transitive(sys).verdict
-            assert orc.oracle_sgm(sys, ctx) == ck.is_strongly_g_mixing(sys).verdict
-            assert orc.oracle_gm(sys, ctx) == ck.is_g_minimal(sys).verdict
+            want = {name: fn(sys, ctx) for name, fn in orc.Verdicts.items()}
+            assert ck.profile(sys) == want, serialize(sys)
