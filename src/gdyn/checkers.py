@@ -4,7 +4,8 @@ continuous map on a finite G-space.
 Three reductions make every property decidable by a finite scan:
 
 * the iterate cache bounds all quantifiers over exponents by the window
-  [1, p+q], since composed tables repeat beyond it;
+  [1, p+q]: beyond it f^k(x) repeats with its cycle, so every exponent
+  has the same images as one in the window;
 * because G is a group, "some translate of A meets V" is equivalent to
   "A meets the orbit saturation of V", which removes the inner search
   over group elements;
@@ -17,9 +18,22 @@ transitivity, weak and strong mixing are predicates on these masks, read
 one row per basis open U.  The masks come from the functional graph of
 the map: each point's tail is walked once and its cycle once, and a
 cycle point first met at exponent k recurs at k + L, k + 2L, ... for the
-cycle length L.  The scan context and the precondition flags are
-memoised on the system, so every decider, a profile and the sgm
-sufficient condition share one table and one flag computation.
+cycle length L.  No iterate table is composed.  The scan context and the
+precondition flags are memoised on the system, so every decider, a
+profile and the sgm sufficient condition share one table and one flag
+computation.
+
+Total transitivity is decided on one exponent.  Let e be the least
+multiple of q with e >= max(p, 1).  For every m >= 1, m*e is >= p and
+= 0 mod q, so f^(m*e) = f^e.  Hence every f^m is transitive iff f^e(U)
+meets G(V) for all basis opens U and V: for "if", given m take the
+iterate (f^m)^e = f^e; for "only if", f^e is transitive, and its
+iterates (f^e)^j are all f^e.  The same exponent e serves every pair of
+pairs at once, so tgt implies wgm on every finite G-space, with no
+precondition; the paper's p1 & p2 & tgt -> wgm follows, and with
+p1 & wgm -> tgt the two are equivalent under p1.  The search for the
+least failing m, which names the false witness, runs only on a false
+verdict.
 
 The list of properties lives in one table, ``Verdicts`` (name -> bool
 verdict, cheapest first).  ``profile(sys, props)`` reads it, and so do the
@@ -40,6 +54,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
+from math import gcd
 
 from .algebra import is_equivariant, quotient, require_induced, trivial_action
 from .bitsets import bits
@@ -108,7 +123,8 @@ class _Ctx:
         sats: dict[int, int] = {}
         col = [sats.setdefault(action.saturate(v), len(sats)) for v in self.basis]
         self._col = None if len(sats) == len(col) else col
-        self._sats = [(sat, tuple(bits(sat))) for sat in sats]
+        # (saturation, its points, their count)
+        self._sats = [(sat, pts, len(pts)) for sat in sats for pts in (tuple(bits(sat)),)]
         self.window = ((1 << c.horizon) - 1) << 1  # exponents [1, p+q]
         self.cycle_window = ((1 << c.period) - 1) << (c.preperiod + 1)
         self._steps: dict[int, int] = {}
@@ -135,10 +151,7 @@ class _Ctx:
             step = k - entry  # the cycle length
             every = self._steps.get(step)
             if every is None:
-                # bits 0, L, 2L, ... up to p+q, for L = step
-                terms = self.cache.horizon // step + 1
-                every = ((1 << step * terms) - 1) // ((1 << step) - 1)
-                self._steps[step] = every
+                every = self._steps[step] = _every(step, self.cache.horizon)
             window = self.window
             out = {z: (every << j) & window if j >= entry else 1 << j
                    for z, j in first.items()}
@@ -162,11 +175,15 @@ class _Ctx:
         if out is None:
             reach = self.reach(u)
             get = reach.get
+            size = len(reach)
             masks = []
-            for sat, points in self._sats:
+            for sat, points, count in self._sats:
+                if count == 1:
+                    masks.append(get(points[0], 0))
+                    continue
                 h = 0
                 # walk the smaller side: the points U reaches or those of G(V)
-                if len(reach) < len(points):
+                if size < count:
                     for y, ks in reach.items():
                         if (sat >> y) & 1:
                             h |= ks
@@ -187,7 +204,10 @@ class _Ctx:
         key = (u, k)
         out = self._img.get(key)
         if out is None:
-            out = map_image(self.cache.powers[k - 1], u)
+            image = self.cache.image
+            out = 0
+            for x in bits(u):
+                out |= 1 << image(x, k)
             self._img[key] = out
         return out
 
@@ -253,6 +273,12 @@ def _witness(count: int, summary: str, build: Callable[[], tuple], **fixed) -> M
     return _Certified(fixed, build)
 
 
+def _every(step: int, top: int) -> int:
+    """The mask with bits 0, step, 2*step, ... up to ``top``."""
+    terms = top // step + 1
+    return ((1 << step * terms) - 1) // ((1 << step) - 1)
+
+
 def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
@@ -289,30 +315,57 @@ def is_g_transitive(sys: GSystem) -> PropertyReport:
     return PropertyReport("gt", True, _witness(len(basis) ** 2, "basis pairs", build), flags)
 
 
+def _least_failing_iterate(ctx: _Ctx) -> tuple[int, int, int] | None:
+    """(m, U, V) for the least m whose iterate f^m fails to link some basis
+    pair, with the first such pair in basis order; None when tgt holds."""
+    c, basis = ctx.cache, ctx.basis
+    p, q = c.preperiod, c.period
+    masks = []
+    for u in basis:
+        row = ctx.row(u)
+        if not all(row):
+            # f^1 hits at every exponent of the window, so m = 1 fails
+            # exactly at the empty masks
+            return 1, u, basis[row.index(0)]
+        masks += row
+    e = q * max(1, -(-p // q))
+    # a mask with bit e meets the reduced exponents of every m, so the
+    # least failing m is searched on the distinct masks without it
+    lacking = [h for h in set(masks) if not (h >> e) & 1]
+    if not lacking:
+        return None
+    tail_window = (1 << p + 1) - 2  # exponents [1, p]
+    for m in range(2, e + 1):  # m = e fails at the latest
+        reduced = (_every(m, p) & tail_window
+                   | _every(gcd(m, q), c.horizon) & ctx.cycle_window)
+        if not all(h & reduced for h in lacking):
+            i = next(i for i, h in enumerate(masks) if not h & reduced)
+            u, v = divmod(i, len(basis))
+            return m, basis[u], basis[v]
+    raise RuntimeError("internal: a mask without bit e met every iterate")
+
+
 def is_totally_g_transitive(sys: GSystem) -> PropertyReport:
-    """Every iterate f^m, m >= 1, is itself G-transitive.  Distinct tables
-    of iterates all occur with m <= p+q, so the scan is finite; f^m hits
-    at the reduced exponents m*j, j in [1, p+q]."""
+    """Every iterate f^m, m >= 1, is itself G-transitive.
+
+    Decided on one exponent: e, the least multiple of q with e >= max(p, 1),
+    serves every m at once (f^(m*e) = f^e), so tgt holds iff every hit mask
+    has bit e.  A false verdict names the least failing m, where f^m hits
+    at the reduced exponents of m*j, j >= 1: the tail exponents m*j <= p
+    and the cycle exponents k in [p+1, p+q] with k = 0 mod gcd(m, q)."""
     ctx = _scan(sys)
     flags = precondition_flags(sys)
+    failure = _least_failing_iterate(ctx)
+    if failure is not None:
+        m, u, v = failure
+        return PropertyReport(
+            "tgt", False, {"m": m, "U": _names(sys, u), "V": _names(sys, v)}, flags
+        )
     c = ctx.cache
     basis = ctx.basis
     # f^1 .. f^(p+q-1) are distinct tables, and f^(p+q) repeats f^p
     # unless p = 0
     ms = range(1, c.horizon + 1 if c.preperiod == 0 else c.horizon)
-    for m in ms:
-        reduced = 0
-        for j in range(1, c.horizon + 1):
-            reduced |= 1 << c.reduce(m * j)
-        for u in basis:
-            for v, h in zip(basis, ctx.row(u)):
-                if not h & reduced:
-                    return PropertyReport(
-                        "tgt",
-                        False,
-                        {"m": m, "U": _names(sys, u), "V": _names(sys, v)},
-                        flags,
-                    )
 
     def build() -> tuple:
         out = []
@@ -341,12 +394,13 @@ def is_weakly_g_mixing(sys: GSystem) -> PropertyReport:
     """
     ctx = _scan(sys)
     flags = precondition_flags(sys)
-    pairs = [(u, e) for u in ctx.basis for e in ctx.basis]
-    masks = [h for u in ctx.basis for h in ctx.row(u)]
+    basis = ctx.basis
+    masks = [h for u in basis for h in ctx.row(u)]
     distinct = set(masks)
     # the verdict depends on the distinct masks only; the ordered scan
     # names the first failing 4-tuple
     if not all(a & b for a in distinct for b in distinct):
+        pairs = [(u, e) for u in basis for e in basis]
         for (u, e), m1 in zip(pairs, masks):
             for (v, w), m2 in zip(pairs, masks):
                 if not m1 & m2:
@@ -361,6 +415,7 @@ def is_weakly_g_mixing(sys: GSystem) -> PropertyReport:
                     )
 
     def build() -> tuple:
+        pairs = [(u, e) for u in basis for e in basis]
         out = []
         for (u, e), m1 in zip(pairs, masks):
             for (v, w), m2 in zip(pairs, masks):
@@ -372,7 +427,7 @@ def is_weakly_g_mixing(sys: GSystem) -> PropertyReport:
         return tuple(out)
 
     return PropertyReport(
-        "wgm", True, _witness(len(pairs) ** 2, "basis 4-tuples", build), flags
+        "wgm", True, _witness(len(masks) ** 2, "basis 4-tuples", build), flags
     )
 
 
@@ -428,10 +483,16 @@ def is_strongly_g_mixing(sys: GSystem) -> PropertyReport:
 
 
 def g_transitive_points(sys: GSystem) -> int:
-    """Mask of points whose saturated forward orbit is dense."""
+    """Mask of points whose saturated forward orbit is dense, decided once
+    per distinct forward orbit."""
+    space, saturate = sys.space, sys.action.saturate
+    dense: dict[int, bool] = {}
     out = 0
-    for x in range(sys.space.n):
-        if sys.space.is_dense(gf_orbit(sys, x)):
+    for x, orbit in enumerate(sys.cache().fwd):
+        d = dense.get(orbit)
+        if d is None:
+            d = dense[orbit] = space.is_dense(saturate(orbit))
+        if d:
             out |= 1 << x
     return out
 
@@ -632,16 +693,22 @@ def profile(sys: GSystem, props: Iterable[str] = Verdicts) -> dict[str, bool]:
     return {name: Verdicts[name](sys) for name in props}
 
 
+# the implications of the diagram: name, antecedent literals, consequent.
+# tgt->wgm holds on every finite G-space (see the module docstring), so
+# the paper's p1&p2&tgt->wgm follows from it; with p1&wgm->tgt it makes
+# tgt and wgm equivalent under p1.
+Implications: tuple[tuple[str, tuple[str, ...], str], ...] = (
+    ("sgm->wgm", ("sgm",), "wgm"),
+    ("sgm->tgt", ("sgm",), "tgt"),
+    ("tgt->gt", ("tgt",), "gt"),
+    ("tgt->wgm", ("tgt",), "wgm"),
+    ("gm->gt", ("gm",), "gt"),
+    ("p1&wgm->tgt", ("p1", "wgm"), "tgt"),
+    ("p1&p2&tgt->wgm", ("p1", "p2", "tgt"), "wgm"),
+)
+
+
 def diagram_violations(row: Mapping) -> tuple[str, ...]:
     """Implications that the verdict pattern violates (empty when sound)."""
-    p1, p2 = row["p1"], row["p2"]
-    gt, tgt, wgm, sgm, gm = row["gt"], row["tgt"], row["wgm"], row["sgm"], row["gm"]
-    checks = [
-        ("sgm->wgm", not sgm or wgm),
-        ("sgm->tgt", not sgm or tgt),
-        ("tgt->gt", not tgt or gt),
-        ("gm->gt", not gm or gt),
-        ("p1&wgm->tgt", not (p1 and wgm) or tgt),
-        ("p1&p2&tgt->wgm", not (p1 and p2 and tgt) or wgm),
-    ]
-    return tuple(name for name, ok in checks if not ok)
+    return tuple(name for name, antecedent, consequent in Implications
+                 if all(row[a] for a in antecedent) and not row[consequent])

@@ -25,6 +25,7 @@ from . import oracle
 from .algebra import Action, Group, catalog, is_pseudoequivariant
 from .bitsets import bits
 from .checkers import (
+    Implications,
     Verdicts,
     g_minimal_sets,
     is_n_fold_transitive,
@@ -629,8 +630,7 @@ def suite_configs(trials: int, seed0: int = 0,
 def check_system_implications(sys: GSystem, antecedents: Counter,
                               violations: list, label: str) -> None:
     v = profile(sys)
-    p1, p2, gm = v["p1"], v["p2"], v["gm"]
-    gt, tgt, wgm, sgm = v["gt"], v["tgt"], v["wgm"], v["sgm"]
+    p1, p2, gm, gt, wgm = v["p1"], v["p2"], v["gm"], v["gt"], v["wgm"]
     cond = sgm_sufficient_condition(sys)
     msets = g_minimal_sets(sys)
     discrete = sys.space.is_discrete()
@@ -653,14 +653,10 @@ def check_system_implications(sys: GSystem, antecedents: Counter,
         return qm.gm == gm and qm.induced_minimal == gm
 
     items = (
-        ("sgm->wgm", sgm, lambda: wgm),
-        ("sgm->tgt", sgm, lambda: tgt),
-        ("tgt->gt", tgt, lambda: gt),
-        ("gm->gt", gm, lambda: gt),
-        ("p1&wgm->tgt", p1 and wgm, lambda: tgt),
+        *((name, all(v[a] for a in antecedent), lambda c=consequent: v[c])
+          for name, antecedent, consequent in Implications),
         ("p1&wgm->3fold", p1 and wgm,
          lambda: is_n_fold_transitive(sys, 3).verdict),
-        ("p1&p2&tgt->wgm", p1 and p2 and tgt, lambda: wgm),
         ("condition->sgm", cond.applies,
          lambda: cond.conclusion_checked is True),
         ("p1&gm->image-dense", p1 and gm,

@@ -1,59 +1,81 @@
 """Dynamical systems: a continuous self-map on a finite G-space.
 
-The central decidability device is the iterate cache.  On a finite
-carrier the sequence of composed tables f, f^2, f^3, ... is eventually
-periodic: there are minimal p >= 0 and q >= 1 with f^(p+q) = f^p.  Every
-"for all n" or "there exists n" quantifier over iterates is then decided
+The central decidability device is the iterate cache, a walk of the
+map's functional graph.  Every point x runs down a tail of some depth
+d(x) into a cycle of some length L(x), so f^k(x) for k >= d(x) depends
+only on (k - d(x)) mod L(x).  With p the largest depth and q the lcm of
+the cycle lengths, p and q are the minimal pair with f^(p+q) = f^p, so
+every "for all n" or "there exists n" quantifier over iterates is decided
 on the finite window n in [1, p+q], and the eventually-periodic tail is
-exactly the exponents reducing into [p+1, p+q].
+exactly the exponents reducing into [p+1, p+q].  No iterate table is
+composed: f^k(x) is a walk of d(x) + (k - d(x)) mod L(x) steps, and the
+periodic points are the cycle points.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from math import lcm
 
 from .algebra import Action, is_pseudoequivariant, product_action, trivial_action
 from .errors import LimitError, ValidationError
-from .topology import (
-    Space,
-    check_table,
-    compose,
-    find_discontinuity,
-    identity_table,
-)
+from .topology import Space, check_table, compose, find_discontinuity
 
-# bound on the entries of the tables materialised for one system: the
-# iterate tables (p+q of them, each |X| long) and the group and action
-# tables of an n-fold product
+# bound on the entries of one system's tables: the (p+q)-bit exponent
+# masks of a map on |X| points, as if p+q tables of |X| entries (checked
+# in O(|X|) from p and q alone), and the group and action tables of an
+# n-fold product
 MaxTableEntries = 4_000_000
 
 
 class IterateCache:
-    """Tables of f^1 .. f^(p+q) with the minimal preperiod/period pair."""
+    """The functional graph of f: each point's tail depth, cycle length
+    and forward orbit, with the minimal preperiod/period pair."""
 
-    __slots__ = ("powers", "preperiod", "period")
+    __slots__ = ("f", "depth", "length", "fwd", "preperiod", "period", "_powers")
 
     def __init__(self, f: Sequence[int]):
+        self.f = f = tuple(f)
         n = len(f)
-        seen: dict[tuple[int, ...], int] = {identity_table(n): 0}
-        powers: list[tuple[int, ...]] = []
-        t = tuple(f)
-        m = 1
-        while t not in seen:
-            if (m + 1) * n > MaxTableEntries:
-                raise LimitError(
-                    f"iterate cache: {n} points need more than {m} tables,"
-                    f" over the bound of {MaxTableEntries} entries"
-                )
-            seen[t] = m
-            powers.append(t)
-            t = compose(tuple(f), t)
-            m += 1
-        j = seen[t]
-        self.preperiod = j
-        self.period = m - j
-        powers.append(t)  # f^(p+q), equal to f^p as a table
-        self.powers = tuple(powers)
+        depth = [-1] * n  # -1 unvisited, -2 on the path being walked
+        length = [0] * n
+        fwd = [0] * n  # mask of {f^k(x) : k >= 0}
+        p, q = 0, 1
+        for x in range(n):
+            if depth[x] != -1:
+                continue
+            path = []
+            y = x
+            while depth[y] == -1:
+                depth[y] = -2
+                path.append(y)
+                y = f[y]
+            if depth[y] == -2:  # the walk closed a new cycle at y
+                i = path.index(y)
+                cycle = path[i:]
+                del path[i:]
+                size = len(cycle)
+                mask = 0
+                for z in cycle:
+                    mask |= 1 << z
+                for z in cycle:
+                    depth[z], length[z], fwd[z] = 0, size, mask
+                if q % size:
+                    q = lcm(q, size)
+            for z in reversed(path):  # the tail, nearest the cycle first
+                y = f[z]
+                depth[z], length[z], fwd[z] = depth[y] + 1, length[y], fwd[y] | 1 << z
+            if depth[x] > p:
+                p = depth[x]
+        if p + q >= 2 and (p + q) * n > MaxTableEntries:
+            raise LimitError(
+                f"iterate cache: {n} points need more than"
+                f" {max(1, MaxTableEntries // n)} tables,"
+                f" over the bound of {MaxTableEntries} entries"
+            )
+        self.depth, self.length, self.fwd = depth, length, fwd
+        self.preperiod, self.period = p, q
+        self._powers: tuple[tuple[int, ...], ...] | None = None
 
     def reduce(self, m: int) -> int:
         """The exponent in [1, p+q] whose table equals f^m (m >= 1)."""
@@ -64,8 +86,31 @@ class IterateCache:
             return m
         return self.preperiod + 1 + (m - self.preperiod - 1) % self.period
 
+    def image(self, x: int, k: int) -> int:
+        """f^k(x) for k >= 0: a walk of at most depth + cycle length steps."""
+        d = self.depth[x]
+        if k > d:
+            k = d + (k - d) % self.length[x]
+        f = self.f
+        for _ in range(k):
+            x = f[x]
+        return x
+
     def table(self, m: int) -> tuple[int, ...]:
-        return self.powers[self.reduce(m) - 1]
+        k = self.reduce(m)
+        return tuple(self.image(x, k) for x in range(len(self.f)))
+
+    @property
+    def powers(self) -> tuple[tuple[int, ...], ...]:
+        """The tables of f^1 .. f^(p+q), composed on first read.  Nothing
+        in the library reads them."""
+        if self._powers is None:
+            t, out = self.f, [self.f]
+            for _ in range(self.horizon - 1):
+                t = compose(self.f, t)
+                out.append(t)
+            self._powers = tuple(out)
+        return self._powers
 
     @property
     def horizon(self) -> int:
@@ -156,11 +201,10 @@ def gf_orbit(sys: GSystem, x: int) -> int:
 
 
 def periodic_points(sys: GSystem) -> int:
-    """Mask of x with f^k(x) = x for some k >= 1."""
-    c = sys.cache()
+    """Mask of x with f^k(x) = x for some k >= 1: the cycle points."""
     out = 0
-    for x in range(sys.space.n):
-        if any(t[x] == x for t in c.powers):
+    for x, d in enumerate(sys.cache().depth):
+        if not d:
             out |= 1 << x
     return out
 
@@ -168,22 +212,30 @@ def periodic_points(sys: GSystem) -> int:
 def gf_periodic_points(sys: GSystem) -> list[tuple[int, int]]:
     """Points x with g.f^k(x) = x for some g and k >= 1, with the least
     such k.  Since g ranges over a group, the condition at exponent k is
-    f^k(x) in G(x)."""
+    f^k(x) in G(x); f^k(x) repeats with period L beyond the depth d, so
+    the walk stops after d + L steps."""
     c = sys.cache()
+    f, orbit = sys.f, sys.action.orbit
     out = []
     for x in range(sys.space.n):
-        orb = sys.action.orbit(x)
-        for k in range(1, c.horizon + 1):
-            if (orb >> c.powers[k - 1][x]) & 1:
+        orb = orbit(x)
+        y = x
+        for k in range(1, c.depth[x] + c.length[x] + 1):
+            y = f[y]
+            if (orb >> y) & 1:
                 out.append((x, k))
                 break
     return out
 
 
 def gf_periodic_mask(sys: GSystem) -> int:
+    """Mask of the points of ``gf_periodic_points``: x qualifies iff G(x)
+    meets the forward orbit of f(x)."""
+    fwd, f, orbit = sys.cache().fwd, sys.f, sys.action.orbit
     out = 0
-    for x, _ in gf_periodic_points(sys):
-        out |= 1 << x
+    for x in range(sys.space.n):
+        if orbit(x) & fwd[f[x]]:
+            out |= 1 << x
     return out
 
 

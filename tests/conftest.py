@@ -3,7 +3,7 @@ import pytest
 from gdyn import fixtures
 from gdyn.bitsets import bits
 from gdyn.corpus import enumerate_systems
-from gdyn.topology import map_image
+from gdyn.topology import compose, map_image
 
 
 @pytest.fixture(scope="session")
@@ -49,11 +49,12 @@ def refute_pair(sys, u_names, v_names, m=1, horizon_pad=4):
     space = sys.space
     u = space.mask(u_names)
     v = space.mask(v_names)
-    c = sys.cache()
     g_rows = sys.action.act
-    t = c.table(m)
+    t = sys.f
+    for _ in range(m - 1):
+        t = compose(sys.f, t)
     cur = u
-    for _ in range(c.horizon + horizon_pad):
+    for _ in range(sys.cache().horizon + horizon_pad):
         cur = map_image(t, cur)
         for row in g_rows:
             tr = 0

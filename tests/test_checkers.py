@@ -2,12 +2,13 @@ import gc
 import hashlib
 import itertools
 import pickle
+import time
 
 import pytest
 
 from gdyn import checkers as ck
-from gdyn import corpus, dynamics
-from gdyn.algebra import trivial_action
+from gdyn import corpus
+from gdyn.algebra import Action, cyclic_group, trivial_action
 from gdyn.bitsets import bits
 from gdyn.corpus import enumerate_systems
 from gdyn.dynamics import GSystem, nfold_system, trivialized
@@ -109,7 +110,7 @@ class TestMixing:
         u = sys.space.mask(rep.witness["U"])
         v = sys.space.mask(rep.witness["V"])
         k = rep.witness["missing_exponent"]
-        img = map_image(sys.cache().powers[k - 1], u)
+        img = map_image(_iterate(sys, k), u)
         assert not (img & sys.action.saturate(v))
         assert k in sys.cache().cycle_exponents()
 
@@ -131,7 +132,7 @@ class TestMixing:
         e = sys.action.saturate(sys.space.mask(w["E"]))
         f = sys.action.saturate(sys.space.mask(w["F"]))
         for k in range(1, c.horizon + 1):
-            t = c.powers[k - 1]
+            t = _iterate(sys, k)
             assert not (map_image(t, u) & e and map_image(t, v) & f)
 
     def test_true_wgm_certificates_replay(self, fixture_map, sweep):
@@ -161,6 +162,36 @@ class TestMixing:
     def test_nfold_rejects_zero(self, fixture_map):
         with pytest.raises(PreconditionError):
             ck.is_n_fold_transitive(fixture_map["rot4"].system, 0)
+
+
+def _shifted_cycles(lengths):
+    """Disjoint cycles on a discrete carrier under the transitive shift of
+    Z_n, n the number of points: every saturation is the whole space."""
+    n = sum(lengths)
+    f, base = [], 0
+    for c in lengths:
+        f += [base + (i + 1) % c for i in range(c)]
+        base += c
+    sp = discrete_space(tuple(f"p{i}" for i in range(n)))
+    rows = tuple(tuple((x + g) % n for x in range(n)) for g in range(n))
+    return GSystem(Action(cyclic_group(n), sp, rows), f)
+
+
+class TestLongPeriod:
+    def test_horizon_30030_decides_in_closed_form(self):
+        # cycles 2, 3, 5, 7, 11, 13 on 41 points: p = 0, q = 30030.  Under
+        # a transitive action every hit mask is the whole window, so all
+        # five properties hold; tgt reads one exponent instead of looping
+        # over every m and j
+        start = time.perf_counter()
+        sys = _shifted_cycles((2, 3, 5, 7, 11, 13))
+        c = sys.cache()
+        assert (c.preperiod, c.period) == (0, 30030)
+        for decide in _SCANS + (ck.is_g_minimal,):
+            assert decide(sys).verdict, decide.__name__
+        assert ck.is_strongly_g_mixing(sys).witness["threshold"] == 1
+        assert "summary" in ck.is_totally_g_transitive(sys).witness
+        assert time.perf_counter() - start < 10.0
 
 
 class TestMinimality:
@@ -315,8 +346,29 @@ class TestPreconditionsAndReports:
         out = ck.diagram_violations(row)
         assert "sgm->wgm" in out
         assert "tgt->gt" in out
+        assert "tgt->wgm" in out
         assert "gm->gt" in out
         assert "p1&p2&tgt->wgm" in out
+        assert "p1&wgm->tgt" not in out
+
+    def test_suite_counts_the_diagram_antecedents(self):
+        # the implication suite reads the diagram's table: its counts for
+        # those names are the antecedents recounted from each profile
+        configs = corpus.suite_configs(60, seed0=0)
+        report = corpus.run_implication_suite(configs)
+        want = dict.fromkeys((name for name, _, _ in ck.Implications), 0)
+        for cfg in configs:
+            row = ck.profile(corpus.generate_robust(cfg))
+            want["sgm->wgm"] += row["sgm"]
+            want["sgm->tgt"] += row["sgm"]
+            want["tgt->gt"] += row["tgt"]
+            want["tgt->wgm"] += row["tgt"]
+            want["gm->gt"] += row["gm"]
+            want["p1&wgm->tgt"] += row["p1"] and row["wgm"]
+            want["p1&p2&tgt->wgm"] += row["p1"] and row["p2"] and row["tgt"]
+        assert report.ok and report.systems_checked == len(configs)
+        assert {k: report.antecedents.get(k, 0) for k in want} == want
+        assert want["tgt->wgm"] > 0
 
     def test_trivialized_z2swap_not_transitive(self, fixture_map):
         sys = trivialized(fixture_map["z2swap-id"].system)
@@ -414,13 +466,13 @@ class TestScanContext:
         # the miner's p2 literal reads the memoised precondition flags,
         # which the deciders of the later literals read again
         calls = []
-        periodic = dynamics.gf_periodic_points
+        periodic = ck.gf_periodic_mask
 
         def counted(sys):
             calls.append(sys)
             return periodic(sys)
 
-        monkeypatch.setattr(dynamics, "gf_periodic_points", counted)
+        monkeypatch.setattr(ck, "gf_periodic_mask", counted)
         lits = corpus.parse_target("p2&gt&tgt")
         for fx in fixture_map.values():
             sys = _fresh(fx.system)

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cycles_text
-from gdyn.algebra import trivial_action
+from gdyn.algebra import Action, cyclic_group, trivial_action
 from gdyn.corpus import enumerate_systems
 from gdyn.dynamics import (
     GSystem,
     IterateCache,
+    MaxTableEntries,
     f_orbit,
     gf_orbit,
     gf_periodic_mask,
@@ -70,6 +71,14 @@ class TestIterateCache:
         sys = parse(cycles_text((2, 3, 5, 7, 11, 13, 17, 19)))
         with pytest.raises(LimitError, match="iterate cache"):
             sys.cache()
+
+    def test_horizon_bound_is_exact(self):
+        # LimitError iff (p+q) * |X| > MaxTableEntries: a 2000-cycle on
+        # 2000 points sits on the bound, one more fixed point passes it
+        cycle = tuple((i + 1) % 2000 for i in range(2000))
+        assert IterateCache(cycle).horizon * 2000 == MaxTableEntries
+        with pytest.raises(LimitError, match="2001 points need more than 1999 tables"):
+            IterateCache(cycle + (2000,))
 
     def test_horizon_bound_admits_long_period(self):
         sys = parse(cycles_text((2, 3, 5, 7, 11)))
@@ -138,12 +147,12 @@ class TestPeriodicity:
     def test_gf_periodic_least_exponent(self):
         # the reported k is least: f^j(x) leaves the orbit for j < k
         for sys in itertools.islice(enumerate_systems(3, ("Z3",)), 300):
-            c = sys.cache()
+            tables = _composed(sys.f, sys.cache().horizon)
             for x, k in gf_periodic_points(sys):
                 orb = sys.action.orbit(x)
-                assert (orb >> c.powers[k - 1][x]) & 1
+                assert (orb >> tables[k - 1][x]) & 1
                 for j in range(1, k):
-                    assert not (orb >> c.powers[j - 1][x]) & 1
+                    assert not (orb >> tables[j - 1][x]) & 1
 
 
 class TestProducts:
@@ -200,22 +209,58 @@ class TestProducts:
         assert t.space is s.space
 
 
-@given(st.lists(st.integers(0, 5), min_size=6, max_size=6))
-@settings(max_examples=60, deadline=None)
-def test_cache_agrees_with_direct_composition(f):
-    sp = discrete_space(tuple("abcdef"))
-    sys = GSystem(trivial_action(sp), f)
+def _composed(f, count):
+    """The tables of f^1 .. f^count, composed afresh."""
+    tables = [tuple(f)]
+    while len(tables) < count:
+        tables.append(compose(tuple(f), tables[-1]))
+    return tables
+
+
+@st.composite
+def _maps_under_involution(draw):
+    """A map on 1-10 discrete points and a Z2 action swapping points in
+    pairs, so that saturations are not all singletons."""
+    n = draw(st.integers(1, 10))
+    f = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    swaps = draw(st.integers(0, n // 2))
+    flip = list(range(n))
+    for i in range(swaps):
+        a, b = order[2 * i], order[2 * i + 1]
+        flip[a], flip[b] = b, a
+    sp = discrete_space(tuple(f"x{i}" for i in range(n)))
+    return GSystem(Action(cyclic_group(2), sp, (tuple(range(n)), tuple(flip))), f)
+
+
+@given(_maps_under_involution())
+@settings(max_examples=150, deadline=None)
+def test_cache_agrees_with_direct_composition(sys):
+    f, n = sys.f, sys.space.n
     c = sys.cache()
-    t = tuple(f)
-    for m in range(1, c.horizon + 3):
+    tables = _composed(f, c.horizon + 2)
+    for m, t in enumerate(tables, 1):
         assert c.table(m) == t
-        t = compose(tuple(f), t)
-    # minimality: f^1 .. f^(p+q-1) are pairwise distinct; the last stored
-    # table closes the cycle (equals f^p, or the identity when p = 0)
-    tables = [c.powers[m - 1] for m in range(1, c.horizon + 1)]
-    assert len(set(tables[:-1])) == c.horizon - 1
+    # minimality: f^1 .. f^(p+q-1) are pairwise distinct; the last table
+    # of the window closes the cycle (equals f^p, or the identity when p = 0)
+    window = tables[:c.horizon]
+    assert len(set(window[:-1])) == c.horizon - 1
     if c.preperiod == 0:
-        assert tables[-1] == identity_table(sp.n)
-        assert len(set(tables)) == c.horizon
+        assert window[-1] == identity_table(n)
+        assert len(set(window)) == c.horizon
     else:
-        assert tables[-1] == tables[c.preperiod - 1]
+        assert window[-1] == window[c.preperiod - 1]
+    assert c.powers == tuple(window)
+    # orbits and periodic points against the composed tables
+    periodic, least = 0, []
+    for x in range(n):
+        assert f_orbit(sys, x) == sum({1 << x} | {1 << t[x] for t in window})
+        if any(t[x] == x for t in window):
+            periodic |= 1 << x
+        orb = sys.action.orbit(x)
+        ks = [k for k, t in enumerate(window, 1) if (orb >> t[x]) & 1]
+        if ks:
+            least.append((x, ks[0]))
+    assert periodic_points(sys) == periodic
+    assert gf_periodic_points(sys) == least
+    assert gf_periodic_mask(sys) == sum(1 << x for x, _ in least)

@@ -1,8 +1,8 @@
 """Second routes.  The library decides each property one way; these
-tests recompute weak mixing, minimal cores, quotients and derived
-products another way over every system of the miner's sweep (all
-systems on up to three points over Z1, Z2 and Z3) and require the two
-to agree.  Systems that the sweep and the generator build without
+tests recompute total transitivity, weak mixing, minimal cores, quotients
+and derived products another way over every system of the miner's sweep
+(all systems on up to three points over Z1, Z2 and Z3) and require the
+two to agree.  Systems that the sweep and the generator build without
 re-validation are rebuilt through the validating constructors."""
 
 import itertools
@@ -10,10 +10,54 @@ import itertools
 from gdyn import checkers as ck
 from gdyn.algebra import Action, Group, quotient
 from gdyn.bitsets import bits
-from gdyn.corpus import generate, suite_configs
+from gdyn.corpus import GeneratorConfig, generate, suite_configs
 from gdyn.dynamics import GSystem, gf_orbit, product_system
 from gdyn.errors import GenerationError
 from gdyn.topology import Space, is_continuous, map_image
+
+
+def _tgt_every_iterate(sys):
+    """Total transitivity by the m x j loop: f^m hits U -> V at some
+    reduced exponent of m*j, j in [1, p+q], for every distinct table f^m.
+    Returns the verdict and the first failing (m, U, V)."""
+    ctx = ck._scan(sys)
+    c = sys.cache()
+    ms = range(1, c.horizon + 1 if c.preperiod == 0 else c.horizon)
+    for m in ms:
+        reduced = 0
+        for j in range(1, c.horizon + 1):
+            reduced |= 1 << c.reduce(m * j)
+        for u in ctx.basis:
+            for v in ctx.basis:
+                if not ctx.hits(u, v) & reduced:
+                    names = sys.space.names
+                    return False, {"m": m, "U": names(u), "V": names(v)}
+    return True, None
+
+
+# generated systems whose tails have length p >= 2: there the exponent e
+# is not q, and the tail exponents m*j <= p decide which pair fails first
+_LONG_TAILS = (
+    GeneratorConfig(seed=21071, max_points=7, mode="discrete"),
+    GeneratorConfig(seed=41381, max_points=7, mode="discrete"),
+    GeneratorConfig(seed=65679, max_points=7, mode="discrete"),
+    GeneratorConfig(seed=44856, max_points=7, mode="preorder"),
+)
+
+
+def test_tgt_single_exponent_matches_every_iterate(sweep, fixture_map):
+    long_tails = [generate(cfg) for cfg in _LONG_TAILS]
+    assert all(s.cache().preperiod >= 2 for s in long_tails)
+    systems = sweep + [fx.system for fx in fixture_map.values()] + long_tails
+    falses = 0
+    for sys in systems:
+        rep = ck.is_totally_g_transitive(sys)
+        verdict, witness = _tgt_every_iterate(sys)
+        assert rep.verdict == verdict
+        if not verdict:
+            assert rep.witness == witness
+            falses += 1
+    assert 0 < falses < len(systems)
 
 
 def test_wgm_is_transitivity_of_the_square(sweep):
