@@ -1,91 +1,119 @@
 """Decision procedures for equivariant dynamics on finite topological
 spaces: transitivity, total transitivity, weak and strong mixing, and
 minimality of continuous maps commuting (up to orbits) with a finite
-group action."""
+group action.
 
-from .algebra import (
-    Action,
-    Group,
-    QuotientSystem,
-    catalog,
-    cyclic_group,
-    equivariance_failure,
-    is_equivariant,
-    is_pseudoequivariant,
-    klein_group,
-    product_action,
-    product_group,
-    pseudoequivariance_failure,
-    quotient,
-    symmetric_group_3,
-    trivial_action,
-)
-from .checkers import (
-    Preconditions,
-    ProductMinimality,
-    PropertyReport,
-    QuotientMinimality,
-    SgmCondition,
-    diagram_violations,
-    g_minimal_sets,
-    g_transitive_points,
-    is_g_minimal,
-    is_g_transitive,
-    is_n_fold_transitive,
-    is_strongly_g_mixing,
-    is_totally_g_transitive,
-    is_weakly_g_mixing,
-    minimality_cover_criterion,
-    precondition_flags,
-    product_minimality_criterion,
-    profile,
-    quotient_minimality,
-    sgm_sufficient_condition,
-)
-from .corpus import (
-    Fixture,
-    GeneratorConfig,
-    MineResult,
-    SuiteReport,
-    all_spaces,
-    enumerate_systems,
-    fixtures,
-    generate,
-    generate_robust,
-    mine,
-    parse_target,
-    run_implication_suite,
-    suite_configs,
-)
-from .dynamics import (
-    GSystem,
-    IterateCache,
-    f_orbit,
-    gf_orbit,
-    gf_periodic_mask,
-    gf_periodic_points,
-    nfold_system,
-    periodic_points,
-    product_system,
-    trivialized,
-)
-from .errors import (
-    Error,
-    GenerationError,
-    LimitError,
-    ParseError,
-    PreconditionError,
-    ValidationError,
-)
-from .sysfile import parse, serialize
-from .topology import (
-    Space,
-    automorphisms,
-    discrete_space,
-    is_continuous,
-    product,
-    space_from_subbasis,
-)
+Names resolve on first access: ``import gdyn`` loads no submodule, and
+reading ``gdyn.mine`` (or ``from gdyn import mine``) imports
+``gdyn.corpus`` then.  A command that only decides a system never loads
+the generator, the miner or the oracle."""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+import importlib as _importlib
+
+_SUBMODULES = ("algebra", "bitsets", "checkers", "corpus", "dynamics", "errors",
+               "oracle", "sysfile", "topology")
+
+# exported name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys((
+        "Action",
+        "Group",
+        "QuotientSystem",
+        "catalog",
+        "cyclic_group",
+        "equivariance_failure",
+        "is_equivariant",
+        "is_pseudoequivariant",
+        "klein_group",
+        "product_action",
+        "product_group",
+        "pseudoequivariance_failure",
+        "quotient",
+        "symmetric_group_3",
+        "trivial_action",
+    ), "algebra"),
+    **dict.fromkeys((
+        "Preconditions",
+        "ProductMinimality",
+        "PropertyReport",
+        "QuotientMinimality",
+        "SgmCondition",
+        "diagram_violations",
+        "g_minimal_sets",
+        "g_transitive_points",
+        "is_g_minimal",
+        "is_g_transitive",
+        "is_n_fold_transitive",
+        "is_strongly_g_mixing",
+        "is_totally_g_transitive",
+        "is_weakly_g_mixing",
+        "minimality_cover_criterion",
+        "precondition_flags",
+        "product_minimality_criterion",
+        "profile",
+        "quotient_minimality",
+        "sgm_sufficient_condition",
+    ), "checkers"),
+    **dict.fromkeys((
+        "Fixture",
+        "GeneratorConfig",
+        "MineResult",
+        "SuiteReport",
+        "all_spaces",
+        "enumerate_systems",
+        "fixtures",
+        "generate",
+        "generate_robust",
+        "mine",
+        "parse_target",
+        "run_implication_suite",
+        "suite_configs",
+    ), "corpus"),
+    **dict.fromkeys((
+        "GSystem",
+        "IterateCache",
+        "f_orbit",
+        "gf_orbit",
+        "gf_periodic_mask",
+        "gf_periodic_points",
+        "nfold_system",
+        "periodic_points",
+        "product_system",
+        "trivialized",
+    ), "dynamics"),
+    **dict.fromkeys((
+        "Error",
+        "GenerationError",
+        "LimitError",
+        "ParseError",
+        "PreconditionError",
+        "ValidationError",
+    ), "errors"),
+    **dict.fromkeys(("parse", "serialize"), "sysfile"),
+    **dict.fromkeys((
+        "Space",
+        "automorphisms",
+        "discrete_space",
+        "is_continuous",
+        "product",
+        "space_from_subbasis",
+    ), "topology"),
+}
+
+__all__ = sorted([*_SUBMODULES, *_EXPORTS])
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        value = _importlib.import_module(f"{__name__}.{name}")
+    elif name in _EXPORTS:
+        value = getattr(_importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

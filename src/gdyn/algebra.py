@@ -1,9 +1,10 @@
 """Finite groups given by multiplication tables, and their actions on
 finite spaces by homeomorphisms.
 
-Groups are validated exhaustively at construction (totality,
-associativity, identity, inverses); actions are validated against the
-action axioms and every translation is checked to be a homeomorphism.
+Groups are validated at construction (totality, identity, associativity
+by Light's test over a generating set, inverses); actions are validated
+against the action axioms and every translation is checked to be a
+homeomorphism.
 Products of validated groups and actions satisfy the axioms by
 construction and skip the checks.  Both are immutable value types.
 """
@@ -11,7 +12,8 @@ construction and skip the checks.  Both are immutable value types.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 from .bitsets import bits
 from .errors import PreconditionError, ValidationError
@@ -32,37 +34,38 @@ class Group:
         if len(table) != n or any(len(row) != n for row in table):
             raise ValidationError("group: multiplication table must be n x n")
         for row in table:
-            for v in row:
-                if not (0 <= v < n):
-                    raise ValidationError("group: table entry outside the element list")
+            if min(row) < 0 or max(row) >= n:
+                raise ValidationError("group: table entry outside the element list")
         # identity
         ident = None
+        ids = tuple(range(n))
         for e in range(n):
-            if all(table[e][x] == x and table[x][e] == x for x in range(n)):
+            if table[e] == ids and all(table[x][e] == x for x in ids):
                 ident = e
                 break
         if ident is None:
             raise ValidationError("group: no identity element")
-        # associativity, exhaustive
-        for a in range(n):
-            for b in range(n):
-                ab = table[a][b]
-                row_a = table[a]
-                for c in range(n):
-                    if table[ab][c] != row_a[table[b][c]]:
-                        raise ValidationError(
-                            f"group: associativity fails at "
-                            f"({elems[a]}, {elems[b]}, {elems[c]})"
-                        )
-        # inverses
-        inv = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if table[a][b] == ident and table[b][a] == ident:
-                    inv[a] = b
-                    break
-            if inv[a] is None:
+        # associativity by Light's test: the elements a with (x.a).y = x.(a.y)
+        # for all x, y are closed under the product and include the
+        # identity, so checking a generating set covers every a
+        for s in _generating_set(table, ident):
+            s_then = itemgetter(*table[s])  # row x -> the products x.(s.y)
+            for x in range(n):
+                left = table[table[x][s]]
+                if left != s_then(table[x]):
+                    y = next(y for y in range(n) if left[y] != table[x][table[s][y]])
+                    raise ValidationError(
+                        f"group: associativity fails at "
+                        f"({elems[x]}, {elems[s]}, {elems[y]})"
+                    )
+        # inverses: in a finite monoid a.b = e has at most one solution b,
+        # and it has b.a = e
+        inv = []
+        for a, row in enumerate(table):
+            b = row.index(ident) if ident in row else None
+            if b is None or table[b][a] != ident:
                 raise ValidationError(f"group: no inverse for {elems[a]}")
+            inv.append(b)
         self._set(elems, table, ident, tuple(inv), name)
 
     @classmethod
@@ -88,23 +91,7 @@ class Group:
 
     def generators(self) -> tuple[int, ...]:
         """A small generating set, found greedily in element order."""
-        gens: list[int] = []
-        closed = {self.identity}
-        for a in range(self.order):
-            if a in closed:
-                continue
-            gens.append(a)
-            frontier = list(closed | {a})
-            closed = set(closed)
-            closed.add(a)
-            while frontier:
-                x = frontier.pop()
-                for y in list(closed):
-                    for z in (self.mul[x][y], self.mul[y][x]):
-                        if z not in closed:
-                            closed.add(z)
-                            frontier.append(z)
-        return tuple(gens)
+        return _generating_set(self.mul, self.identity)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -118,6 +105,29 @@ class Group:
 
     def __repr__(self) -> str:
         return f"Group({self.name or ','.join(self.elements)})"
+
+
+def _generating_set(mul: tuple[tuple[int, ...], ...], identity: int) -> tuple[int, ...]:
+    """Elements taken greedily in order until every element is a product
+    ((s1.s2).s3)... of them.  That needs no associativity, so it serves
+    the group's own validation."""
+    gens: list[int] = []
+    closed = {identity}
+    for a in range(len(mul)):
+        if a in closed:
+            continue
+        gens.append(a)
+        # the elements already closed need only the new generator
+        frontier = list({mul[x][a] for x in closed} - closed)
+        closed.update(frontier)
+        while frontier:
+            row = mul[frontier.pop()]
+            for s in gens:
+                z = row[s]
+                if z not in closed:
+                    closed.add(z)
+                    frontier.append(z)
+    return tuple(gens)
 
 
 def cyclic_group(n: int) -> Group:
@@ -345,8 +355,7 @@ def pseudoequivariance_failure(action: Action, f: Sequence[int]) -> int | None:
 # -- quotient by the group -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientSystem:
+class QuotientSystem(NamedTuple):
     """Orbit space of an action, with the projection and (when the map
     is pseudoequivariant) the induced map on orbits.
 

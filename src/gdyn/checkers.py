@@ -53,8 +53,8 @@ same names; the test suite keeps the two in agreement.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .algebra import is_equivariant, quotient, require_induced, trivial_action
 from .bitsets import bits
@@ -71,14 +71,12 @@ from .topology import map_image, map_preimage
 CertificateLimit = 10_000
 
 
-@dataclass(frozen=True)
-class Preconditions:
+class Preconditions(NamedTuple):
     pseudoequivariant: bool
     dense_gf_periodic: bool
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     prop: str
     verdict: bool
     witness: Mapping | None
@@ -567,8 +565,7 @@ def minimality_cover_criterion(sys: GSystem) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class QuotientMinimality:
+class QuotientMinimality(NamedTuple):
     gm: bool
     induced_minimal: bool
 
@@ -590,8 +587,7 @@ def quotient_minimality(sys: GSystem) -> QuotientMinimality:
     )
 
 
-@dataclass(frozen=True)
-class SgmCondition:
+class SgmCondition(NamedTuple):
     """Outcome of the sufficient condition for strong mixing: the map is
     pseudoequivariant and transitive, some point has a dense saturated
     orbit, and that point's minimal neighbourhood eventually returns to
@@ -631,8 +627,7 @@ def sgm_sufficient_condition(sys: GSystem) -> SgmCondition:
     )
 
 
-@dataclass(frozen=True)
-class ProductMinimality:
+class ProductMinimality(NamedTuple):
     product_minimal: bool
     criterion: bool
 

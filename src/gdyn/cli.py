@@ -35,7 +35,6 @@ from .checkers import (
     profile,
     quotient_minimality,
 )
-from .corpus import GeneratorConfig, generate, mine
 from .dynamics import GSystem
 from .errors import Error, GenerationError, ParseError, ValidationError
 from .sysfile import parse, serialize
@@ -169,6 +168,9 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    # imported here, so that the commands deciding a system do not load it
+    from .corpus import GeneratorConfig, generate
+
     cfg = GeneratorConfig(
         seed=args.seed,
         max_points=args.max_points,
@@ -190,6 +192,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_mine(args) -> int:
+    from .corpus import mine  # as in _cmd_gen
+
     res = mine(args.target, seed=args.seed, budget=args.budget,
                sweep=not args.no_sweep)
     if res.found:

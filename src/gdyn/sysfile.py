@@ -15,7 +15,9 @@ are ignored.  Sections may appear in any order:
 
 `parse` builds the validated system; syntactic problems raise ParseError
 with the offending line number, semantic problems (group axioms, action
-axioms, continuity) surface as ValidationError from the constructors.
+axioms, continuity) surface as ValidationError from the constructors, and
+a group line with more than `MaxGroupOrder` elements raises LimitError
+at that line, before any table is built.
 `serialize` writes the canonical form: minimal open sets as the
 subbasis, sorted; parse and serialize are mutually inverse on it.
 """
@@ -24,8 +26,15 @@ from __future__ import annotations
 
 from .algebra import Action, Group
 from .dynamics import GSystem
-from .errors import ParseError
+from .errors import LimitError, ParseError
 from .topology import space_from_subbasis
+
+# the largest group a file may declare.  Group validation is
+# O(|G|^2 * |S|) for its greedy generating set S.  A group has
+# |S| <= log2 |G|, but a table that is no group can need |S| = |G| - 1
+# (a monoid with x.y = x for every x but the identity); at this order
+# that worst case still validates in about half a second (README)
+MaxGroupOrder = 256
 
 
 def parse(text: str) -> GSystem:
@@ -62,6 +71,11 @@ def parse(text: str) -> GSystem:
                 raise ParseError("group: at least one element required", ln)
             if len(set(args)) != len(args):
                 raise ParseError("group: duplicate element", ln)
+            if len(args) > MaxGroupOrder:
+                raise LimitError(
+                    f"line {ln}: group: {len(args)} elements exceed the bound of"
+                    f" {MaxGroupOrder}"
+                )
             group_names = args
         elif kw == "identity":
             if identity is not None:

@@ -1,9 +1,13 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import cycles_text
 from gdyn import cli
 from gdyn.cli import main
-from gdyn.sysfile import parse, serialize
+from gdyn.sysfile import MaxGroupOrder, parse, serialize
 
 
 @pytest.fixture
@@ -255,3 +259,42 @@ class TestErrorsExitTwo:
         p.write_text(cycles_text((1,), group_order=8))
         assert main(["check", str(p), "--property", "nfold:4"]) == 2
         assert "group of order 8^4" in capsys.readouterr().err
+
+    def test_group_order_limit(self, tmp_path, capsys):
+        p = tmp_path / "big_group.gds"
+        p.write_text(cycles_text((1,), group_order=MaxGroupOrder))
+        assert main(["validate", str(p)]) == 0
+        capsys.readouterr()
+        p.write_text(cycles_text((1,), group_order=MaxGroupOrder + 1))
+        assert main(["validate", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line ")
+        assert captured.err.endswith(f"group: {MaxGroupOrder + 1} elements exceed"
+                                     f" the bound of {MaxGroupOrder}\n")
+        assert captured.err.count("\n") == 1
+
+
+# run in a fresh interpreter without site packages, so that nothing but the
+# command itself can load a module
+_FRESH_PROCESS = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from gdyn.cli import main
+main(["report", sys.argv[2]])
+main(["check", sys.argv[2], "--property", "wgm"])
+print("loaded:", [m for m in ("gdyn.corpus", "gdyn.oracle", "dataclasses")
+                  if m in sys.modules])
+"""
+
+
+def test_decide_commands_load_only_what_they_run(files):
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _FRESH_PROCESS, str(src), files["rot4"]],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "p1=true" and "property=wgm verdict=false" in lines
+    assert lines[-1] == "loaded: []"

@@ -1,19 +1,139 @@
 """Second routes.  The library decides each property one way; these
-tests recompute total transitivity, weak mixing, minimal cores, quotients
-and derived products another way over every system of the miner's sweep
-(all systems on up to three points over Z1, Z2 and Z3) and require the
-two to agree.  Systems that the sweep and the generator build without
-re-validation are rebuilt through the validating constructors."""
+tests recompute it another way and require the two to agree: total
+transitivity, weak mixing, minimal cores, quotients and derived products
+over every system of the miner's sweep (all systems on up to three points
+over Z1, Z2 and Z3), and group associativity over the catalog groups,
+their products and random Latin squares with an identity.  Systems that
+the sweep and the generator build without re-validation are rebuilt
+through the validating constructors."""
 
 import itertools
+import random
+import re
 
 from gdyn import checkers as ck
-from gdyn.algebra import Action, Group, quotient
+from gdyn.algebra import Action, Group, catalog, product_group, quotient
 from gdyn.bitsets import bits
 from gdyn.corpus import GeneratorConfig, generate, suite_configs
 from gdyn.dynamics import GSystem, gf_orbit, product_system
-from gdyn.errors import GenerationError
+from gdyn.errors import GenerationError, ValidationError
 from gdyn.topology import Space, is_continuous, map_image
+
+
+def _associative_every_triple(mul):
+    """Associativity by the exhaustive loop over all triples."""
+    n = len(mul)
+    return all(mul[mul[a][b]][c] == mul[a][mul[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def _closure_generators(g):
+    """The greedy generating set, closing under every product of the
+    elements found so far (not only under the generators on the right)."""
+    gens, closed = [], {g.identity}
+    for a in range(g.order):
+        if a in closed:
+            continue
+        gens.append(a)
+        closed.add(a)
+        frontier = list(closed)
+        while frontier:
+            x = frontier.pop()
+            for y in list(closed):
+                for z in (g.mul[x][y], g.mul[y][x]):
+                    if z not in closed:
+                        closed.add(z)
+                        frontier.append(z)
+    return tuple(gens)
+
+
+def _random_loop(rng, n):
+    """A Latin square of order n with identity 0, filled cell by cell in
+    random order with backtracking."""
+    rows = [list(range(n))] + [[x] + [None] * (n - 1) for x in range(1, n)]
+    cells = [(x, y) for x in range(1, n) for y in range(1, n)]
+
+    def fill(i):
+        if i == len(cells):
+            return True
+        x, y = cells[i]
+        used = set(rows[x]) | {rows[z][y] for z in range(n)}
+        options = [v for v in range(n) if v not in used]
+        rng.shuffle(options)
+        for v in options:
+            rows[x][y] = v
+            if fill(i + 1):
+                return True
+        rows[x][y] = None
+        return False
+
+    assert fill(0)
+    return tuple(tuple(row) for row in rows)
+
+
+def _twisted_product(rng, m, k):
+    """Z_m x K with (a, x).(b, y) = (a + b + t(x, y), x.y) for a random
+    t: K x K -> Z_m that vanishes when x or y is the identity.  A loop
+    whose elements (a, e) pass Light's test whatever t is; t decides
+    whether the later generators do.  (a, x) has index x * m + a."""
+    e, n = k.identity, k.order
+    t = [[0 if e in (x, y) else rng.randrange(m) for y in range(n)] for x in range(n)]
+    return tuple(
+        tuple(k.mul[x][y] * m + (a + b + t[x][y]) % m for y in range(n) for b in range(m))
+        for x in range(n) for a in range(m)
+    )
+
+
+def _light_verdict(mul):
+    """True if ``Group`` accepts the table; else the triple its
+    associativity error names, or None for any other rejection."""
+    names = tuple(f"g{i}" for i in range(len(mul)))
+    try:
+        Group(names, mul)
+    except ValidationError as exc:
+        m = re.fullmatch(r"group: associativity fails at \((\w+), (\w+), (\w+)\)", str(exc))
+        return tuple(names.index(v) for v in m.groups()) if m else None
+    return True
+
+
+def _left_zero_monoid(n):
+    """Identity 0 and x.y = x otherwise: associative, no inverses, and
+    every non-identity element is needed to generate it."""
+    return tuple(tuple(range(n)) if x == 0 else (x,) * n for x in range(n))
+
+
+def test_light_associativity_matches_every_triple():
+    # catalog groups, their products, and random Latin squares with an
+    # identity (loops): Group accepts exactly the associative ones, since an
+    # associative loop is a group, and otherwise names a failing triple
+    rng = random.Random(7)
+    groups = list(catalog().values())
+    tables = [g.mul for g in groups]
+    tables += [product_group(a, b).mul for a in groups for b in groups]
+    tables += [_random_loop(rng, n) for n in (2, 3, 4, 5, 5, 6, 6, 7) for _ in range(25)]
+    tables += [_twisted_product(rng, m, k) for m in (2, 3) for k in groups[1:6] + groups[8:]
+               for _ in range(4)]
+    rejected = 0
+    for mul in tables:
+        verdict = _light_verdict(mul)
+        if _associative_every_triple(mul):
+            assert verdict is True
+        else:
+            a, b, c = verdict
+            assert mul[mul[a][b]][c] != mul[a][mul[b][c]]
+            rejected += 1
+    assert 0 < rejected < len(tables)
+    # a monoid whose every non-identity element is a generator: Light's
+    # test passes on all of them, and the inverse check rejects it
+    for n in (2, 3, 9):
+        mul = _left_zero_monoid(n)
+        assert _associative_every_triple(mul) and _light_verdict(mul) is None
+
+
+def test_generators_match_full_closure():
+    groups = list(catalog().values())
+    for g in groups + [product_group(a, b) for a in groups for b in groups]:
+        assert g.generators() == _closure_generators(g)
 
 
 def _tgt_every_iterate(sys):
