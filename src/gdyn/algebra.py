@@ -3,8 +3,8 @@ finite spaces by homeomorphisms.
 
 Groups are validated at construction (totality, identity, associativity
 by Light's test over a generating set, inverses); actions are validated
-against the action axioms and every translation is checked to be a
-homeomorphism.
+against the action axioms (compatibility over a generating set) and
+every translation is checked to be a homeomorphism.
 Products of validated groups and actions satisfy the axioms by
 construction and skip the checks.  Both are immutable value types.
 """
@@ -21,7 +21,7 @@ from .topology import Space, identity_table, is_continuous, map_image, product
 
 
 class Group:
-    __slots__ = ("name", "elements", "index", "mul", "identity", "inv")
+    __slots__ = ("name", "elements", "index", "mul", "identity", "inv", "_gens")
 
     def __init__(self, elements: Sequence[str], mul: Sequence[Sequence[int]], name: str = ""):
         elems = tuple(elements)
@@ -84,6 +84,7 @@ class Group:
         self.mul = mul
         self.identity = identity
         self.inv = inv
+        self._gens: tuple[int, ...] | None = None
 
     @property
     def order(self) -> int:
@@ -91,7 +92,9 @@ class Group:
 
     def generators(self) -> tuple[int, ...]:
         """A small generating set, found greedily in element order."""
-        return _generating_set(self.mul, self.identity)
+        if self._gens is None:
+            self._gens = _generating_set(self.mul, self.identity)
+        return self._gens
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -200,8 +203,10 @@ class Action:
                 raise ValidationError(
                     f"action: identity must act trivially, moves {space.points[x]}"
                 )
-        for g in range(m):
-            for h in range(m):
+        # compatibility g.(h.x) = (gh).x: the h for which it holds for all g
+        # and x are closed under the product, so the generators cover every h
+        for h in group.generators():
+            for g in range(m):
                 gh = group.mul[g][h]
                 for x in range(n):
                     if table[g][table[h][x]] != table[gh][x]:

@@ -35,19 +35,18 @@ p1 & wgm -> tgt the two are equivalent under p1.  The search for the
 least failing m, which names the false witness, runs only on a false
 verdict.
 
-The list of properties lives in one table, ``Verdicts`` (name -> bool
-verdict, cheapest first).  ``profile(sys, props)`` reads it, and so do the
-command-line report, the fixture check, the implication suite and the
-miner's target literals.
-
-Every checker returns a PropertyReport whose witness makes the verdict
-auditable: false verdicts carry a concrete failing pair of basis opens
-(plus the iterate exponent where relevant), true verdicts carry per-pair
-(exponent, group element) certificates when small enough.  Certificates
-are built from the hit masks when the witness's ``certificates`` entry
-is first read.  An independent brute-force module (`gdyn.oracle`)
-re-derives all verdicts from the raw definitions, in a table with the
-same names; the test suite keeps the two in agreement.
+Each property has one predicate, held in the table ``Verdicts`` (name ->
+bool, cheapest first) that ``profile``, the command-line report, the
+fixture check, the implication suite and the miner read.  Four read the
+hit masks alone: gt, every mask is nonzero; tgt, every mask has bit e;
+wgm, every two masks intersect; sgm, every mask covers [p+1, p+q].
+The ``is_*`` reports call the same predicates and build on the verdict
+the precondition flags and a witness: a false verdict names a failing
+pair of basis opens (plus the iterate exponent where relevant), a true
+one (exponent, group element) certificates when small enough, built from
+the hit masks when the witness's ``certificates`` entry is first read.
+`gdyn.oracle` re-derives every verdict by brute force from the raw
+definitions, in a table with the same names; the tests keep them agreed.
 """
 
 from __future__ import annotations
@@ -104,7 +103,7 @@ class _Ctx:
     the system holds its context (``_scan``), and a reference back would
     make a cycle that only the garbage collector frees."""
 
-    __slots__ = ("f", "action", "cache", "basis", "pos", "window", "cycle_window",
+    __slots__ = ("f", "action", "cache", "basis", "pos", "window", "cycle_window", "e",
                  "_sats", "_col", "_steps", "_point", "_rows", "_img")
 
     def __init__(self, sys: GSystem):
@@ -125,6 +124,7 @@ class _Ctx:
         self._sats = [(sat, pts, len(pts)) for sat in sats for pts in (tuple(bits(sat)),)]
         self.window = ((1 << c.horizon) - 1) << 1  # exponents [1, p+q]
         self.cycle_window = ((1 << c.period) - 1) << (c.preperiod + 1)
+        self.e = c.period * max(1, -(-c.preperiod // c.period))  # tgt's exponent
         self._steps: dict[int, int] = {}
         self._point: dict[int, dict[int, int]] = {}
         self._rows: dict[int, list[int]] = {}
@@ -288,19 +288,20 @@ def _names(sys: GSystem, mask: int) -> tuple[str, ...]:
 # -- transitivity -------------------------------------------------------------
 
 
-def is_g_transitive(sys: GSystem) -> PropertyReport:
-    """Every pair of nonempty opens is linked by some translated iterate:
-    for all U, V there are k >= 1 and g with g.f^k(U) meeting V."""
+def _gt(sys: GSystem) -> bool:
+    """gt: every hit mask is nonzero."""
     ctx = _scan(sys)
-    flags = precondition_flags(sys)
+    return all(all(ctx.row(u)) for u in ctx.basis)
+
+
+def _transitivity(sys: GSystem) -> tuple[bool, Mapping]:
+    """gt's verdict and witness: the first empty basis pair, or certificates."""
+    ctx = _scan(sys)
     basis = ctx.basis
-    for u in basis:
-        row = ctx.row(u)
-        if not all(row):
-            v = basis[row.index(0)]
-            return PropertyReport(
-                "gt", False, {"U": _names(sys, u), "V": _names(sys, v)}, flags
-            )
+    if not _gt(sys):
+        u = next(u for u in basis if not all(ctx.row(u)))
+        v = basis[ctx.row(u).index(0)]
+        return False, {"U": _names(sys, u), "V": _names(sys, v)}
 
     def build() -> tuple:
         out = []
@@ -310,12 +311,24 @@ def is_g_transitive(sys: GSystem) -> PropertyReport:
                 out.append((_names(sys, u), _names(sys, v), k, ctx.element(u, k, v)))
         return tuple(out)
 
-    return PropertyReport("gt", True, _witness(len(basis) ** 2, "basis pairs", build), flags)
+    return True, _witness(len(basis) ** 2, "basis pairs", build)
 
 
-def _least_failing_iterate(ctx: _Ctx) -> tuple[int, int, int] | None:
+def is_g_transitive(sys: GSystem) -> PropertyReport:
+    """Every pair of nonempty opens is linked by some translated iterate:
+    for all U, V there are k >= 1 and g with g.f^k(U) meeting V."""
+    return PropertyReport("gt", *_transitivity(sys), precondition_flags(sys))
+
+
+def _tgt(sys: GSystem) -> bool:
+    """tgt: every hit mask has bit e."""
+    ctx = _scan(sys)
+    return all((h >> ctx.e) & 1 for u in ctx.basis for h in ctx.row(u))
+
+
+def _least_failing_iterate(ctx: _Ctx) -> tuple[int, int, int]:
     """(m, U, V) for the least m whose iterate f^m fails to link some basis
-    pair, with the first such pair in basis order; None when tgt holds."""
+    pair, with the first such pair in basis order; tgt must be false."""
     c, basis = ctx.cache, ctx.basis
     p, q = c.preperiod, c.period
     masks = []
@@ -326,12 +339,10 @@ def _least_failing_iterate(ctx: _Ctx) -> tuple[int, int, int] | None:
             # exactly at the empty masks
             return 1, u, basis[row.index(0)]
         masks += row
-    e = q * max(1, -(-p // q))
+    e = ctx.e
     # a mask with bit e meets the reduced exponents of every m, so the
     # least failing m is searched on the distinct masks without it
     lacking = [h for h in set(masks) if not (h >> e) & 1]
-    if not lacking:
-        return None
     tail_window = (1 << p + 1) - 2  # exponents [1, p]
     for m in range(2, e + 1):  # m = e fails at the latest
         reduced = (_every(m, p) & tail_window
@@ -353,12 +364,10 @@ def is_totally_g_transitive(sys: GSystem) -> PropertyReport:
     and the cycle exponents k in [p+1, p+q] with k = 0 mod gcd(m, q)."""
     ctx = _scan(sys)
     flags = precondition_flags(sys)
-    failure = _least_failing_iterate(ctx)
-    if failure is not None:
-        m, u, v = failure
-        return PropertyReport(
-            "tgt", False, {"m": m, "U": _names(sys, u), "V": _names(sys, v)}, flags
-        )
+    if not _tgt(sys):
+        m, u, v = _least_failing_iterate(ctx)
+        witness = {"m": m, "U": _names(sys, u), "V": _names(sys, v)}
+        return PropertyReport("tgt", False, witness, flags)
     c = ctx.cache
     basis = ctx.basis
     # f^1 .. f^(p+q-1) are distinct tables, and f^(p+q) repeats f^p
@@ -381,6 +390,13 @@ def is_totally_g_transitive(sys: GSystem) -> PropertyReport:
     )
 
 
+def _wgm(sys: GSystem) -> bool:
+    """wgm: every two hit masks intersect."""
+    ctx = _scan(sys)
+    distinct = set().union(*map(ctx.row, ctx.basis))
+    return all(a & b for a in distinct for b in distinct)
+
+
 def is_weakly_g_mixing(sys: GSystem) -> PropertyReport:
     """The doubled map f x f on the product space is (G x G)-transitive.
 
@@ -393,26 +409,18 @@ def is_weakly_g_mixing(sys: GSystem) -> PropertyReport:
     ctx = _scan(sys)
     flags = precondition_flags(sys)
     basis = ctx.basis
-    masks = [h for u in basis for h in ctx.row(u)]
-    distinct = set(masks)
-    # the verdict depends on the distinct masks only; the ordered scan
-    # names the first failing 4-tuple
-    if not all(a & b for a in distinct for b in distinct):
+    if not _wgm(sys):
+        # the ordered scan names the first failing 4-tuple
+        masks = [h for u in basis for h in ctx.row(u)]
         pairs = [(u, e) for u in basis for e in basis]
-        for (u, e), m1 in zip(pairs, masks):
-            for (v, w), m2 in zip(pairs, masks):
-                if not m1 & m2:
-                    return PropertyReport(
-                        "wgm",
-                        False,
-                        {
-                            "U": _names(sys, u), "V": _names(sys, v),
-                            "E": _names(sys, e), "F": _names(sys, w),
-                        },
-                        flags,
-                    )
+        (u, e), (v, w) = next((a, b) for a, m1 in zip(pairs, masks)
+                              for b, m2 in zip(pairs, masks) if not m1 & m2)
+        witness = {"U": _names(sys, u), "V": _names(sys, v),
+                   "E": _names(sys, e), "F": _names(sys, w)}
+        return PropertyReport("wgm", False, witness, flags)
 
     def build() -> tuple:
+        masks = [h for u in basis for h in ctx.row(u)]
         pairs = [(u, e) for u in basis for e in basis]
         out = []
         for (u, e), m1 in zip(pairs, masks):
@@ -425,7 +433,7 @@ def is_weakly_g_mixing(sys: GSystem) -> PropertyReport:
         return tuple(out)
 
     return PropertyReport(
-        "wgm", True, _witness(len(masks) ** 2, "basis 4-tuples", build), flags
+        "wgm", True, _witness(len(basis) ** 4, "basis 4-tuples", build), flags
     )
 
 
@@ -434,11 +442,17 @@ def is_n_fold_transitive(sys: GSystem, n: int, max_carrier: int = 20000) -> Prop
     if n < 1:
         raise PreconditionError("n-fold transitivity: n must be >= 1")
     prod = nfold_system(sys, n, max_carrier=max_carrier)
-    rep = is_g_transitive(prod)
     return PropertyReport(
-        f"nfold:{n}", rep.verdict, rep.witness, precondition_flags(sys),
+        f"nfold:{n}", *_transitivity(prod), precondition_flags(sys),
         note=f"product carrier of {prod.space.n} points",
     )
+
+
+def _sgm(sys: GSystem) -> bool:
+    """sgm: every hit mask covers the recurring exponents [p+1, p+q]."""
+    ctx = _scan(sys)
+    window = ctx.cycle_window
+    return all(h & window == window for u in ctx.basis for h in ctx.row(u))
 
 
 def is_strongly_g_mixing(sys: GSystem) -> PropertyReport:
@@ -450,18 +464,13 @@ def is_strongly_g_mixing(sys: GSystem) -> PropertyReport:
     flags = precondition_flags(sys)
     c = ctx.cache
     basis = ctx.basis
-    window = ctx.cycle_window
-    for u in basis:
-        for v, h in zip(basis, ctx.row(u)):
-            missing = window & ~h
-            if missing:
-                return PropertyReport(
-                    "sgm",
-                    False,
-                    {"U": _names(sys, u), "V": _names(sys, v),
-                     "missing_exponent": _lowest(missing)},
-                    flags,
-                )
+    if not _sgm(sys):
+        window = ctx.cycle_window
+        u, v, h = next((u, v, h) for u in basis for v, h in zip(basis, ctx.row(u))
+                       if window & ~h)
+        witness = {"U": _names(sys, u), "V": _names(sys, v),
+                   "missing_exponent": _lowest(window & ~h)}
+        return PropertyReport("sgm", False, witness, flags)
 
     def build() -> tuple:
         return tuple(
@@ -495,24 +504,23 @@ def g_transitive_points(sys: GSystem) -> int:
     return out
 
 
+def _gm(sys: GSystem) -> bool:
+    """gm: every point has a dense saturated forward orbit."""
+    return g_transitive_points(sys) == sys.space.full
+
+
 def is_g_minimal(sys: GSystem) -> PropertyReport:
-    """Every point has a dense saturated forward orbit."""
+    """Every point has a dense saturated forward orbit: ``_gm``'s mask is full."""
     flags = precondition_flags(sys)
-    trans = g_transitive_points(sys)
-    if trans == sys.space.full:
+    lacking = sys.space.full & ~g_transitive_points(sys)
+    if not lacking:
         return PropertyReport(
             "gm", True, {"summary": "all points have dense saturated orbits"}, flags
         )
-    x = next(bits(sys.space.full & ~trans))
-    return PropertyReport(
-        "gm",
-        False,
-        {
-            "x": sys.space.points[x],
-            "orbit_closure": _names(sys, sys.space.closure(gf_orbit(sys, x))),
-        },
-        flags,
-    )
+    x = next(bits(lacking))
+    witness = {"x": sys.space.points[x],
+               "orbit_closure": _names(sys, sys.space.closure(gf_orbit(sys, x)))}
+    return PropertyReport("gm", False, witness, flags)
 
 
 def g_minimal_sets(sys: GSystem) -> list[int]:
@@ -581,10 +589,7 @@ def quotient_minimality(sys: GSystem) -> QuotientMinimality:
     qs = quotient(sys.action, sys.f)
     induced = require_induced(qs)
     q_sys = GSystem._trusted(trivial_action(qs.space), induced)
-    return QuotientMinimality(
-        gm=is_g_minimal(sys).verdict,
-        induced_minimal=is_g_minimal(q_sys).verdict,
-    )
+    return QuotientMinimality(gm=_gm(sys), induced_minimal=_gm(q_sys))
 
 
 class SgmCondition(NamedTuple):
@@ -611,7 +616,7 @@ _FiniteSpaceNote = (
 def sgm_sufficient_condition(sys: GSystem) -> SgmCondition:
     if not sys.pseudoequivariant():
         return SgmCondition(False, None, "map is not pseudoequivariant")
-    if not is_g_transitive(sys).verdict:
+    if not _gt(sys):
         return SgmCondition(False, None, "system is not transitive")
     trans = g_transitive_points(sys)
     ctx = _scan(sys)
@@ -620,8 +625,7 @@ def sgm_sufficient_condition(sys: GSystem) -> SgmCondition:
         # W returns at every recurring exponent: f^k(W) meets G(W)
         w = sys.space.min_open[x]
         if ctx.hits(w, w) & window == window:
-            ok = is_strongly_g_mixing(sys).verdict
-            return SgmCondition(True, ok, _FiniteSpaceNote)
+            return SgmCondition(True, _sgm(sys), _FiniteSpaceNote)
     return SgmCondition(
         False, None, "no dense-orbit point whose neighbourhood eventually returns"
     )
@@ -638,7 +642,7 @@ def product_minimality_criterion(s1: GSystem, s2: GSystem) -> ProductMinimality:
     both (g.f(x), y) and (x, k.h(y)) lie in the closure of the saturated
     product orbit of (x, y)."""
     prod = product_system(s1, s2)
-    pm = is_g_minimal(prod).verdict
+    pm = _gm(prod)
     n2 = s2.space.n
     crit = True
     for x in range(s1.space.n):
@@ -664,18 +668,18 @@ def product_minimality_criterion(s1: GSystem, s2: GSystem) -> ProductMinimality:
 
 
 # property name -> verdict, cheapest first: the miner tests a target's
-# literals in this order and stops at the first that fails.  Entries look
-# their deciders up by name when called.
+# literals in this order and stops at the first that fails.  The entries
+# of gt, gm, sgm, tgt and wgm build no report, precondition flags or witness.
 Verdicts: dict[str, Callable[[GSystem], bool]] = {
     "p1": lambda s: s.pseudoequivariant(),
     "equivariant": lambda s: is_equivariant(s.action, s.f),
     "p2": lambda s: precondition_flags(s).dense_gf_periodic,
-    "gt": lambda s: is_g_transitive(s).verdict,
-    "gm": lambda s: is_g_minimal(s).verdict,
-    "sgm": lambda s: is_strongly_g_mixing(s).verdict,
-    "cover": lambda s: minimality_cover_criterion(s),
-    "tgt": lambda s: is_totally_g_transitive(s).verdict,
-    "wgm": lambda s: is_weakly_g_mixing(s).verdict,
+    "gt": _gt,
+    "gm": _gm,
+    "sgm": _sgm,
+    "cover": minimality_cover_criterion,
+    "tgt": _tgt,
+    "wgm": _wgm,
 }
 
 # the properties of the implication diagram, in the order the command-line

@@ -67,17 +67,6 @@ def _cmd_validate(args) -> int:
 def _cmd_check(args) -> int:
     sys_ = _load(args.file)
     prop = args.property
-    if prop.startswith("nfold:"):
-        try:
-            n = int(prop.split(":", 1)[1])
-        except ValueError:
-            raise ValidationError(f"check: bad fold count in '{prop}'")
-        rep = is_n_fold_transitive(sys_, n)
-        _emit_verdict(rep.prop, rep.verdict)
-        if not rep.verdict:
-            w = rep.witness
-            print(f"witness: U={_fmt(w['U'])} V={_fmt(w['V'])}")
-        return 0 if rep.verdict else 1
     if prop == "cover":
         v = minimality_cover_criterion(sys_)
         _emit_verdict("cover", v)
@@ -109,9 +98,16 @@ def _cmd_check(args) -> int:
         "sgm": is_strongly_g_mixing,
         "gm": is_g_minimal,
     }
-    if prop not in checkers:
+    if prop.startswith("nfold:"):
+        try:
+            n = int(prop.split(":", 1)[1])
+        except ValueError:
+            raise ValidationError(f"check: bad fold count in '{prop}'")
+        rep = is_n_fold_transitive(sys_, n)
+    elif prop in checkers:
+        rep = checkers[prop](sys_)
+    else:
         raise ValidationError(f"check: unknown property '{prop}'")
-    rep = checkers[prop](sys_)
     _emit_verdict(rep.prop, rep.verdict)
     if not rep.verdict:
         w = rep.witness

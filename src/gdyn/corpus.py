@@ -326,11 +326,12 @@ def _autos(space: Space) -> list[tuple[int, ...]]:
 
 def _extend_hom(group: Group, gens: tuple[int, ...],
                 images: Mapping[int, tuple[int, ...]], n: int):
-    """Extend generator images to a full homomorphism into the symmetric
-    group, or return None if the images are inconsistent.  With
-    automorphisms of the space as images the result is a valid action
-    table: the identity acts trivially, the homomorphism law is checked
-    and every row is a composite of homeomorphisms."""
+    """Extend generator images to a homomorphism into the symmetric group,
+    or return None if they are inconsistent.  The walk checks
+    phi(g.s) = phi(g) o phi(s) on every Cayley-graph edge from phi(e) = id;
+    the b with phi(a.b) = phi(a) o phi(b) for all a are then closed under
+    right products with the generators, so the law holds on all of G.
+    With automorphisms as images the table is a valid action."""
     phi: list = [None] * group.order
     phi[group.identity] = identity_table(n)
     queue = [group.identity]
@@ -343,10 +344,6 @@ def _extend_hom(group: Group, gens: tuple[int, ...],
                 phi[g2] = t
                 queue.append(g2)
             elif phi[g2] != t:
-                return None
-    for a in range(group.order):
-        for b in range(group.order):
-            if compose(phi[a], phi[b]) != phi[group.mul[a][b]]:
                 return None
     return phi
 
@@ -463,15 +460,12 @@ def all_spaces(n: int) -> Iterator[Space]:
 
 
 def _all_homs(group: Group, autos: list[tuple[int, ...]], n: int):
+    # distinct images give distinct homomorphisms: phi(s) is the image of s
     gens = group.generators()
-    seen = set()
     for images in itertools.product(autos, repeat=len(gens)):
         phi = _extend_hom(group, gens, dict(zip(gens, images)), n)
         if phi is not None:
-            key = tuple(phi)
-            if key not in seen:
-                seen.add(key)
-                yield key
+            yield tuple(phi)
 
 
 def enumerate_systems(max_points: int = 3,

@@ -1,3 +1,4 @@
+import collections
 import gc
 import hashlib
 import itertools
@@ -163,6 +164,29 @@ class TestMixing:
         with pytest.raises(PreconditionError):
             ck.is_n_fold_transitive(fixture_map["rot4"].system, 0)
 
+    def test_nfold_reads_only_the_base_flags(self, fixture_map, monkeypatch):
+        # the report carries the base system's flags, so the product's
+        # (pseudoequivariance over G^n on |X|^n points) are never computed;
+        # its witness is the product's transitivity witness
+        want = {name: ck.is_g_transitive(nfold_system(fx.system, 2))
+                for name, fx in fixture_map.items()}
+        calls = []
+        flags = ck.precondition_flags
+
+        def counted(sys):
+            calls.append(sys)
+            return flags(sys)
+
+        monkeypatch.setattr(ck, "precondition_flags", counted)
+        for name, fx in fixture_map.items():
+            sys = _fresh(fx.system)
+            calls.clear()
+            rep = ck.is_n_fold_transitive(sys, 2)
+            assert calls == [sys], name
+            assert rep.verdict == want[name].verdict
+            assert repr(rep.witness) == repr(want[name].witness)
+            assert rep.preconditions == flags(sys)
+
 
 def _shifted_cycles(lengths):
     """Disjoint cycles on a discrete carrier under the transitive shift of
@@ -324,10 +348,7 @@ class TestPreconditionsAndReports:
         row = ck.profile(sys)
         assert list(row) == list(ck.Verdicts)
         assert all(type(v) is bool for v in row.values())
-        decided = {"gt": ck.is_g_transitive, "tgt": ck.is_totally_g_transitive,
-                   "wgm": ck.is_weakly_g_mixing, "sgm": ck.is_strongly_g_mixing,
-                   "gm": ck.is_g_minimal}
-        for key, decide in decided.items():
+        for key, decide in _REPORTS.items():
             assert row[key] == decide(sys).verdict
         diagram = ck.profile(sys, ck.Diagram)
         assert list(diagram) == ["p1", "p2", "gt", "tgt", "wgm", "sgm", "gm"]
@@ -379,6 +400,11 @@ class TestPreconditionsAndReports:
 
 _SCANS = (ck.is_g_transitive, ck.is_totally_g_transitive,
           ck.is_weakly_g_mixing, ck.is_strongly_g_mixing)
+
+# the properties whose table entry is a predicate, with their reports
+_REPORTS = {"gt": ck.is_g_transitive, "tgt": ck.is_totally_g_transitive,
+            "wgm": ck.is_weakly_g_mixing, "sgm": ck.is_strongly_g_mixing,
+            "gm": ck.is_g_minimal}
 
 
 class TestWitnesses:
@@ -438,6 +464,19 @@ def _report_and_read(sys):
             rep.witness["certificates"]
 
 
+def _count_report_parts(monkeypatch):
+    """Counts, by name, the calls of what a report builds on a verdict."""
+    calls = collections.Counter()
+    for name in ("PropertyReport", "precondition_flags", "_names", "_witness",
+                 "_least_failing_iterate"):
+        def counted(*args, _name=name, _fn=getattr(ck, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(ck, name, counted)
+    return calls
+
+
 class TestScanContext:
     def test_one_context_per_system(self, fixture_map, monkeypatch):
         # the context and the precondition flags are memoised on the
@@ -463,8 +502,8 @@ class TestScanContext:
             assert calls == {"ctx": 1, "periodic": 1}, fx.name
 
     def test_mining_computes_flags_once(self, fixture_map, monkeypatch):
-        # the miner's p2 literal reads the memoised precondition flags,
-        # which the deciders of the later literals read again
+        # the miner's p2 literal computes the precondition flags once; the
+        # later literals are predicates that do not read them
         calls = []
         periodic = ck.gf_periodic_mask
 
@@ -479,6 +518,20 @@ class TestScanContext:
             calls.clear()
             corpus._matches(sys, lits)
             assert calls == [sys], fx.name
+
+    def test_verdicts_build_no_report(self, fixture_map, sweep, monkeypatch):
+        # the table's scan and minimality entries, and the miner's literals
+        # on the two targets that exhaust, build no report, precondition
+        # flags, basis-open names, witness or least failing iterate
+        calls = _count_report_parts(monkeypatch)
+        systems = [fx.system for fx in fixture_map.values()] + sweep
+        for sys in systems:
+            for name in _REPORTS:
+                ck.Verdicts[name](_fresh(sys))
+        assert not calls
+        targets = [corpus.parse_target(t) for t in ("tgt&!wgm", "wgm&!sgm")]
+        matched = [corpus._matches(_fresh(sys), lits) for sys in systems for lits in targets]
+        assert not calls and not any(matched)
 
     def test_memo_adds_no_cycle(self, fixture_map):
         # a system and its context are freed by reference counting alone
@@ -498,6 +551,18 @@ class TestScanContext:
             gc.set_debug(debug)
             if enabled:
                 gc.enable()
+
+    def test_verdicts_match_reports(self, sweep):
+        # each table predicate and its report agree, each on a fresh system
+        # so that neither reads a memo the other left
+        generated = [corpus.generate_robust(cfg) for cfg in corpus.suite_configs(500)]
+        falses = collections.Counter()
+        for sys in sweep + generated:
+            for name, decide in _REPORTS.items():
+                verdict = ck.Verdicts[name](_fresh(sys))
+                assert verdict is decide(_fresh(sys)).verdict, name
+                falses[name] += not verdict
+        assert all(0 < falses[name] < len(sweep) + 500 for name in _REPORTS)
 
     def test_decider_order_does_not_matter(self, sweep):
         for sys in sweep:

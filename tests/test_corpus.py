@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from gdyn import checkers as ck
 from gdyn import corpus
 from gdyn.errors import GenerationError, ValidationError
+from gdyn.sysfile import serialize
 
 
 class TestFixtures:
@@ -58,6 +60,25 @@ class TestGenerator:
                 seed=s, max_points=4, pseudoequivariant_only=True
             )
             assert corpus.generate_robust(cfg).pseudoequivariant()
+
+    def test_generation_is_pinned(self):
+        # sha256 over the serialized systems of a fixed config list, a
+        # failure hashed as b"GenerationError"
+        configs = [
+            corpus.GeneratorConfig(seed=i, max_points=2 + i % 4,
+                                   groups=(corpus.DefaultGroupPool[i % 5],),
+                                   mode=("discrete", "preorder")[i % 2])
+            for i in range(2000)
+        ] + corpus.suite_configs(600, seed0=0)
+        h = hashlib.sha256()
+        for cfg in configs:
+            try:
+                h.update(serialize(corpus.generate(cfg)).encode())
+            except GenerationError:
+                h.update(b"GenerationError")
+        assert h.hexdigest() == (
+            "96fc0e19ff227baa3fc354c8d79093069abc24d9cb2e7d2bb0be8048038aa652"
+        )
 
     def test_budget_exhaustion(self):
         cfg = corpus.GeneratorConfig(

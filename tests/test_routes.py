@@ -2,22 +2,32 @@
 tests recompute it another way and require the two to agree: total
 transitivity, weak mixing, minimal cores, quotients and derived products
 over every system of the miner's sweep (all systems on up to three points
-over Z1, Z2 and Z3), and group associativity over the catalog groups,
-their products and random Latin squares with an identity.  Systems that
-the sweep and the generator build without re-validation are rebuilt
-through the validating constructors."""
+over Z1, Z2 and Z3), group associativity over the catalog groups,
+their products and random Latin squares with an identity, action
+compatibility and the generator's homomorphism extension over the catalog
+groups.  Systems that the sweep and the generator build without
+re-validation are rebuilt through the validating constructors."""
 
 import itertools
 import random
 import re
 
 from gdyn import checkers as ck
+from gdyn import corpus
 from gdyn.algebra import Action, Group, catalog, product_group, quotient
 from gdyn.bitsets import bits
-from gdyn.corpus import GeneratorConfig, generate, suite_configs
+from gdyn.corpus import GeneratorConfig, all_spaces, generate, suite_configs
 from gdyn.dynamics import GSystem, gf_orbit, product_system
 from gdyn.errors import GenerationError, ValidationError
-from gdyn.topology import Space, is_continuous, map_image
+from gdyn.topology import (
+    Space,
+    automorphisms,
+    compose,
+    discrete_space,
+    identity_table,
+    is_continuous,
+    map_image,
+)
 
 
 def _associative_every_triple(mul):
@@ -134,6 +144,124 @@ def test_generators_match_full_closure():
     groups = list(catalog().values())
     for g in groups + [product_group(a, b) for a in groups for b in groups]:
         assert g.generators() == _closure_generators(g)
+
+
+def _compatible_every_triple(group, act):
+    """Action compatibility g.(h.x) = (gh).x by the loop over every triple."""
+    return all(act[g][act[h][x]] == act[group.mul[g][h]][x]
+               for g in range(group.order) for h in range(group.order)
+               for x in range(len(act[0])))
+
+
+def _action_verdict(group, space, act):
+    """True if ``Action`` accepts the table; else the triple its
+    compatibility error names, or None for any other rejection."""
+    try:
+        Action(group, space, act)
+    except ValidationError as exc:
+        m = re.fullmatch(r"action: compatibility fails at \(([^,]+), ([^,]+), ([^)]+)\)",
+                         str(exc))
+        if m is None:
+            return None
+        g, h, x = m.groups()
+        return group.index[g], group.index[h], space.index[x]
+    return True
+
+
+def _first_generator_passes(rng, group, act, perms):
+    """A table compatible at h = s for the first generator s (and its
+    powers) but random elsewhere: a random row R for each coset g<s>, R = id
+    on <s> itself, and g.s^j acting as R o act[s]^j."""
+    s = group.generators()[0]
+    rows = [None] * group.order
+    for g in range(group.order):
+        if rows[g] is None:
+            row = identity_table(len(act[0])) if g == group.identity else rng.choice(perms)
+            while rows[g] is None:
+                rows[g] = row
+                g, row = group.mul[g][s], compose(row, act[s])
+    return tuple(rows)
+
+
+def test_action_compatibility_matches_every_triple():
+    # every catalog group on discrete spaces of one to four points: the
+    # actions the generator's extension builds, those with one row replaced
+    # or two rows swapped, tables compatible at the first generator only,
+    # and tables of random permutations.  On a discrete space every
+    # permutation is a homeomorphism, so Action accepts exactly the
+    # compatible tables and otherwise names a failing triple
+    rng = random.Random(11)
+    checked = rejected = 0
+    for group in catalog().values():
+        m = group.order
+        for n in range(1, 5):
+            space = discrete_space(tuple(f"x{i}" for i in range(n)))
+            perms = automorphisms(space)
+            tables = list(itertools.islice(corpus._all_homs(group, perms, n), 40))
+            for act in tables[:10]:
+                rows = list(act)
+                rows[rng.randrange(m)] = rng.choice(perms)
+                tables.append(tuple(rows))
+                a, b = rng.randrange(m), rng.randrange(m)
+                rows = list(act)
+                rows[a], rows[b] = rows[b], rows[a]
+                tables.append(tuple(rows))
+                if group.generators():
+                    tables.append(_first_generator_passes(rng, group, act, perms))
+            tables += [tuple(rng.choice(perms) for _ in range(m)) for _ in range(10)]
+            for act in tables:
+                if act[group.identity] != identity_table(n):
+                    continue
+                verdict = _action_verdict(group, space, act)
+                if _compatible_every_triple(group, act):
+                    assert verdict is True
+                else:
+                    g, h, x = verdict
+                    assert act[g][act[h][x]] != act[group.mul[g][h]][x]
+                    rejected += 1
+                checked += 1
+    assert 0 < rejected < checked
+
+
+def _hom_every_product(group, gens, images, n):
+    """The homomorphism with the given generator images by the |G|^2
+    check: phi read off a spanning tree of right products with the
+    generators, accepted iff it takes the given images and
+    phi(ab) = phi(a) o phi(b) for every a and b."""
+    phi = {group.identity: identity_table(n)}
+    frontier = [group.identity]
+    while frontier:
+        g = frontier.pop()
+        for s in gens:
+            if group.mul[g][s] not in phi:
+                phi[group.mul[g][s]] = compose(phi[g], images[s])
+                frontier.append(group.mul[g][s])
+    table = [phi[g] for g in range(group.order)]
+    if any(table[s] != images[s] for s in gens):
+        return None
+    for a in range(group.order):
+        for b in range(group.order):
+            if compose(table[a], table[b]) != table[group.mul[a][b]]:
+                return None
+    return table
+
+
+def test_extend_hom_matches_every_product():
+    # every choice of generator images among the automorphisms, for the
+    # catalog groups over all spaces on up to three points
+    found = none = 0
+    for n in range(1, 4):
+        for space in all_spaces(n):
+            autos = automorphisms(space)
+            for group in catalog().values():
+                gens = group.generators()
+                for choice in itertools.product(autos, repeat=len(gens)):
+                    images = dict(zip(gens, choice))
+                    want = _hom_every_product(group, gens, images, n)
+                    assert corpus._extend_hom(group, gens, images, n) == want
+                    found += want is not None
+                    none += want is None
+    assert found and none
 
 
 def _tgt_every_iterate(sys):
