@@ -16,12 +16,13 @@ The scan is one table: for basis opens U and V, the hit mask has bit k
 set, for k in [1, p+q], iff f^k(U) meets G(V).  Transitivity, total
 transitivity, weak and strong mixing are predicates on these masks, read
 one row per basis open U.  The masks come from the functional graph of
-the map: each point's tail is walked once and its cycle once, and a
-cycle point first met at exponent k recurs at k + L, k + 2L, ... for the
-cycle length L.  No iterate table is composed.  The scan context and the
-precondition flags are memoised on the system, so every decider, a
-profile and the sgm sufficient condition share one table and one flag
-computation.
+the map: each point is walked once, for the tail depth d and cycle
+length L that the iterate cache records, and a cycle point first met at
+exponent k recurs at k + L, k + 2L, ...  No iterate table is composed.
+The deduplicated basis and its saturation columns depend on the action
+alone and are memoised on it; the scan context and the precondition
+flags are memoised on the system, so every decider, a profile and the
+sgm sufficient condition share one table and one flag computation.
 
 Total transitivity is decided on one exponent.  Let e be the least
 multiple of q with e >= max(p, 1).  For every m >= 1, m*e is >= p and
@@ -55,7 +56,7 @@ from collections.abc import Callable, Iterable, Mapping
 from math import gcd
 from typing import NamedTuple
 
-from .algebra import is_equivariant, quotient, require_induced, trivial_action
+from .algebra import Action, is_equivariant, quotient, require_induced, trivial_action
 from .bitsets import bits
 from .dynamics import (
     GSystem,
@@ -95,9 +96,9 @@ def precondition_flags(sys: GSystem) -> Preconditions:
 
 
 class _Ctx:
-    """Shared per-system scan state: deduplicated basis, saturations and
-    the hit-mask table, one row per basis open.  ``img`` and ``find_g``
-    serve certificates only.
+    """Shared per-system scan state: the action's scan columns and the
+    hit-mask table, one row per basis open.  ``img`` and ``find_g`` serve
+    certificates only.
 
     It keeps the map, the action and the iterate cache, not the system:
     the system holds its context (``_scan``), and a reference back would
@@ -110,18 +111,7 @@ class _Ctx:
         self.f = sys.f
         self.action = action = sys.action
         self.cache = c = sys.cache()
-        self.pos = pos = {}  # basis open -> its index in the basis
-        for m in sys.space.min_open:
-            pos.setdefault(m, len(pos))
-        self.basis = list(pos)
-        # each basis open's column: the index of its saturation among the
-        # distinct ones, which are kept with their points; None when the
-        # saturations are all distinct
-        sats: dict[int, int] = {}
-        col = [sats.setdefault(action.saturate(v), len(sats)) for v in self.basis]
-        self._col = None if len(sats) == len(col) else col
-        # (saturation, its points, their count)
-        self._sats = [(sat, pts, len(pts)) for sat in sats for pts in (tuple(bits(sat)),)]
+        self.basis, self.pos, self._col, self._sats = _columns(action)
         self.window = ((1 << c.horizon) - 1) << 1  # exponents [1, p+q]
         self.cycle_window = ((1 << c.period) - 1) << (c.preperiod + 1)
         self.e = c.period * max(1, -(-c.preperiod // c.period))  # tgt's exponent
@@ -133,26 +123,24 @@ class _Ctx:
     def point(self, x: int) -> dict[int, int]:
         """Point y -> mask of the exponents k in [1, p+q] with f^k(x) = y.
 
-        One walk along x's tail and once round its cycle: a tail point is
-        met at one exponent, and a cycle point first met at k recurs at
-        k + L, k + 2L, ... for the cycle length L."""
+        One walk, sized by x's depth d and cycle length L in the cache: the
+        tail points f^k(x), k < max(d, 1), are met once, and each of the L
+        cycle points after them, first met at k, recurs at k + L, ..."""
         out = self._point.get(x)
         if out is None:
-            f = self.f
-            first: dict[int, int] = {}
-            y, k = f[x], 1
-            while y not in first:
-                first[y] = k
+            c, f, y = self.cache, self.f, x
+            entry, step = max(c.depth[x], 1), c.length[x]
+            out = {}
+            for k in range(1, entry):
                 y = f[y]
-                k += 1
-            entry = first[y]  # the first cycle point met
-            step = k - entry  # the cycle length
+                out[y] = 1 << k
             every = self._steps.get(step)
             if every is None:
-                every = self._steps[step] = _every(step, self.cache.horizon)
+                every = self._steps[step] = _every(step, c.horizon)
             window = self.window
-            out = {z: (every << j) & window if j >= entry else 1 << j
-                   for z, j in first.items()}
+            for k in range(entry, entry + step):
+                y = f[y]
+                out[y] = (every << k) & window
             self._point[x] = out
         return out
 
@@ -219,6 +207,24 @@ class _Ctx:
     def element(self, u: int, k: int, v: int) -> str:
         """The first group element g with g.f^k(U) meeting V."""
         return self.action.group.elements[self.find_g(self.img(u, k), v)]
+
+
+def _columns(action: Action) -> tuple:
+    """The action's part of the scan, memoised on it: the basis opens
+    deduplicated in order, each one's index, each one's column (the index
+    of its saturation among the distinct ones; None if all are distinct)
+    and the distinct saturations as (mask, points, count)."""
+    if action._columns is None:
+        pos: dict[int, int] = {}
+        for m in action.space.min_open:
+            pos.setdefault(m, len(pos))
+        sats: dict[int, int] = {}
+        col = [sats.setdefault(action.saturate(v), len(sats)) for v in pos]
+        action._columns = (
+            tuple(pos), pos, None if len(sats) == len(col) else col,
+            [(sat, pts, len(pts)) for sat in sats for pts in (tuple(bits(sat)),)],
+        )
+    return action._columns
 
 
 def _scan(sys: GSystem) -> _Ctx:
@@ -642,26 +648,15 @@ def product_minimality_criterion(s1: GSystem, s2: GSystem) -> ProductMinimality:
     both (g.f(x), y) and (x, k.h(y)) lie in the closure of the saturated
     product orbit of (x, y)."""
     prod = product_system(s1, s2)
-    pm = _gm(prod)
     n2 = s2.space.n
-    crit = True
-    for x in range(s1.space.n):
-        for y in range(n2):
-            r = prod.space.closure(gf_orbit(prod, x * n2 + y))
-            for g in range(s1.group.order):
-                if not (r >> (s1.action.act[g][s1.f[x]] * n2 + y)) & 1:
-                    crit = False
-                    break
-            if crit:
-                for k in range(s2.group.order):
-                    if not (r >> (x * n2 + s2.action.act[k][s2.f[y]])) & 1:
-                        crit = False
-                        break
-            if not crit:
-                break
-        if not crit:
-            break
-    return ProductMinimality(product_minimal=pm, criterion=crit)
+
+    def holds(x: int, y: int) -> bool:
+        r = prod.space.closure(gf_orbit(prod, x * n2 + y))
+        return (all((r >> (row[s1.f[x]] * n2 + y)) & 1 for row in s1.action.act)
+                and all((r >> (x * n2 + row[s2.f[y]])) & 1 for row in s2.action.act))
+
+    crit = all(holds(x, y) for x in range(s1.space.n) for y in range(n2))
+    return ProductMinimality(product_minimal=_gm(prod), criterion=crit)
 
 
 # -- the property table ------------------------------------------------------

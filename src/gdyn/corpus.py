@@ -398,7 +398,8 @@ def _random_preorder_space(rng: random.Random, names: tuple[str, ...]) -> Space:
                     seen |= 1 << j
                     stack.append(j)
         mo.append(seen)
-    return Space(names, tuple(mo))
+    # reachability sets satisfy the base condition by construction
+    return Space._trusted(names, tuple(mo))
 
 
 def generate(cfg: GeneratorConfig) -> GSystem:
@@ -416,7 +417,7 @@ def generate(cfg: GeneratorConfig) -> GSystem:
     n = rng.randint(1, cfg.max_points)
     names = tuple(f"x{i}" for i in range(n))
     if cfg.mode == "discrete":
-        space = discrete_space(names)
+        space = Space._trusted(names, tuple(1 << i for i in range(n)))
     else:
         space = _random_preorder_space(rng, names)
     group = cat[rng.choice(list(pool))]
@@ -447,16 +448,9 @@ def all_spaces(n: int) -> Iterator[Space]:
         [m for m in range(1 << n) if (m >> x) & 1] for x in range(n)
     ]
     for combo in itertools.product(*choices):
-        ok = True
-        for x in range(n):
-            for y in bits(combo[x]):
-                if combo[y] & ~combo[x]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield Space(names, combo)
+        # each x is in its own set by the choices; the base condition
+        if all(not combo[y] & ~combo[x] for x in range(n) for y in bits(combo[x])):
+            yield Space._trusted(names, combo)
 
 
 def _all_homs(group: Group, autos: list[tuple[int, ...]], n: int):
@@ -562,6 +556,7 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
     pool = DefaultGroupPool
     modes = ("discrete", "preorder")
     trials = 0
+    decided: set[tuple] = set()  # a repeated system is counted, not decided again
     for t in range(budget):
         trials += 1
         cfg = GeneratorConfig(
@@ -574,6 +569,10 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
             sys = generate(cfg)
         except GenerationError:
             continue
+        key = (sys.group.name, sys.space.min_open, sys.action.act, sys.f)
+        if key in decided:
+            continue
+        decided.add(key)
         if _matches(sys, lits):
             verify_against_oracle(sys, lits)
             return MineResult(

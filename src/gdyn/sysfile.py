@@ -16,8 +16,9 @@ are ignored.  Sections may appear in any order:
 `parse` builds the validated system; syntactic problems raise ParseError
 with the offending line number, semantic problems (group axioms, action
 axioms, continuity) surface as ValidationError from the constructors, and
-a group line with more than `MaxGroupOrder` elements raises LimitError
-at that line, before any table is built.
+a points line with more than `MaxPoints` points or a group line with
+more than `MaxGroupOrder` elements raises LimitError at that line,
+before any table is built.
 `serialize` writes the canonical form: minimal open sets as the
 subbasis, sorted; parse and serialize are mutually inverse on it.
 """
@@ -35,6 +36,16 @@ from .topology import space_from_subbasis
 # (a monoid with x.y = x for every x but the identity); at this order
 # that worst case still validates in about half a second (README)
 MaxGroupOrder = 256
+# the largest carrier a file may declare.  At this size the worst case of
+# the hit-mask scan, a discrete carrier under the trivial group and the
+# identity map (|X|^2 masks, every one read by wgm), decides in about a
+# second (README)
+MaxPoints = 1500
+
+
+def _bound(ln: int, kw: str, count: int, what: str, bound: int) -> None:
+    if count > bound:
+        raise LimitError(f"line {ln}: {kw}: {count} {what} exceed the bound of {bound}")
 
 
 def parse(text: str) -> GSystem:
@@ -59,6 +70,7 @@ def parse(text: str) -> GSystem:
                 raise ParseError("points: at least one point required", ln)
             if len(set(args)) != len(args):
                 raise ParseError("points: duplicate name", ln)
+            _bound(ln, "points", len(args), "points", MaxPoints)
             points = args
         elif kw == "open":
             if not args:
@@ -71,11 +83,7 @@ def parse(text: str) -> GSystem:
                 raise ParseError("group: at least one element required", ln)
             if len(set(args)) != len(args):
                 raise ParseError("group: duplicate element", ln)
-            if len(args) > MaxGroupOrder:
-                raise LimitError(
-                    f"line {ln}: group: {len(args)} elements exceed the bound of"
-                    f" {MaxGroupOrder}"
-                )
+            _bound(ln, "group", len(args), "elements", MaxGroupOrder)
             group_names = args
         elif kw == "identity":
             if identity is not None:

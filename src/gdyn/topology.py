@@ -214,7 +214,7 @@ def product(s1: Space, s2: Space) -> Space:
 def check_table(space: Space, table: Sequence[int]) -> tuple[int, ...]:
     t = tuple(table)
     n = space.n
-    if len(t) != n or any(not (0 <= v < n) for v in t):
+    if len(t) != n or min(t) < 0 or max(t) >= n:
         raise ValidationError("map: table must send every point to a point of the carrier")
     return t
 
@@ -236,7 +236,7 @@ def map_preimage(table: Sequence[int], a: int, n: int) -> int:
 
 def compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
     """Table of x -> outer[inner[x]]."""
-    return tuple(outer[inner[x]] for x in range(len(inner)))
+    return tuple([outer[y] for y in inner])
 
 
 def identity_table(n: int) -> tuple[int, ...]:
@@ -249,18 +249,20 @@ def is_continuous(space: Space, table: Sequence[int]) -> bool:
     Equivalent to "the preimage of every open set is open"; the tests
     cross-check both formulations.
     """
-    t = check_table(space, table)
-    mo = space.min_open
-    return all(not (map_image(t, mo[x]) & ~mo[t[x]]) for x in range(space.n))
+    return find_discontinuity(space, table) is None
 
 
 def find_discontinuity(space: Space, table: Sequence[int]) -> int | None:
     """Index of a point violating the continuity criterion, or None."""
     t = check_table(space, table)
     mo = space.min_open
-    for x in range(space.n):
-        if map_image(t, mo[x]) & ~mo[t[x]]:
-            return x
+    for x, m in enumerate(mo):
+        target = mo[t[x]]
+        while m:  # every y in min_open(x) must have f(y) in min_open(f(x))
+            low = m & -m
+            if not (target >> t[low.bit_length() - 1]) & 1:
+                return x
+            m ^= low
     return None
 
 
@@ -277,14 +279,5 @@ def automorphisms(space: Space) -> list[tuple[int, ...]]:
     if n > MaxAutomorphismPoints:
         raise LimitError(f"automorphisms(): carrier larger than {MaxAutomorphismPoints} points")
     mo = space.min_open
-    out = []
-    for perm in permutations(range(n)):
-        ok = True
-        for x in range(n):
-            target = mo[perm[x]]
-            if map_image(perm, mo[x]) != target:
-                ok = False
-                break
-        if ok:
-            out.append(perm)
-    return out
+    return [perm for perm in permutations(range(n))
+            if all(map_image(perm, mo[x]) == mo[perm[x]] for x in range(n))]

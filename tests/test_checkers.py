@@ -441,8 +441,9 @@ class TestWitnesses:
 
 
 def _fresh(sys):
-    """A copy of the system with no memos."""
-    return GSystem._trusted(sys.action, sys.f)
+    """A copy of the system with no memos, on a copy of its action."""
+    a = sys.action
+    return GSystem._trusted(Action._trusted(a.group, a.space, a.act), sys.f)
 
 
 def _read_reports(sys, scans):
@@ -532,6 +533,35 @@ class TestScanContext:
         targets = [corpus.parse_target(t) for t in ("tgt&!wgm", "wgm&!sgm")]
         matched = [corpus._matches(_fresh(sys), lits) for sys in systems for lits in targets]
         assert not calls and not any(matched)
+
+    def test_action_columns_are_shared(self, sweep):
+        # the sweep's systems share 129 actions; each action's scan columns
+        # are built once, and every row of a system that reads them equals
+        # the row of a context built with the action's memo cleared
+        actions = {id(sys.action): sys.action for sys in sweep}
+        assert len(actions) == 129
+        for a in actions.values():
+            a._columns = None
+        built = {}
+        for sys in sweep:
+            ctx = ck._Ctx(GSystem._trusted(sys.action, sys.f))
+            columns = built.setdefault(id(sys.action), sys.action._columns)
+            assert sys.action._columns is columns
+            kept, sys.action._columns = columns, None
+            cleared = ck._Ctx(GSystem._trusted(sys.action, sys.f))
+            sys.action._columns = kept
+            assert (cleared.basis, cleared.pos) == (ctx.basis, ctx.pos)
+            for u in ctx.basis:
+                assert ctx.row(u) == cleared.row(u)
+
+    def test_action_memo_is_not_part_of_equality(self, fixture_map):
+        for fx in fixture_map.values():
+            a = fx.system.action
+            ck._scan(GSystem._trusted(a, fx.system.f))
+            b = Action._trusted(a.group, a.space, a.act)
+            assert a._columns is not None and b._columns is None
+            assert a == b and hash(a) == hash(b)
+            assert GSystem._trusted(b, fx.system.f) == fx.system
 
     def test_memo_adds_no_cycle(self, fixture_map):
         # a system and its context are freed by reference counting alone

@@ -7,7 +7,7 @@ import pytest
 from conftest import cycles_text
 from gdyn import cli
 from gdyn.cli import main
-from gdyn.sysfile import MaxGroupOrder, parse, serialize
+from gdyn.sysfile import MaxGroupOrder, MaxPoints, parse, serialize
 
 
 @pytest.fixture
@@ -273,6 +273,16 @@ class TestErrorsExitTwo:
         assert captured.err.endswith(f"group: {MaxGroupOrder + 1} elements exceed"
                                      f" the bound of {MaxGroupOrder}\n")
         assert captured.err.count("\n") == 1
+
+    def test_points_limit(self, tmp_path, capsys):
+        p = tmp_path / "big_carrier.gds"
+        p.write_text(cycles_text((1,) * MaxPoints))
+        assert main(["validate", str(p)]) == 0
+        capsys.readouterr()
+        p.write_text(cycles_text((1,) * (MaxPoints + 1)))
+        assert main(["validate", str(p)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: line 1: points: {MaxPoints + 1} points exceed the bound of {MaxPoints}\n")
 
 
 # run in a fresh interpreter without site packages, so that nothing but the

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -180,6 +181,54 @@ class TestMining:
         res = corpus.mine("gt", seed=0, budget=3000, sweep=False)
         assert res.found
         assert res.phase == "random"
+
+
+def _mine_every_trial(target, seed, budget):
+    """``mine``'s random phase with no system skipped: (system, detail,
+    trials, distinct systems decided)."""
+    lits = corpus.parse_target(target)
+    rng = random.Random(seed)
+    pool, modes = corpus.DefaultGroupPool, ("discrete", "preorder")
+    keys = set()
+    for t in range(budget):
+        cfg = corpus.GeneratorConfig(seed=rng.randrange(1 << 62), max_points=rng.randint(2, 5),
+                                     groups=(pool[t % len(pool)],), mode=modes[t % 2])
+        try:
+            sys = corpus.generate(cfg)
+        except GenerationError:
+            continue
+        keys.add((sys.group.name, sys.space.min_open, sys.action.act, sys.f))
+        if all(ck.Verdicts[name](sys) is want for name, want in lits):
+            return sys, f"seed {seed} trial {t}", t + 1, len(keys)
+    return None, "exhausted", budget, len(keys)
+
+
+class TestMiningSkip:
+    # the random phase decides each distinct system once; it must find,
+    # name and count exactly what deciding every trial finds
+    # (the two targets that exhaust, and two that the random phase finds)
+    @pytest.mark.parametrize("target", ["tgt&!wgm", "wgm&!sgm", "sgm&!gm", "p1&!equivariant&gm"])
+    def test_random_phase_matches_every_trial(self, target, monkeypatch):
+        budget = 400
+        decided = []
+        matches = corpus._matches
+        monkeypatch.setattr(corpus, "_matches",
+                            lambda sys, lits: decided.append(sys) or matches(sys, lits))
+        skipped = 0
+        for seed in range(3):
+            decided.clear()
+            res = corpus.mine(target, seed=seed, budget=budget, sweep=False)
+            system, detail, trials, distinct = _mine_every_trial(target, seed, budget)
+            assert res.detail == detail
+            assert res.found is (system is not None)
+            assert res.system == system
+            if system is not None:
+                assert serialize(res.system) == serialize(system)
+            assert dict(res.record) == {"target": target, "seed": seed, "budget": budget,
+                                        "sweep_checked": 0, "random_trials": trials}
+            assert len(decided) == distinct <= trials
+            skipped += trials - distinct
+        assert skipped
 
 
 class TestImplicationSuite:

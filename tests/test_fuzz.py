@@ -17,7 +17,7 @@ from gdyn import cli
 from gdyn.algebra import catalog
 from gdyn.corpus import GeneratorConfig, fixtures, generate
 from gdyn.errors import Error, GenerationError
-from gdyn.sysfile import parse, serialize
+from gdyn.sysfile import MaxGroupOrder, MaxPoints, parse, serialize
 
 FIXTURE_TEXTS = [serialize(fx.system) for fx in fixtures(verify=False)]
 
@@ -98,6 +98,32 @@ def test_cli_answers_with_an_exit_code(fuzz_dir, command, data):
     assert "error: internal" not in printed
     if code == 2:
         assert err.getvalue().startswith("error: ")
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(("validate", "report")),
+    text=st.sampled_from(FIXTURE_TEXTS),
+    kind=st.sampled_from(("points", "group")),
+    extra=st.integers(1, 2000),
+    data=st.data(),
+)
+def test_oversized_line_exits_two(fuzz_dir, command, text, kind, extra, data):
+    # a fixture with its points or group line replaced by one past the
+    # bound, anywhere in the file: one error line naming the bound
+    bound, what = (MaxPoints, "points") if kind == "points" else (MaxGroupOrder, "elements")
+    lines = [line for line in text.splitlines() if not line.startswith(kind + " ")]
+    ln = data.draw(st.integers(0, len(lines)))
+    lines.insert(ln, kind + "".join(f" n{i}" for i in range(bound + extra)))
+    path = fuzz_dir / "oversized.gds"
+    path.write_text("\n".join(lines) + "\n")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, str(path)])
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue() == (f"error: line {ln + 1}: {kind}: {bound + extra} {what}"
+                              f" exceed the bound of {bound}\n")
 
 
 @FUZZ

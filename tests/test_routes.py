@@ -5,9 +5,12 @@ over every system of the miner's sweep (all systems on up to three points
 over Z1, Z2 and Z3), group associativity over the catalog groups,
 their products and random Latin squares with an identity, action
 compatibility and the generator's homomorphism extension over the catalog
-groups.  Systems that the sweep and the generator build without
-re-validation are rebuilt through the validating constructors."""
+groups, and action validation against a copy that also checks every
+translation for a bijection and its inverse for continuity.  Systems that
+the sweep and the generator build without re-validation are rebuilt
+through the validating constructors."""
 
+import collections
 import itertools
 import random
 import re
@@ -223,6 +226,74 @@ def test_action_compatibility_matches_every_triple():
     assert 0 < rejected < checked
 
 
+def _action_error_with_inverse_check(group, space, act):
+    """The message with which ``Action`` rejected a table when it also
+    checked each translation for a bijection and its inverse for
+    continuity, or None if it accepted it: those checks in their order."""
+    table = tuple(tuple(row) for row in act)
+    n, m = space.n, group.order
+    if len(table) != m or any(len(row) != n for row in table):
+        return "action: table must be |G| x |X|"
+    if any(not 0 <= v < n for row in table for v in row):
+        return "action: table entry outside the carrier"
+    for x in range(n):
+        if table[group.identity][x] != x:
+            return f"action: identity must act trivially, moves {space.points[x]}"
+    for h in group.generators():
+        for g in range(m):
+            for x in range(n):
+                if table[g][table[h][x]] != table[group.mul[g][h]][x]:
+                    return (f"action: compatibility fails at ({group.elements[g]},"
+                            f" {group.elements[h]}, {space.points[x]})")
+    for g, name in enumerate(group.elements):
+        if len(set(table[g])) != n:
+            return f"action: translation by {name} is not a bijection"
+        if not is_continuous(space, table[g]):
+            return f"action: translation by {name} is not continuous"
+        if not is_continuous(space, table[group.inv[g]]):
+            return f"action: inverse translation of {name} is not continuous"
+    return None
+
+
+def test_action_validation_matches_the_inverse_check():
+    # every space on up to three points and a sample of the four-point
+    # ones, every catalog group: homomorphisms into all permutations of the
+    # carrier (a translation need not be continuous), some with a row
+    # replaced by a random map, and tables of random permutations.
+    # Compatibility makes every translation a bijection with the inverse
+    # translation as its inverse, and a continuous bijection of a finite
+    # space has a continuous inverse, so neither the bijection check nor
+    # the inverse check can fire
+    rng = random.Random(7)
+    spaces = [s for n in range(1, 4) for s in all_spaces(n)]
+    spaces += rng.sample(list(all_spaces(4)), 40)
+    outcomes = collections.Counter()
+    for space in spaces:
+        n = space.n
+        perms = list(itertools.permutations(range(n)))
+        for group in catalog().values():
+            m = group.order
+            tables = list(itertools.islice(corpus._all_homs(group, perms, n), 6))
+            for act in tables[:3]:
+                rows = list(act)
+                rows[rng.randrange(m)] = tuple(rng.randrange(n) for _ in range(n))
+                tables.append(tuple(rows))
+            tables.append(tuple(rng.choice(perms) for _ in range(m)))
+            for act in tables:
+                want = _action_error_with_inverse_check(group, space, act)
+                try:
+                    Action(group, space, act)
+                    got = None
+                except ValidationError as exc:
+                    got = str(exc)
+                assert got == want
+                outcomes[re.sub(r" (at \(.*\)|by \S+|moves \S+)", "", got or "accepted")] += 1
+    assert set(outcomes) == {
+        "accepted", "action: compatibility fails", "action: identity must act trivially,",
+        "action: translation is not continuous",
+    }
+
+
 def _hom_every_product(group, gens, images, n):
     """The homomorphism with the given generator images by the |G|^2
     check: phi read off a spanning tree of right products with the
@@ -335,12 +406,16 @@ def _generated(configs):
 
 
 def test_corpus_systems_pass_full_validation(sweep):
-    # the sweep and the generator build actions and systems from tables
-    # they have already checked; the public constructors must accept them
+    # the sweep and the generator build spaces, actions and systems from
+    # tables they have already checked; the public constructors must
+    # accept them
     generated = list(itertools.islice(_generated(suite_configs(400)), 300))
     assert len(generated) == 300
     for sys in sweep + generated:
-        assert GSystem(Action(sys.group, sys.space, sys.action.act), sys.f) == sys
+        space = Space(sys.space.points, sys.space.min_open)
+        assert GSystem(Action(sys.group, space, sys.action.act), sys.f) == sys
+    for space in all_spaces(4):
+        assert Space(space.points, space.min_open) == space
 
 
 def _terminal_classes(sys):
