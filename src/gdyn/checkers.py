@@ -53,20 +53,22 @@ definitions, in a table with the same names; the tests keep them agreed.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
+from functools import lru_cache, reduce
 from math import gcd
+from operator import or_
 from typing import NamedTuple
 
 from .algebra import Action, is_equivariant, quotient, require_induced, trivial_action
 from .bitsets import bits
 from .dynamics import (
     GSystem,
+    f_orbit,
     gf_orbit,
     gf_periodic_mask,
     nfold_system,
     product_system,
 )
 from .errors import PreconditionError
-from .topology import map_image, map_preimage
 
 CertificateLimit = 10_000
 
@@ -443,11 +445,11 @@ def is_weakly_g_mixing(sys: GSystem) -> PropertyReport:
     )
 
 
-def is_n_fold_transitive(sys: GSystem, n: int, max_carrier: int = 20000) -> PropertyReport:
+def is_n_fold_transitive(sys: GSystem, n: int) -> PropertyReport:
     """G^n-transitivity of the n-fold product map."""
     if n < 1:
         raise PreconditionError("n-fold transitivity: n must be >= 1")
-    prod = nfold_system(sys, n, max_carrier=max_carrier)
+    prod = nfold_system(sys, n)
     return PropertyReport(
         f"nfold:{n}", *_transitivity(prod), precondition_flags(sys),
         note=f"product carrier of {prod.space.n} points",
@@ -534,49 +536,48 @@ def g_minimal_sets(sys: GSystem) -> list[int]:
     the map and under every translation, in which every point has orbit
     closure equal to the whole set.
 
-    Collects the least closed invariant superset of each point and keeps
-    those that satisfy the definition.  For pseudoequivariant maps the
-    cores are also the terminal classes of the preorder x -> y iff y lies
-    in the closure of the saturated orbit of x; the tests compare the two.
+    The least closed invariant superset of x is the closure of the set x
+    reaches by f and the translations (f is continuous and translations
+    are homeomorphisms): one walk per point outside the cores found so
+    far, each distinct superset tested once against the definition.  For
+    pseudoequivariant maps the cores are the terminal classes of the
+    preorder x -> y iff y lies in the closure of the saturated orbit of
+    x; the tests compare the two.
     """
-    n = sys.space.n
-    candidates: list[int] = []
-    for x in range(n):
-        s = 1 << x
-        while True:
-            grown = sys.space.closure(s | map_image(sys.f, s) | sys.action.saturate(s))
-            if grown == s:
-                break
-            s = grown
-        if s not in candidates:
-            candidates.append(s)
-    out = []
-    for a in candidates:
-        if all(sys.space.closure(gf_orbit(sys, y)) == a for y in bits(a)):
-            out.append(a)
+    space, f, orbit = sys.space, sys.f, sys.action.orbit
+    # forward orbit -> the closure of its saturation
+    orbit_closure = lru_cache(None)(lambda o: space.closure(sys.action.saturate(o)))
+    tested: set[int] = set()
+    out: list[int] = []
+    found = 0  # the points of the cores found so far
+    for x in range(space.n):
+        if (found >> x) & 1:
+            continue
+        seen, stack = 1 << x, [x]
+        while stack:
+            y = stack.pop()
+            new = (orbit(y) | 1 << f[y]) & ~seen
+            seen |= new
+            stack += bits(new)
+        a = space.closure(seen)
+        if a not in tested:
+            tested.add(a)
+            if all(orbit_closure(f_orbit(sys, y)) == a for y in bits(a)):
+                out.append(a)
+                found |= a
     return sorted(out, key=lambda m: m & -m)
 
 
 def minimality_cover_criterion(sys: GSystem) -> bool:
     """For every basis open U some finite union of translated iterate
-    preimages of U covers the space.  The union is monotone in the depth
-    and all distinct preimage tables occur within the iterate horizon, so
-    the search depth p+q+|X| is exhaustive.  Equivalent to minimality for
-    pseudoequivariant maps."""
-    c = sys.cache()
-    n = sys.space.n
-    depth = c.horizon + n
-    for u in {m: None for m in sys.space.min_open}:
-        covered = sys.action.saturate(u)
-        pre = u
-        d = 0
-        while covered != sys.space.full and d < depth:
-            pre = map_preimage(sys.f, pre, n)
-            covered |= sys.action.saturate(pre)
-            d += 1
-        if covered != sys.space.full:
-            return False
-    return True
+    preimages g.f^-d(U) covers the space.  A point x lies in such a union
+    iff some point of G(x) eventually enters U, so the criterion holds iff
+    for every orbit O the union of the forward orbits of its points is
+    dense: gm with the group applied before the map instead of after it.
+    Equivalent to minimality for pseudoequivariant maps."""
+    fwd = sys.cache().fwd
+    reaches = {reduce(or_, [fwd[y] for y in bits(o)]) for o in sys.action.orbits()}
+    return all(map(sys.space.is_dense, reaches))
 
 
 class QuotientMinimality(NamedTuple):

@@ -64,6 +64,21 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+# property -> (report, the witness keys a false verdict prints)
+_Reports = {
+    "gt": (is_g_transitive, ("U", "V")),
+    "tgt": (is_totally_g_transitive, ("U", "V", "m")),
+    "wgm": (is_weakly_g_mixing, ("U", "V", "E", "F")),
+    "sgm": (is_strongly_g_mixing, ("U", "V", "missing_exponent")),
+    "gm": (is_g_minimal, ("x",)),
+}
+
+
+def _emit_witness(fields: dict) -> None:
+    print("witness: " + " ".join(
+        f"{k}={_fmt(v) if isinstance(v, tuple) else v}" for k, v in fields.items()))
+
+
 def _cmd_check(args) -> int:
     sys_ = _load(args.file)
     prop = args.property
@@ -76,14 +91,13 @@ def _cmd_check(args) -> int:
         _emit_verdict("equivariant", fail is None)
         if fail is not None:
             g, x = fail
-            print(f"witness: g={sys_.group.elements[g]}"
-                  f" x={sys_.space.points[x]}")
+            _emit_witness({"g": sys_.group.elements[g], "x": sys_.space.points[x]})
         return 0 if fail is None else 1
     if prop == "pseudoequivariant":
         x = pseudoequivariance_failure(sys_.action, sys_.f)
         _emit_verdict("pseudoequivariant", x is None)
         if x is not None:
-            print(f"witness: x={sys_.space.points[x]}")
+            _emit_witness({"x": sys_.space.points[x]})
         return 0 if x is None else 1
     if prop == "quotient-minimal":
         qm = quotient_minimality(sys_)
@@ -91,38 +105,20 @@ def _cmd_check(args) -> int:
         print(f"detail: gm={str(qm.gm).lower()}"
               f" induced_minimal={str(qm.induced_minimal).lower()}")
         return 0 if qm.induced_minimal else 1
-    checkers = {
-        "gt": is_g_transitive,
-        "tgt": is_totally_g_transitive,
-        "wgm": is_weakly_g_mixing,
-        "sgm": is_strongly_g_mixing,
-        "gm": is_g_minimal,
-    }
     if prop.startswith("nfold:"):
         try:
             n = int(prop.split(":", 1)[1])
         except ValueError:
             raise ValidationError(f"check: bad fold count in '{prop}'")
-        rep = is_n_fold_transitive(sys_, n)
-    elif prop in checkers:
-        rep = checkers[prop](sys_)
+        rep, keys = is_n_fold_transitive(sys_, n), _Reports["gt"][1]
+    elif prop in _Reports:
+        report, keys = _Reports[prop]
+        rep = report(sys_)
     else:
         raise ValidationError(f"check: unknown property '{prop}'")
     _emit_verdict(rep.prop, rep.verdict)
     if not rep.verdict:
-        w = rep.witness
-        if prop == "gm":
-            print(f"witness: x={w['x']}")
-        elif prop == "wgm":
-            print(f"witness: U={_fmt(w['U'])} V={_fmt(w['V'])}"
-                  f" E={_fmt(w['E'])} F={_fmt(w['F'])}")
-        elif prop == "tgt":
-            print(f"witness: U={_fmt(w['U'])} V={_fmt(w['V'])} m={w['m']}")
-        elif prop == "sgm":
-            print(f"witness: U={_fmt(w['U'])} V={_fmt(w['V'])}"
-                  f" missing_exponent={w['missing_exponent']}")
-        else:
-            print(f"witness: U={_fmt(w['U'])} V={_fmt(w['V'])}")
+        _emit_witness({k: rep.witness[k] for k in keys})
     return 0 if rep.verdict else 1
 
 

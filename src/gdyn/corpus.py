@@ -47,6 +47,12 @@ from .topology import (
 )
 
 DefaultGroupPool = ("Z1", "Z2", "Z3", "Z4", "Z2xZ2")
+# homomorphisms drawn for an action before the trivial action is used
+ActionAttempts = 60
+# reseeds of ``generate_robust`` after a failed rejection budget
+Reseeds = 8
+# the largest size in the implication suite's rotation of sizes
+SuiteMaxPoints = 6
 
 
 # -- fixtures -----------------------------------------------------------------
@@ -348,11 +354,10 @@ def _extend_hom(group: Group, gens: tuple[int, ...],
     return phi
 
 
-def _sample_action(rng: random.Random, group: Group, space: Space,
-                   attempts: int = 60) -> Action:
+def _sample_action(rng: random.Random, group: Group, space: Space) -> Action:
     autos = _autos(space)
     gens = group.generators()
-    for _ in range(attempts):
+    for _ in range(ActionAttempts):
         images = {s: rng.choice(autos) for s in gens}
         phi = _extend_hom(group, gens, images, space.n)
         if phi is not None:
@@ -426,16 +431,16 @@ def generate(cfg: GeneratorConfig) -> GSystem:
     return GSystem._trusted(action, f)
 
 
-def generate_robust(cfg: GeneratorConfig, retries: int = 8) -> GSystem:
+def generate_robust(cfg: GeneratorConfig) -> GSystem:
     """Like generate, but on a failed rejection budget deterministically
     reseeds and tries again a bounded number of times."""
     last = None
-    for r in range(retries):
+    for r in range(Reseeds):
         try:
             return generate(replace(cfg, seed=cfg.seed + r * 1_000_003))
         except GenerationError as exc:
             last = exc
-    raise GenerationError(f"generation failed after {retries} reseeds: {last}")
+    raise GenerationError(f"generation failed after {Reseeds} reseeds: {last}")
 
 
 # -- exhaustive enumeration ---------------------------------------------------
@@ -602,8 +607,7 @@ class SuiteReport:
         return not self.violations
 
 
-def suite_configs(trials: int, seed0: int = 0,
-                  max_points: int = 6) -> list[GeneratorConfig]:
+def suite_configs(trials: int, seed0: int = 0) -> list[GeneratorConfig]:
     """A rotation over sizes, groups, space modes and the
     pseudoequivariance filter."""
     modes = ("discrete", "preorder")
@@ -611,7 +615,7 @@ def suite_configs(trials: int, seed0: int = 0,
     return [
         GeneratorConfig(
             seed=seed0 + i,
-            max_points=2 + (i % (max_points - 1)),
+            max_points=2 + (i % (SuiteMaxPoints - 1)),
             groups=pools[i % len(pools)],
             mode=modes[i % 2],
             pseudoequivariant_only=(i % 4 == 3),

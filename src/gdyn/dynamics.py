@@ -26,6 +26,7 @@ from .topology import Space, check_table, compose, find_discontinuity
 # in O(|X|) from p and q alone), and the group and action tables of an
 # n-fold product
 MaxTableEntries = 4_000_000
+MaxCarrier = 20000  # bound on the carrier of an n-fold product
 
 
 class IterateCache:
@@ -253,22 +254,22 @@ def product_system(s1: GSystem, s2: GSystem) -> GSystem:
     return GSystem._trusted(product_action(s1.action, s2.action), f)
 
 
-def nfold_system(sys: GSystem, n: int, max_carrier: int = 20000) -> GSystem:
+def nfold_system(sys: GSystem, n: int) -> GSystem:
     """The n-fold product of the system with itself.  Raises LimitError
-    when the carrier would pass ``max_carrier`` points or the group and
+    when the carrier would pass ``MaxCarrier`` points or the group and
     action tables ``MaxTableEntries`` entries."""
     if n < 1:
         raise ValueError("nfold_system: n must be >= 1")
-    # a carrier of two or more points passes max_carrier within this many
+    # a carrier of two or more points passes MaxCarrier within this many
     # factors, and further factors of a one-point carrier add nothing
-    if n > max_carrier.bit_length():
+    if n > MaxCarrier.bit_length():
         raise LimitError(
-            f"nfold_system: {n} factors exceed the bound {max_carrier.bit_length()}"
+            f"nfold_system: {n} factors exceed the bound {MaxCarrier.bit_length()}"
         )
     points, order = sys.space.n ** n, sys.group.order ** n
-    if points > max_carrier:
+    if points > MaxCarrier:
         raise LimitError(
-            f"nfold_system: {sys.space.n}^{n} points exceeds the bound {max_carrier}"
+            f"nfold_system: {sys.space.n}^{n} points exceeds the bound {MaxCarrier}"
         )
     if order * (order + points) > MaxTableEntries:
         raise LimitError(

@@ -36,10 +36,10 @@ from .topology import space_from_subbasis
 # (a monoid with x.y = x for every x but the identity); at this order
 # that worst case still validates in about half a second (README)
 MaxGroupOrder = 256
-# the largest carrier a file may declare.  At this size the worst case of
-# the hit-mask scan, a discrete carrier under the trivial group and the
-# identity map (|X|^2 masks, every one read by wgm), decides in about a
-# second (README)
+# the largest carrier a file may declare.  At this size the scan's worst
+# case (discrete carrier, trivial group, identity map: |X|^2 masks, every
+# one read by wgm) decides in about a second, and on one cycle through
+# every point cover takes 0.4 s and the minimal cores 0.8 s (README)
 MaxPoints = 1500
 
 

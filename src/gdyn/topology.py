@@ -226,14 +226,6 @@ def map_image(table: Sequence[int], a: int) -> int:
     return out
 
 
-def map_preimage(table: Sequence[int], a: int, n: int) -> int:
-    out = 0
-    for x in range(n):
-        if (a >> table[x]) & 1:
-            out |= 1 << x
-    return out
-
-
 def compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
     """Table of x -> outer[inner[x]]."""
     return tuple([outer[y] for y in inner])

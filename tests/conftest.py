@@ -42,6 +42,15 @@ def brute_closure(space, a):
     return out
 
 
+def map_preimage(table, a, n):
+    """Mask of the points x < n with table[x] in a."""
+    out = 0
+    for x in range(n):
+        if (a >> table[x]) & 1:
+            out |= 1 << x
+    return out
+
+
 def refute_pair(sys, u_names, v_names, m=1, horizon_pad=4):
     """Confirm by direct search that no translated iterate of f^m sends
     U into contact with V: the definition quantifies over k >= 1 and all

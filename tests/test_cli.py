@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +108,19 @@ class TestCheck:
         assert main(["check", files["rot4"], "--property", "frob"]) == 2
         assert "unknown property" in capsys.readouterr().err
 
+    def test_output_is_pinned(self, files, capsys):
+        # every property on every fixture: exit code, verdict and witness
+        # lines, byte for byte
+        digest = hashlib.sha256()
+        for name, path in files.items():  # in the order of fixtures()
+            for prop in ("gt", "tgt", "wgm", "sgm", "gm", "cover", "equivariant",
+                         "pseudoequivariant", "quotient-minimal", "nfold:2"):
+                rc = main(["check", path, "--property", prop])
+                out, err = capsys.readouterr()
+                digest.update(f"{name} {prop} {rc}\n{out}{err}".encode())
+        assert digest.hexdigest() == (
+            "43403bb9849622f904da405cd549da84b1660db785da99e63d28ed1fa4197454")
+
 
 class TestReport:
     def test_consistent(self, files, capsys):
@@ -138,6 +152,16 @@ class TestMinimalSets:
         assert main(["minimal-sets", files["rot4"]]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out == ["minimal-set: {0,1,2,3}", "count=1"]
+
+    def test_cycle_at_the_points_limit(self, tmp_path, capsys):
+        # one cycle through every point: the cover criterion and the
+        # minimal cores decide in about a second at the carrier bound
+        p = tmp_path / "long_cycle.gds"
+        p.write_text(cycles_text((MaxPoints,)))
+        assert main(["check", str(p), "--property", "cover"]) == 0
+        assert capsys.readouterr().out == "property=cover verdict=true\n"
+        assert main(["minimal-sets", str(p)]) == 0
+        assert capsys.readouterr().out.endswith("\ncount=1\n")
 
 
 class TestQuotient:
@@ -248,8 +272,12 @@ class TestErrorsExitTwo:
     def test_horizon_limit(self, tmp_path, capsys):
         p = tmp_path / "primes.gds"
         p.write_text(cycles_text((2, 3, 5, 7, 11, 13, 17, 19)))
-        assert main(["check", str(p), "--property", "gt"]) == 2
-        assert "iterate cache" in capsys.readouterr().err
+        for prop in ("gt", "cover"):
+            assert main(["check", str(p), "--property", prop]) == 2
+            assert "iterate cache" in capsys.readouterr().err
+        # the minimal cores need no iterate cache: one per cycle
+        assert main(["minimal-sets", str(p)]) == 0
+        assert capsys.readouterr().out.endswith("\ncount=8\n")
 
     def test_nfold_limits(self, tmp_path, capsys):
         p = tmp_path / "one_point.gds"

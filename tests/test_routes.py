@@ -2,10 +2,11 @@
 tests recompute it another way and require the two to agree: total
 transitivity, weak mixing, minimal cores, quotients and derived products
 over every system of the miner's sweep (all systems on up to three points
-over Z1, Z2 and Z3), group associativity over the catalog groups,
-their products and random Latin squares with an identity, action
-compatibility and the generator's homomorphism extension over the catalog
-groups, and action validation against a copy that also checks every
+over Z1, Z2 and Z3), the cover criterion and minimal cores against
+fixpoint searches over the sweep and generated systems, group
+associativity over the catalog groups, their products and random Latin
+squares with an identity, action compatibility and the generator's
+homomorphism extension over the catalog groups, and action validation against a copy that also checks every
 translation for a bijection and its inverse for continuity.  Systems that
 the sweep and the generator build without re-validation are rebuilt
 through the validating constructors."""
@@ -15,6 +16,7 @@ import itertools
 import random
 import re
 
+from conftest import map_preimage
 from gdyn import checkers as ck
 from gdyn import corpus
 from gdyn.algebra import Action, Group, catalog, product_group, quotient
@@ -442,6 +444,60 @@ def test_minimal_sets_are_terminal_classes(sweep):
             assert ck.g_minimal_sets(sys) == _terminal_classes(sys)
             checked += 1
     assert checked
+
+
+def _cover_by_preimages(sys):
+    """The cover criterion by its definition: for each basis open U, the
+    saturations of U and of its preimages under f, f^2, ... until they
+    cover the space, to the depth p+q+|X|, past which the union cannot
+    grow (every distinct preimage table occurs within the horizon)."""
+    c = sys.cache()
+    n = sys.space.n
+    depth = c.horizon + n
+    for u in {m: None for m in sys.space.min_open}:
+        covered = sys.action.saturate(u)
+        pre = u
+        d = 0
+        while covered != sys.space.full and d < depth:
+            pre = map_preimage(sys.f, pre, n)
+            covered |= sys.action.saturate(pre)
+            d += 1
+        if covered != sys.space.full:
+            return False
+    return True
+
+
+def _cores_by_growth(sys):
+    """Minimal cores by growing each point's set until it is closed and
+    invariant, re-closing after every step, then testing every candidate
+    against the definition."""
+    candidates = []
+    for x in range(sys.space.n):
+        s = 1 << x
+        while True:
+            grown = sys.space.closure(s | map_image(sys.f, s) | sys.action.saturate(s))
+            if grown == s:
+                break
+            s = grown
+        if s not in candidates:
+            candidates.append(s)
+    out = [a for a in candidates
+           if all(sys.space.closure(gf_orbit(sys, y)) == a for y in bits(a))]
+    return sorted(out, key=lambda m: m & -m)
+
+
+def test_cover_and_cores_match_the_fixpoint_searches(sweep):
+    generated = list(_generated(suite_configs(400)))
+    covers = cores = 0
+    for sys in sweep + generated:
+        verdict = ck.minimality_cover_criterion(sys)
+        assert verdict == _cover_by_preimages(sys)
+        found = ck.g_minimal_sets(sys)
+        assert found == _cores_by_growth(sys)
+        covers += verdict
+        cores += len(found) > 1
+    assert 0 < covers < len(sweep) + len(generated)
+    assert cores
 
 
 def test_quotient_projection_and_induced_map(sweep):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_closure, brute_opens
+from conftest import brute_closure, brute_opens, map_preimage
 from gdyn.corpus import all_spaces
 from gdyn.errors import LimitError, ValidationError
 from gdyn.topology import (
@@ -16,7 +16,6 @@ from gdyn.topology import (
     identity_table,
     is_continuous,
     map_image,
-    map_preimage,
     product,
     space_from_subbasis,
 )
