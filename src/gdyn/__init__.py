@@ -33,7 +33,6 @@ _EXPORTS = {
         "trivial_action",
     ), "algebra"),
     **dict.fromkeys((
-        "Preconditions",
         "ProductMinimality",
         "PropertyReport",
         "QuotientMinimality",
@@ -48,7 +47,6 @@ _EXPORTS = {
         "is_totally_g_transitive",
         "is_weakly_g_mixing",
         "minimality_cover_criterion",
-        "precondition_flags",
         "product_minimality_criterion",
         "profile",
         "quotient_minimality",
@@ -75,11 +73,9 @@ _EXPORTS = {
         "f_orbit",
         "gf_orbit",
         "gf_periodic_mask",
-        "gf_periodic_points",
         "nfold_system",
         "periodic_points",
         "product_system",
-        "trivialized",
     ), "dynamics"),
     **dict.fromkeys((
         "Error",

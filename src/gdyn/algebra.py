@@ -275,9 +275,6 @@ class Action:
                 seen |= o
         return out
 
-    def is_trivial(self) -> bool:
-        return all(row == tuple(range(self.space.n)) for row in self.act)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Action)

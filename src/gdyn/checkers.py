@@ -20,9 +20,12 @@ the map: each point is walked once, for the tail depth d and cycle
 length L that the iterate cache records, and a cycle point first met at
 exponent k recurs at k + L, k + 2L, ...  No iterate table is composed.
 The deduplicated basis and its saturation columns depend on the action
-alone and are memoised on it; the scan context and the precondition
-flags are memoised on the system, so every decider, a profile and the
-sgm sufficient condition share one table and one flag computation.
+alone and are memoised on it; the scan context is memoised on the
+system, so every decider, a profile and the sgm sufficient condition
+share one table.  The context bounds the masks: a window [1, p+q] on |X|
+points past ``MaxTableEntries`` raises LimitError.  Nothing else reads
+the window, so gm, the cover criterion, periodic points and minimal
+cores answer past that bound.
 
 Total transitivity is decided on one exponent.  Let e be the least
 multiple of q with e >= max(p, 1).  For every m >= 1, m*e is >= p and
@@ -36,16 +39,30 @@ p1 & wgm -> tgt the two are equivalent under p1.  The search for the
 least failing m, which names the false witness, runs only on a false
 verdict.
 
+tgt also implies sgm on every finite G-space.  Call x minimal if its
+minimal open is its class {y : U_y = U_x} (an atom), and let Min be the
+set of minimal points.  Every nonempty open contains an atom, f maps
+each class into a class, and G(V) is a union of classes.  (a) For an
+atom A, f^e(A) lies in one class, which tgt makes meet, so lie in,
+G(A') for every atom A'; orbits of atoms are equal or disjoint, so Min
+is one orbit of atoms and f^e(Min) is in Min.  (b) Let c in Min have
+period L, and suppose y = f(c) is not in Min.  Take m in Min inside U_y;
+by continuity f^(L-1)(m) is in U_c, the class of c, so f^e(m) is in the
+class of f^(e-L+1)(c) = y (L divides e), outside Min, against (a).  So
+every cycle through Min stays in Min.  (c) For m in Min, f^e(m) is a
+cycle point in Min, so f^k(m) is in Min = G(A') for every k >= e and
+atom A': sgm.  With sgm -> tgt, tgt and sgm are equivalent.
+
 Each property has one predicate, held in the table ``Verdicts`` (name ->
 bool, cheapest first) that ``profile``, the command-line report, the
 fixture check, the implication suite and the miner read.  Four read the
 hit masks alone: gt, every mask is nonzero; tgt, every mask has bit e;
 wgm, every two masks intersect; sgm, every mask covers [p+1, p+q].
-The ``is_*`` reports call the same predicates and build on the verdict
-the precondition flags and a witness: a false verdict names a failing
-pair of basis opens (plus the iterate exponent where relevant), a true
-one (exponent, group element) certificates when small enough, built from
-the hit masks when the witness's ``certificates`` entry is first read.
+The ``is_*`` reports call the same predicates and build a witness on
+the verdict: a false verdict names a failing pair of basis opens (plus
+the iterate exponent where relevant), a true one (exponent, group
+element) certificates when small enough, built from the hit masks when
+the witness's ``certificates`` entry is first read.
 `gdyn.oracle` re-derives every verdict by brute force from the raw
 definitions, in a table with the same names; the tests keep them agreed.
 """
@@ -62,39 +79,23 @@ from .algebra import Action, is_equivariant, quotient, require_induced, trivial_
 from .bitsets import bits
 from .dynamics import (
     GSystem,
+    MaxTableEntries,
     f_orbit,
     gf_orbit,
     gf_periodic_mask,
     nfold_system,
     product_system,
 )
-from .errors import PreconditionError
+from .errors import LimitError, PreconditionError
 
 CertificateLimit = 10_000
-
-
-class Preconditions(NamedTuple):
-    pseudoequivariant: bool
-    dense_gf_periodic: bool
 
 
 class PropertyReport(NamedTuple):
     prop: str
     verdict: bool
     witness: Mapping | None
-    preconditions: Preconditions
     note: str = ""
-
-
-def precondition_flags(sys: GSystem) -> Preconditions:
-    """The preconditions of the diagram's implications, memoised on the
-    system."""
-    if sys._flags is None:
-        sys._flags = Preconditions(
-            pseudoequivariant=sys.pseudoequivariant(),
-            dense_gf_periodic=sys.space.is_dense(gf_periodic_mask(sys)),
-        )
-    return sys._flags
 
 
 class _Ctx:
@@ -113,6 +114,13 @@ class _Ctx:
         self.f = sys.f
         self.action = action = sys.action
         self.cache = c = sys.cache()
+        n = len(sys.f)
+        if c.horizon >= 2 and c.horizon * n > MaxTableEntries:
+            raise LimitError(
+                f"scan: the exponent window [1, {c.horizon}] on {n} points passes"
+                f" the bound of {MaxTableEntries} mask bits"
+                f" (at most {max(1, MaxTableEntries // n)} exponents)"
+            )
         self.basis, self.pos, self._col, self._sats = _columns(action)
         self.window = ((1 << c.horizon) - 1) << 1  # exponents [1, p+q]
         self.cycle_window = ((1 << c.period) - 1) << (c.preperiod + 1)
@@ -325,7 +333,7 @@ def _transitivity(sys: GSystem) -> tuple[bool, Mapping]:
 def is_g_transitive(sys: GSystem) -> PropertyReport:
     """Every pair of nonempty opens is linked by some translated iterate:
     for all U, V there are k >= 1 and g with g.f^k(U) meeting V."""
-    return PropertyReport("gt", *_transitivity(sys), precondition_flags(sys))
+    return PropertyReport("gt", *_transitivity(sys))
 
 
 def _tgt(sys: GSystem) -> bool:
@@ -371,11 +379,10 @@ def is_totally_g_transitive(sys: GSystem) -> PropertyReport:
     at the reduced exponents of m*j, j >= 1: the tail exponents m*j <= p
     and the cycle exponents k in [p+1, p+q] with k = 0 mod gcd(m, q)."""
     ctx = _scan(sys)
-    flags = precondition_flags(sys)
     if not _tgt(sys):
         m, u, v = _least_failing_iterate(ctx)
         witness = {"m": m, "U": _names(sys, u), "V": _names(sys, v)}
-        return PropertyReport("tgt", False, witness, flags)
+        return PropertyReport("tgt", False, witness)
     c = ctx.cache
     basis = ctx.basis
     # f^1 .. f^(p+q-1) are distinct tables, and f^(p+q) repeats f^p
@@ -393,9 +400,7 @@ def is_totally_g_transitive(sys: GSystem) -> PropertyReport:
         return tuple(out)
 
     count = len(ms) * len(basis) ** 2
-    return PropertyReport(
-        "tgt", True, _witness(count, "(iterate, pair) checks", build), flags
-    )
+    return PropertyReport("tgt", True, _witness(count, "(iterate, pair) checks", build))
 
 
 def _wgm(sys: GSystem) -> bool:
@@ -415,7 +420,6 @@ def is_weakly_g_mixing(sys: GSystem) -> PropertyReport:
     the tests compare the two.
     """
     ctx = _scan(sys)
-    flags = precondition_flags(sys)
     basis = ctx.basis
     if not _wgm(sys):
         # the ordered scan names the first failing 4-tuple
@@ -425,7 +429,7 @@ def is_weakly_g_mixing(sys: GSystem) -> PropertyReport:
                               for b, m2 in zip(pairs, masks) if not m1 & m2)
         witness = {"U": _names(sys, u), "V": _names(sys, v),
                    "E": _names(sys, e), "F": _names(sys, w)}
-        return PropertyReport("wgm", False, witness, flags)
+        return PropertyReport("wgm", False, witness)
 
     def build() -> tuple:
         masks = [h for u in basis for h in ctx.row(u)]
@@ -440,9 +444,7 @@ def is_weakly_g_mixing(sys: GSystem) -> PropertyReport:
                 ))
         return tuple(out)
 
-    return PropertyReport(
-        "wgm", True, _witness(len(basis) ** 4, "basis 4-tuples", build), flags
-    )
+    return PropertyReport("wgm", True, _witness(len(basis) ** 4, "basis 4-tuples", build))
 
 
 def is_n_fold_transitive(sys: GSystem, n: int) -> PropertyReport:
@@ -450,10 +452,8 @@ def is_n_fold_transitive(sys: GSystem, n: int) -> PropertyReport:
     if n < 1:
         raise PreconditionError("n-fold transitivity: n must be >= 1")
     prod = nfold_system(sys, n)
-    return PropertyReport(
-        f"nfold:{n}", *_transitivity(prod), precondition_flags(sys),
-        note=f"product carrier of {prod.space.n} points",
-    )
+    return PropertyReport(f"nfold:{n}", *_transitivity(prod),
+                          note=f"product carrier of {prod.space.n} points")
 
 
 def _sgm(sys: GSystem) -> bool:
@@ -469,7 +469,6 @@ def is_strongly_g_mixing(sys: GSystem) -> PropertyReport:
     Decided on the recurring exponents [p+1, p+q]: every hit mask covers
     that window."""
     ctx = _scan(sys)
-    flags = precondition_flags(sys)
     c = ctx.cache
     basis = ctx.basis
     if not _sgm(sys):
@@ -478,7 +477,7 @@ def is_strongly_g_mixing(sys: GSystem) -> PropertyReport:
                        if window & ~h)
         witness = {"U": _names(sys, u), "V": _names(sys, v),
                    "missing_exponent": _lowest(window & ~h)}
-        return PropertyReport("sgm", False, witness, flags)
+        return PropertyReport("sgm", False, witness)
 
     def build() -> tuple:
         return tuple(
@@ -491,7 +490,7 @@ def is_strongly_g_mixing(sys: GSystem) -> PropertyReport:
     count = len(basis) ** 2 * c.period
     witness = _witness(count, "(pair, exponent) checks", build,
                        threshold=c.preperiod + 1)
-    return PropertyReport("sgm", True, witness, flags)
+    return PropertyReport("sgm", True, witness)
 
 
 # -- minimality ---------------------------------------------------------------
@@ -519,16 +518,13 @@ def _gm(sys: GSystem) -> bool:
 
 def is_g_minimal(sys: GSystem) -> PropertyReport:
     """Every point has a dense saturated forward orbit: ``_gm``'s mask is full."""
-    flags = precondition_flags(sys)
     lacking = sys.space.full & ~g_transitive_points(sys)
     if not lacking:
-        return PropertyReport(
-            "gm", True, {"summary": "all points have dense saturated orbits"}, flags
-        )
+        return PropertyReport("gm", True, {"summary": "all points have dense saturated orbits"})
     x = next(bits(lacking))
     witness = {"x": sys.space.points[x],
                "orbit_closure": _names(sys, sys.space.closure(gf_orbit(sys, x)))}
-    return PropertyReport("gm", False, witness, flags)
+    return PropertyReport("gm", False, witness)
 
 
 def g_minimal_sets(sys: GSystem) -> list[int]:
@@ -665,11 +661,11 @@ def product_minimality_criterion(s1: GSystem, s2: GSystem) -> ProductMinimality:
 
 # property name -> verdict, cheapest first: the miner tests a target's
 # literals in this order and stops at the first that fails.  The entries
-# of gt, gm, sgm, tgt and wgm build no report, precondition flags or witness.
+# of gt, gm, sgm, tgt and wgm build no report or witness.
 Verdicts: dict[str, Callable[[GSystem], bool]] = {
     "p1": lambda s: s.pseudoequivariant(),
     "equivariant": lambda s: is_equivariant(s.action, s.f),
-    "p2": lambda s: precondition_flags(s).dense_gf_periodic,
+    "p2": lambda s: s.space.is_dense(gf_periodic_mask(s)),
     "gt": _gt,
     "gm": _gm,
     "sgm": _sgm,
@@ -689,14 +685,15 @@ def profile(sys: GSystem, props: Iterable[str] = Verdicts) -> dict[str, bool]:
 
 
 # the implications of the diagram: name, antecedent literals, consequent.
-# tgt->wgm holds on every finite G-space (see the module docstring), so
-# the paper's p1&p2&tgt->wgm follows from it; with p1&wgm->tgt it makes
-# tgt and wgm equivalent under p1.
+# tgt->wgm and tgt->sgm hold on every finite G-space (see the module
+# docstring), so the paper's p1&p2&tgt->wgm follows; with sgm->tgt, tgt
+# and sgm are equivalent, and with p1&wgm->tgt, tgt and wgm are under p1.
 Implications: tuple[tuple[str, tuple[str, ...], str], ...] = (
     ("sgm->wgm", ("sgm",), "wgm"),
     ("sgm->tgt", ("sgm",), "tgt"),
     ("tgt->gt", ("tgt",), "gt"),
     ("tgt->wgm", ("tgt",), "wgm"),
+    ("tgt->sgm", ("tgt",), "sgm"),
     ("gm->gt", ("gm",), "gt"),
     ("p1&wgm->tgt", ("p1", "wgm"), "tgt"),
     ("p1&p2&tgt->wgm", ("p1", "p2", "tgt"), "wgm"),

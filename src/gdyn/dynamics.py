@@ -17,14 +17,13 @@ from __future__ import annotations
 from collections.abc import Sequence
 from math import lcm
 
-from .algebra import Action, is_pseudoequivariant, product_action, trivial_action
+from .algebra import Action, is_pseudoequivariant, product_action
 from .errors import LimitError, ValidationError
 from .topology import Space, check_table, compose, find_discontinuity
 
-# bound on the entries of one system's tables: the (p+q)-bit exponent
-# masks of a map on |X| points, as if p+q tables of |X| entries (checked
-# in O(|X|) from p and q alone), and the group and action tables of an
-# n-fold product
+# bound on the entries of one system's tables: the checkers' (p+q)-bit
+# exponent masks of a map on |X| points, as if p+q tables of |X| entries,
+# and the group and action tables of an n-fold product
 MaxTableEntries = 4_000_000
 MaxCarrier = 20000  # bound on the carrier of an n-fold product
 
@@ -68,12 +67,6 @@ class IterateCache:
                 depth[z], length[z], fwd[z] = depth[y] + 1, length[y], fwd[y] | 1 << z
             if depth[x] > p:
                 p = depth[x]
-        if p + q >= 2 and (p + q) * n > MaxTableEntries:
-            raise LimitError(
-                f"iterate cache: {n} points need more than"
-                f" {max(1, MaxTableEntries // n)} tables,"
-                f" over the bound of {MaxTableEntries} entries"
-            )
         self.depth, self.length, self.fwd = depth, length, fwd
         self.preperiod, self.period = p, q
         self._powers: tuple[tuple[int, ...], ...] | None = None
@@ -96,10 +89,6 @@ class IterateCache:
         for _ in range(k):
             x = f[x]
         return x
-
-    def table(self, m: int) -> tuple[int, ...]:
-        k = self.reduce(m)
-        return tuple(self.image(x, k) for x in range(len(self.f)))
 
     @property
     def powers(self) -> tuple[tuple[int, ...], ...]:
@@ -125,9 +114,9 @@ class IterateCache:
 class GSystem:
     """An action together with a continuous self-map of its space."""
 
-    # memos: the iterate cache, the pseudoequivariance flag, and the
-    # checkers' scan context and precondition flags (built on first use)
-    __slots__ = ("action", "f", "_cache", "_pseudo", "_scan", "_flags")
+    # memos: the iterate cache, the pseudoequivariance flag and the
+    # checkers' scan context (built on first use)
+    __slots__ = ("action", "f", "_cache", "_pseudo", "_scan")
 
     def __init__(self, action: Action, f: Sequence[int]):
         table = check_table(action.space, f)
@@ -153,7 +142,6 @@ class GSystem:
         self._cache: IterateCache | None = None
         self._pseudo: bool | None = None
         self._scan = None
-        self._flags = None
 
     @property
     def space(self) -> Space:
@@ -210,28 +198,9 @@ def periodic_points(sys: GSystem) -> int:
     return out
 
 
-def gf_periodic_points(sys: GSystem) -> list[tuple[int, int]]:
-    """Points x with g.f^k(x) = x for some g and k >= 1, with the least
-    such k.  Since g ranges over a group, the condition at exponent k is
-    f^k(x) in G(x); f^k(x) repeats with period L beyond the depth d, so
-    the walk stops after d + L steps."""
-    c = sys.cache()
-    f, orbit = sys.f, sys.action.orbit
-    out = []
-    for x in range(sys.space.n):
-        orb = orbit(x)
-        y = x
-        for k in range(1, c.depth[x] + c.length[x] + 1):
-            y = f[y]
-            if (orb >> y) & 1:
-                out.append((x, k))
-                break
-    return out
-
-
 def gf_periodic_mask(sys: GSystem) -> int:
-    """Mask of the points of ``gf_periodic_points``: x qualifies iff G(x)
-    meets the forward orbit of f(x)."""
+    """Mask of x with g.f^k(x) = x for some g and k >= 1: x qualifies iff
+    G(x) meets the forward orbit of f(x)."""
     fwd, f, orbit = sys.cache().fwd, sys.f, sys.action.orbit
     out = 0
     for x in range(sys.space.n):
@@ -281,7 +250,3 @@ def nfold_system(sys: GSystem, n: int) -> GSystem:
         out = product_system(out, sys)
     return out
 
-
-def trivialized(sys: GSystem) -> GSystem:
-    """The same map with the group forgotten (trivial action)."""
-    return GSystem._trusted(trivial_action(sys.space), sys.f)

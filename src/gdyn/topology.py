@@ -87,9 +87,6 @@ class Space:
     def is_open(self, a: int) -> bool:
         return all(not (self.min_open[x] & ~a) for x in bits(a))
 
-    def is_closed(self, a: int) -> bool:
-        return self.is_open(self.full & ~a)
-
     def closure(self, a: int) -> int:
         """Smallest closed superset: points whose every neighbourhood meets a."""
         out = 0

@@ -1,9 +1,15 @@
+from pathlib import Path
+
 import pytest
 
 from gdyn import fixtures
+from gdyn.algebra import trivial_action
 from gdyn.bitsets import bits
 from gdyn.corpus import enumerate_systems
+from gdyn.dynamics import GSystem
 from gdyn.topology import compose, map_image
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="session")
@@ -48,6 +54,29 @@ def map_preimage(table, a, n):
     for x in range(n):
         if (a >> table[x]) & 1:
             out |= 1 << x
+    return out
+
+
+def trivialized(sys):
+    """The same map with the group forgotten (trivial action)."""
+    return GSystem(trivial_action(sys.space), sys.f)
+
+
+def gf_periodic_points(sys):
+    """Points x with g.f^k(x) = x for some g and k >= 1, with the least
+    such k: the reference for ``gf_periodic_mask``.  Since g ranges over
+    a group, the condition at exponent k is f^k(x) in G(x); f^k(x) repeats
+    with period L beyond the depth d, so the walk stops after d + L steps."""
+    c = sys.cache()
+    out = []
+    for x in range(sys.space.n):
+        orb = sys.action.orbit(x)
+        y = x
+        for k in range(1, c.depth[x] + c.length[x] + 1):
+            y = sys.f[y]
+            if (orb >> y) & 1:
+                out.append((x, k))
+                break
     return out
 
 

@@ -10,10 +10,11 @@ import time
 
 import pytest
 
+from conftest import trivialized
 from gdyn import checkers as ck
 from gdyn import corpus, oracle as orc
 from gdyn.cli import main
-from gdyn.dynamics import GSystem, trivialized
+from gdyn.dynamics import GSystem
 from gdyn.sysfile import parse, serialize
 from gdyn.topology import compose
 

@@ -173,7 +173,7 @@ class TestOrbits:
     def test_trivial_action(self):
         sp = discrete_space(("a", "b"))
         a = trivial_action(sp)
-        assert a.is_trivial()
+        assert a.act == (tuple(range(sp.n)),)
         assert a.orbit(0) == 0b01
 
 

@@ -8,14 +8,15 @@ import time
 import pytest
 
 from gdyn import checkers as ck
-from gdyn import corpus
+from gdyn import corpus, oracle
 from gdyn.algebra import Action, cyclic_group, trivial_action
 from gdyn.bitsets import bits
 from gdyn.corpus import enumerate_systems
-from gdyn.dynamics import GSystem, nfold_system, trivialized
-from gdyn.errors import PreconditionError
-from gdyn.topology import compose, discrete_space, map_image
-from tests.conftest import refute_pair
+from gdyn.dynamics import GSystem, MaxTableEntries, nfold_system
+from gdyn.errors import LimitError, PreconditionError
+from gdyn.sysfile import parse
+from gdyn.topology import compose, discrete_space, map_image, space_from_subbasis
+from tests.conftest import DATA, cycles_text, refute_pair, trivialized
 
 
 def _one_point_system():
@@ -164,28 +165,12 @@ class TestMixing:
         with pytest.raises(PreconditionError):
             ck.is_n_fold_transitive(fixture_map["rot4"].system, 0)
 
-    def test_nfold_reads_only_the_base_flags(self, fixture_map, monkeypatch):
-        # the report carries the base system's flags, so the product's
-        # (pseudoequivariance over G^n on |X|^n points) are never computed;
-        # its witness is the product's transitivity witness
-        want = {name: ck.is_g_transitive(nfold_system(fx.system, 2))
-                for name, fx in fixture_map.items()}
-        calls = []
-        flags = ck.precondition_flags
-
-        def counted(sys):
-            calls.append(sys)
-            return flags(sys)
-
-        monkeypatch.setattr(ck, "precondition_flags", counted)
+    def test_nfold_witness_is_the_products_gt_witness(self, fixture_map):
         for name, fx in fixture_map.items():
-            sys = _fresh(fx.system)
-            calls.clear()
-            rep = ck.is_n_fold_transitive(sys, 2)
-            assert calls == [sys], name
-            assert rep.verdict == want[name].verdict
-            assert repr(rep.witness) == repr(want[name].witness)
-            assert rep.preconditions == flags(sys)
+            want = ck.is_g_transitive(nfold_system(fx.system, 2))
+            rep = ck.is_n_fold_transitive(_fresh(fx.system), 2)
+            assert rep.verdict == want.verdict, name
+            assert repr(rep.witness) == repr(want.witness), name
 
 
 def _shifted_cycles(lengths):
@@ -338,10 +323,10 @@ class TestProductMinimality:
 
 class TestPreconditionsAndReports:
     def test_flags(self, fixture_map):
+        # the diagram's preconditions are verdicts of the property table
         for fx in fixture_map.values():
-            flags = ck.precondition_flags(fx.system)
-            assert flags.pseudoequivariant == fx.expected["p1"]
-            assert flags.dense_gf_periodic == fx.expected["p2"]
+            row = ck.profile(fx.system, ("p1", "p2"))
+            assert row == {"p1": fx.expected["p1"], "p2": fx.expected["p2"]}
 
     def test_profile_keys(self, fixture_map):
         sys = fixture_map["z4mod2"].system
@@ -384,6 +369,7 @@ class TestPreconditionsAndReports:
             want["sgm->tgt"] += row["sgm"]
             want["tgt->gt"] += row["tgt"]
             want["tgt->wgm"] += row["tgt"]
+            want["tgt->sgm"] += row["tgt"]
             want["gm->gt"] += row["gm"]
             want["p1&wgm->tgt"] += row["p1"] and row["wgm"]
             want["p1&p2&tgt->wgm"] += row["p1"] and row["p2"] and row["tgt"]
@@ -468,8 +454,7 @@ def _report_and_read(sys):
 def _count_report_parts(monkeypatch):
     """Counts, by name, the calls of what a report builds on a verdict."""
     calls = collections.Counter()
-    for name in ("PropertyReport", "precondition_flags", "_names", "_witness",
-                 "_least_failing_iterate"):
+    for name in ("PropertyReport", "_names", "_witness", "_least_failing_iterate"):
         def counted(*args, _name=name, _fn=getattr(ck, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
@@ -480,8 +465,9 @@ def _count_report_parts(monkeypatch):
 
 class TestScanContext:
     def test_one_context_per_system(self, fixture_map, monkeypatch):
-        # the context and the precondition flags are memoised on the
-        # system: a report and the sgm condition build each once
+        # the context is memoised on the system, and only the p2 entry
+        # reads the G-periodic points: a profile and the sgm condition
+        # build each once
         calls = {"ctx": 0, "periodic": 0}
         init, periodic = ck._Ctx.__init__, ck.gf_periodic_mask
 
@@ -503,7 +489,7 @@ class TestScanContext:
             assert calls == {"ctx": 1, "periodic": 1}, fx.name
 
     def test_mining_computes_flags_once(self, fixture_map, monkeypatch):
-        # the miner's p2 literal computes the precondition flags once; the
+        # the miner's p2 literal computes the G-periodic points once; the
         # later literals are predicates that do not read them
         calls = []
         periodic = ck.gf_periodic_mask
@@ -522,8 +508,8 @@ class TestScanContext:
 
     def test_verdicts_build_no_report(self, fixture_map, sweep, monkeypatch):
         # the table's scan and minimality entries, and the miner's literals
-        # on the two targets that exhaust, build no report, precondition
-        # flags, basis-open names, witness or least failing iterate
+        # on the two targets that exhaust, build no report, basis-open
+        # names, witness or least failing iterate
         calls = _count_report_parts(monkeypatch)
         systems = [fx.system for fx in fixture_map.values()] + sweep
         for sys in systems:
@@ -533,6 +519,26 @@ class TestScanContext:
         targets = [corpus.parse_target(t) for t in ("tgt&!wgm", "wgm&!sgm")]
         matched = [corpus._matches(_fresh(sys), lits) for sys in systems for lits in targets]
         assert not calls and not any(matched)
+
+    def test_horizon_bounded(self):
+        # horizon 9,699,690 on 77 points: the masks would take several GB.
+        # The iterate cache is built; only the scan refuses the window
+        sys = parse(cycles_text((2, 3, 5, 7, 11, 13, 17, 19)))
+        assert sys.cache().period == 9_699_690
+        with pytest.raises(LimitError, match="exponent window"):
+            ck._scan(sys)
+
+    def test_horizon_bound_is_exact(self):
+        # LimitError iff (p+q) * |X| > MaxTableEntries: a 2000-cycle on
+        # 2000 points sits on the bound, one more fixed point passes it
+        def cycle(n):
+            f = tuple((i + 1) % 2000 for i in range(2000)) + tuple(range(2000, n))
+            return GSystem(trivial_action(discrete_space(tuple(map(str, range(n))))), f)
+
+        ctx = ck._scan(cycle(2000))
+        assert ctx.cache.horizon * 2000 == MaxTableEntries
+        with pytest.raises(LimitError, match=r"\[1, 2000\] on 2001 points.*at most 1999 exponents"):
+            ck._scan(cycle(2001))
 
     def test_action_columns_are_shared(self, sweep):
         # the sweep's systems share 129 actions; each action's scan columns
@@ -615,3 +621,51 @@ class TestScanContext:
                 assert ctx.reach(u) == want
                 checked += 1
         assert checked > len(systems)
+
+
+def _zl_family(n):
+    """Z_n on 2n points: minimal points m, c0 .. c(n-2), cycled by the
+    generator; a top above each (c(n-1) above m, u_i above c_i), cycled
+    alike; the map m -> c0, c_i -> c(i+1) (mod n), u_i -> c(i+1).  The
+    cycle of c0 leaves the minimal points once per turn, at c(n-1)."""
+    mins = ["m"] + [f"c{i}" for i in range(n - 1)]
+    tops = [f"c{n - 1}"] + [f"u{i}" for i in range(n - 1)]
+    points = mins + tops
+    index = {p: i for i, p in enumerate(points)}
+    space = space_from_subbasis(points, [[a] for a in mins] + list(zip(mins, tops)))
+    act = tuple(
+        tuple(index[ring[(ring.index(p) + g) % n]]
+              for ring in (mins, tops) for p in ring)
+        for g in range(n))
+    image = {"m": "c0", **{f"c{i}": f"c{(i + 1) % n}" for i in range(n)},
+             **{f"u{i}": f"c{i + 1}" for i in range(n - 1)}}
+    return GSystem(Action(cyclic_group(n), space, act), tuple(index[image[p]] for p in points))
+
+
+class TestFiniteDiagram:
+    def test_tgt_iff_sgm(self, sweep):
+        # tgt->sgm (module docstring) with sgm->tgt; the implication suite
+        # checks both on generated systems
+        for sys in sweep:
+            assert ck.Verdicts["tgt"](sys) == ck.Verdicts["sgm"](sys)
+
+    def test_wgm_without_tgt(self):
+        # the 6-point witness of tests/data is the family's L = 3 member
+        sys = parse((DATA / "z3_wgm_not_tgt.gds").read_text())
+        assert sys == _zl_family(3)
+        corpus.verify_against_oracle(sys, corpus.parse_target("wgm&!tgt&!sgm&!p1"))
+
+    @pytest.mark.parametrize("n, true_fold", [(3, 2), (4, 3), (5, 3)])
+    def test_nfold_levels_are_strict(self, n, true_fold):
+        sys = _zl_family(n)
+        want = {"gt": True, "gm": True, "wgm": True,
+                "tgt": False, "sgm": False, "p1": False, "cover": False}
+        assert ck.profile(sys, want) == want
+        ctx = oracle.OracleContext(sys)
+        assert {k: oracle.Verdicts[k](sys, ctx) for k in want} == want
+        assert ck.is_n_fold_transitive(sys, true_fold).verdict
+        if n == 5:  # 10^4 points under a group of order 625
+            with pytest.raises(LimitError, match="group of order 5\\^4"):
+                ck.is_n_fold_transitive(sys, 4)
+        else:
+            assert not ck.is_n_fold_transitive(sys, true_fold + 1).verdict

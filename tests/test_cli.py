@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import cycles_text
+from conftest import DATA, cycles_text
 from gdyn import cli
 from gdyn.cli import main
 from gdyn.sysfile import MaxGroupOrder, MaxPoints, parse, serialize
@@ -103,6 +103,16 @@ class TestCheck:
     def test_cover(self, files, capsys):
         assert main(["check", files["z2swap-id"], "--property", "cover"]) == 0
         assert "property=cover verdict=true" in capsys.readouterr().out
+
+    def test_wgm_without_tgt_witness(self, capsys):
+        # the 6-point system of tests/data separates wgm from tgt and sgm;
+        # the miner, which stops at five points, cannot reach it
+        path = str(DATA / "z3_wgm_not_tgt.gds")
+        want = {"wgm": 0, "gm": 0, "tgt": 1, "sgm": 1, "pseudoequivariant": 1,
+                "nfold:2": 0, "nfold:3": 1}
+        got = {prop: main(["check", path, "--property", prop]) for prop in want}
+        assert got == want
+        capsys.readouterr()
 
     def test_unknown_property(self, files, capsys):
         assert main(["check", files["rot4"], "--property", "frob"]) == 2
@@ -270,14 +280,24 @@ class TestErrorsExitTwo:
         assert capsys.readouterr().err == "error: internal: RuntimeError: simulated defect\n"
 
     def test_horizon_limit(self, tmp_path, capsys):
-        p = tmp_path / "primes.gds"
-        p.write_text(cycles_text((2, 3, 5, 7, 11, 13, 17, 19)))
-        for prop in ("gt", "cover"):
-            assert main(["check", str(p), "--property", prop]) == 2
-            assert "iterate cache" in capsys.readouterr().err
-        # the minimal cores need no iterate cache: one per cycle
-        assert main(["minimal-sets", str(p)]) == 0
-        assert capsys.readouterr().out.endswith("\ncount=8\n")
+        # the prime cycles to 19 (77 points, horizon 9,699,690) and every
+        # cycle length 2..19 (189 points, horizon 232,792,560): the scan's
+        # deciders and the report stop at the mask bound, while gm, cover
+        # and the minimal cores read only the forward orbits
+        p = tmp_path / "cycles.gds"
+        for lengths in ((2, 3, 5, 7, 11, 13, 17, 19), range(2, 20)):
+            p.write_text(cycles_text(lengths))
+            assert main(["check", str(p), "--property", "gm"]) == 1
+            assert capsys.readouterr().out == "property=gm verdict=false\nwitness: x=p0\n"
+            assert main(["check", str(p), "--property", "cover"]) == 1
+            assert capsys.readouterr().out == "property=cover verdict=false\n"
+            checks = [["check", str(p), "--property", prop] for prop in ("gt", "tgt", "wgm", "sgm")]
+            for argv in checks + [["report", str(p)]]:
+                assert main(argv) == 2
+                assert capsys.readouterr().err.startswith("error: scan: the exponent window")
+            # one minimal core per cycle
+            assert main(["minimal-sets", str(p)]) == 0
+            assert capsys.readouterr().out.endswith(f"\ncount={len(lengths)}\n")
 
     def test_nfold_limits(self, tmp_path, capsys):
         p = tmp_path / "one_point.gds"

@@ -4,21 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycles_text
+from conftest import cycles_text, gf_periodic_points, trivialized
 from gdyn.algebra import Action, cyclic_group, trivial_action
 from gdyn.corpus import enumerate_systems
 from gdyn.dynamics import (
     GSystem,
     IterateCache,
-    MaxTableEntries,
     f_orbit,
     gf_orbit,
     gf_periodic_mask,
-    gf_periodic_points,
     nfold_system,
     periodic_points,
     product_system,
-    trivialized,
 )
 from gdyn.errors import LimitError, ValidationError
 from gdyn.sysfile import parse
@@ -60,25 +57,21 @@ class TestIterateCache:
             c = IterateCache(f)
             t = tuple(f)
             for m in range(1, 3 * c.horizon + 6):
-                assert c.table(m) == t
+                assert tuple(c.image(x, m) for x in range(len(f))) == t
                 r = c.reduce(m)
                 assert 1 <= r <= c.horizon
                 assert c.powers[r - 1] == t
                 t = compose(tuple(f), t)
 
-    def test_horizon_bounded(self):
-        # horizon 9,699,690 on 77 points: the tables would take several GB
-        sys = parse(cycles_text((2, 3, 5, 7, 11, 13, 17, 19)))
-        with pytest.raises(LimitError, match="iterate cache"):
-            sys.cache()
-
-    def test_horizon_bound_is_exact(self):
-        # LimitError iff (p+q) * |X| > MaxTableEntries: a 2000-cycle on
-        # 2000 points sits on the bound, one more fixed point passes it
-        cycle = tuple((i + 1) % 2000 for i in range(2000))
-        assert IterateCache(cycle).horizon * 2000 == MaxTableEntries
-        with pytest.raises(LimitError, match="2001 points need more than 1999 tables"):
-            IterateCache(cycle + (2000,))
+    def test_cache_has_no_horizon_bound(self):
+        # cycles of every length 2..19: horizon lcm(1..19) = 232,792,560 on
+        # 189 points; the walk is O(|X|) and reads no window (the scan
+        # context bounds it, see test_checkers)
+        sys = parse(cycles_text(range(2, 20)))
+        c = sys.cache()
+        assert (sys.space.n, c.preperiod, c.period) == (189, 0, 232_792_560)
+        assert c.image(188, c.period + 1) == sys.f[188]
+        assert periodic_points(sys) == sys.space.full
 
     def test_horizon_bound_admits_long_period(self):
         sys = parse(cycles_text((2, 3, 5, 7, 11)))
@@ -240,7 +233,7 @@ def test_cache_agrees_with_direct_composition(sys):
     c = sys.cache()
     tables = _composed(f, c.horizon + 2)
     for m, t in enumerate(tables, 1):
-        assert c.table(m) == t
+        assert tuple(c.image(x, m) for x in range(n)) == t
     # minimality: f^1 .. f^(p+q-1) are pairwise distinct; the last table
     # of the window closes the cycle (equals f^p, or the identity when p = 0)
     window = tables[:c.horizon]

@@ -16,23 +16,23 @@ from gdyn.algebra import QuotientSystem, quotient
 EXPORTED = [
     "Action", "Error", "Fixture", "GSystem", "GenerationError", "GeneratorConfig",
     "Group", "IterateCache", "LimitError", "MineResult", "ParseError",
-    "PreconditionError", "Preconditions", "ProductMinimality", "PropertyReport",
+    "PreconditionError", "ProductMinimality", "PropertyReport",
     "QuotientMinimality", "QuotientSystem", "SgmCondition", "Space", "SuiteReport",
     "ValidationError", "algebra", "all_spaces", "automorphisms", "bitsets",
     "catalog", "checkers", "corpus", "cyclic_group", "diagram_violations",
     "discrete_space", "dynamics", "enumerate_systems", "equivariance_failure",
     "errors", "f_orbit", "fixtures", "g_minimal_sets", "g_transitive_points",
     "generate", "generate_robust", "gf_orbit", "gf_periodic_mask",
-    "gf_periodic_points", "is_continuous", "is_equivariant", "is_g_minimal",
+    "is_continuous", "is_equivariant", "is_g_minimal",
     "is_g_transitive", "is_n_fold_transitive", "is_pseudoequivariant",
     "is_strongly_g_mixing", "is_totally_g_transitive", "is_weakly_g_mixing",
     "klein_group", "mine", "minimality_cover_criterion", "nfold_system", "oracle",
-    "parse", "parse_target", "periodic_points", "precondition_flags", "product",
+    "parse", "parse_target", "periodic_points", "product",
     "product_action", "product_group", "product_minimality_criterion",
     "product_system", "profile", "pseudoequivariance_failure", "quotient",
     "quotient_minimality", "run_implication_suite", "serialize",
     "sgm_sufficient_condition", "space_from_subbasis", "suite_configs",
-    "symmetric_group_3", "sysfile", "topology", "trivial_action", "trivialized",
+    "symmetric_group_3", "sysfile", "topology", "trivial_action",
 ]
 SUBMODULES = {"algebra", "bitsets", "checkers", "corpus", "dynamics", "errors",
               "oracle", "sysfile", "topology"}
@@ -40,7 +40,7 @@ SUBMODULES = {"algebra", "bitsets", "checkers", "corpus", "dynamics", "errors",
 
 class TestNamespace:
     def test_all_is_pinned(self):
-        assert len(EXPORTED) == 81
+        assert len(EXPORTED) == 77
         assert gdyn.__all__ == EXPORTED
         assert gdyn.__version__ == "0.1.0"
 
@@ -83,7 +83,6 @@ def records(fixture_map):
     rot4 = fixture_map["rot4"].system
     return {
         QuotientSystem: quotient(z4.action, z4.f),
-        ck.Preconditions: ck.precondition_flags(z4),
         ck.PropertyReport: ck.is_g_transitive(z4),
         ck.QuotientMinimality: ck.quotient_minimality(z4),
         ck.SgmCondition: ck.sgm_sufficient_condition(rot4),
@@ -93,9 +92,7 @@ def records(fixture_map):
 
 FIELDS = {
     QuotientSystem: (("space", "proj", "orbit_masks", "induced"), {}),
-    ck.Preconditions: (("pseudoequivariant", "dense_gf_periodic"), {}),
-    ck.PropertyReport: (("prop", "verdict", "witness", "preconditions", "note"),
-                        {"note": ""}),
+    ck.PropertyReport: (("prop", "verdict", "witness", "note"), {"note": ""}),
     ck.QuotientMinimality: (("gm", "induced_minimal"), {}),
     ck.SgmCondition: (("applies", "conclusion_checked", "note"), {}),
     ck.ProductMinimality: (("product_minimal", "criterion"), {}),
@@ -111,8 +108,7 @@ class TestRecords:
         assert issubclass(cls, tuple)
 
     def test_property_report_note_defaults_empty(self):
-        flags = ck.Preconditions(True, False)
-        assert ck.PropertyReport("gt", True, None, flags).note == ""
+        assert ck.PropertyReport("gt", True, None).note == ""
 
     @pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
     def test_frozen(self, cls, records):

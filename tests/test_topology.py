@@ -69,10 +69,10 @@ class TestBasics:
         sp = sierpinski()
         assert sp.is_open(0b01)
         assert not sp.is_open(0b10)
-        assert sp.is_closed(0b10)
-        assert not sp.is_closed(0b01)
-        assert sp.is_open(0) and sp.is_closed(0)
-        assert sp.is_open(0b11) and sp.is_closed(0b11)
+        assert sp.closure(0b10) == 0b10
+        assert sp.closure(0b01) != 0b01
+        assert sp.is_open(0) and sp.closure(0) == 0
+        assert sp.is_open(0b11) and sp.closure(0b11) == 0b11
 
     def test_discrete(self):
         sp = discrete_space(("x", "y", "z"))
