@@ -70,8 +70,6 @@ _EXPORTS = {
     **dict.fromkeys((
         "GSystem",
         "IterateCache",
-        "f_orbit",
-        "gf_orbit",
         "gf_periodic_mask",
         "nfold_system",
         "periodic_points",

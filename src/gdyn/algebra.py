@@ -17,7 +17,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .bitsets import bits
-from .errors import PreconditionError, ValidationError
+from .errors import ValidationError
 from .topology import Space, identity_table, is_continuous, map_image, product
 
 
@@ -374,43 +374,18 @@ class QuotientSystem(NamedTuple):
 def quotient(action: Action, f: Sequence[int] | None = None) -> QuotientSystem:
     src = action.space
     orbit_masks = tuple(action.orbits())
-    k = len(orbit_masks)
     proj = [0] * src.n
     for o, mask in enumerate(orbit_masks):
         for x in bits(mask):
             proj[x] = o
-
-    def preimage_of(orbset: int) -> int:
-        pre = 0
-        for o in bits(orbset):
-            pre |= orbit_masks[o]
-        return pre
-
-    # smallest open orbit set containing each orbit, by saturation fixpoint
-    mo = []
-    for o in range(k):
-        s = 1 << o
-        while True:
-            pre = preimage_of(s)
-            grow = 0
-            for x in bits(pre):
-                for y in bits(src.min_open[x] & ~pre):
-                    grow |= 1 << proj[y]
-            if not grow:
-                break
-            s |= grow
-        mo.append(s)
-    names = tuple(src.points[next(bits(m))] for m in orbit_masks)
-    qspace = Space._trusted(names, tuple(mo))
+    # the least open set of orbits containing G(x) is the image of
+    # min_open(x): translations are homeomorphisms, so the saturation of
+    # min_open(x) is open, and every open set of orbits containing G(x)
+    # pulls back to an open set containing min_open(x)
+    reps = tuple(next(bits(m)) for m in orbit_masks)
+    qspace = Space._trusted(tuple(src.points[x] for x in reps),
+                            tuple(map_image(proj, src.min_open[x]) for x in reps))
     induced = None
     if f is not None and is_pseudoequivariant(action, f):
-        induced = tuple(proj[f[next(bits(m))]] for m in orbit_masks)
+        induced = tuple(proj[f[x]] for x in reps)
     return QuotientSystem(qspace, tuple(proj), orbit_masks, induced)
-
-
-def require_induced(qs: QuotientSystem) -> tuple[int, ...]:
-    if qs.induced is None:
-        raise PreconditionError(
-            "quotient: the map is not pseudoequivariant, no induced map on orbits exists"
-        )
-    return qs.induced

@@ -16,9 +16,10 @@ The scan is one table: for basis opens U and V, the hit mask has bit k
 set, for k in [1, p+q], iff f^k(U) meets G(V).  Transitivity, total
 transitivity, weak and strong mixing are predicates on these masks, read
 one row per basis open U.  The masks come from the functional graph of
-the map: each point is walked once, for the tail depth d and cycle
+the map: each point of U is walked for the tail depth d and cycle
 length L that the iterate cache records, and a cycle point first met at
-exponent k recurs at k + L, k + 2L, ...  No iterate table is composed.
+exponent k recurs at k + L, k + 2L, ...  No iterate table is composed,
+and only the rows are kept.
 The deduplicated basis and its saturation columns depend on the action
 alone and are memoised on it; the scan context is memoised on the
 system, so every decider, a profile and the sgm sufficient condition
@@ -69,23 +70,15 @@ definitions, in a table with the same names; the tests keep them agreed.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import lru_cache, reduce
 from math import gcd
 from operator import or_
 from typing import NamedTuple
 
-from .algebra import Action, is_equivariant, quotient, require_induced, trivial_action
+from .algebra import Action, is_equivariant, quotient, trivial_action
 from .bitsets import bits
-from .dynamics import (
-    GSystem,
-    MaxTableEntries,
-    f_orbit,
-    gf_orbit,
-    gf_periodic_mask,
-    nfold_system,
-    product_system,
-)
+from .dynamics import GSystem, MaxTableEntries, gf_periodic_mask, nfold_system, product_system
 from .errors import LimitError, PreconditionError
 
 CertificateLimit = 10_000
@@ -100,7 +93,7 @@ class PropertyReport(NamedTuple):
 
 class _Ctx:
     """Shared per-system scan state: the action's scan columns and the
-    hit-mask table, one row per basis open.  ``img`` and ``find_g`` serve
+    hit-mask table, one row per basis open.  ``element`` serves
     certificates only.
 
     It keeps the map, the action and the iterate cache, not the system:
@@ -108,7 +101,7 @@ class _Ctx:
     make a cycle that only the garbage collector frees."""
 
     __slots__ = ("f", "action", "cache", "basis", "pos", "window", "cycle_window", "e",
-                 "_sats", "_col", "_steps", "_point", "_rows", "_img")
+                 "_sats", "_col", "_steps", "_rows", "_elements")
 
     def __init__(self, sys: GSystem):
         self.f = sys.f
@@ -126,42 +119,31 @@ class _Ctx:
         self.cycle_window = ((1 << c.period) - 1) << (c.preperiod + 1)
         self.e = c.period * max(1, -(-c.preperiod // c.period))  # tgt's exponent
         self._steps: dict[int, int] = {}
-        self._point: dict[int, dict[int, int]] = {}
         self._rows: dict[int, list[int]] = {}
-        self._img: dict[tuple[int, int], int] = {}
-
-    def point(self, x: int) -> dict[int, int]:
-        """Point y -> mask of the exponents k in [1, p+q] with f^k(x) = y.
-
-        One walk, sized by x's depth d and cycle length L in the cache: the
-        tail points f^k(x), k < max(d, 1), are met once, and each of the L
-        cycle points after them, first met at k, recurs at k + L, ..."""
-        out = self._point.get(x)
-        if out is None:
-            c, f, y = self.cache, self.f, x
-            entry, step = max(c.depth[x], 1), c.length[x]
-            out = {}
-            for k in range(1, entry):
-                y = f[y]
-                out[y] = 1 << k
-            every = self._steps.get(step)
-            if every is None:
-                every = self._steps[step] = _every(step, c.horizon)
-            window = self.window
-            for k in range(entry, entry + step):
-                y = f[y]
-                out[y] = (every << k) & window
-            self._point[x] = out
-        return out
+        self._elements: dict[tuple[int, int, int], str] = {}
 
     def reach(self, u: int) -> dict[int, int]:
-        """Point y -> mask of the exponents k in [1, p+q] with y in f^k(U)."""
-        if not u & (u - 1):
-            return self.point(u.bit_length() - 1)
+        """Point y -> mask of the exponents k in [1, p+q] with y in f^k(U).
+
+        One walk per point x of U, sized by x's depth d and cycle length L
+        in the cache: the tail points f^k(x), k < max(d, 1), are met once,
+        and each of the L cycle points after them, first met at k, recurs
+        at k + L, ...  Not memoised: the rows built from it are."""
+        c, f, window, steps = self.cache, self.f, self.window, self._steps
         out: dict[int, int] = {}
+        get = out.get
         for x in bits(u):
-            for y, ks in self.point(x).items():
-                out[y] = out.get(y, 0) | ks
+            entry, step = max(c.depth[x], 1), c.length[x]
+            y = x
+            for k in range(1, entry):
+                y = f[y]
+                out[y] = get(y, 0) | 1 << k
+            every = steps.get(step)
+            if every is None:
+                every = steps[step] = _every(step, c.horizon)
+            for k in range(entry, entry + step):
+                y = f[y]
+                out[y] = get(y, 0) | (every << k) & window
         return out
 
     def row(self, u: int) -> list[int]:
@@ -196,27 +178,22 @@ class _Ctx:
         """Mask of the exponents k in [1, p+q] with f^k(U) meeting G(V)."""
         return self.row(u)[self.pos[v]]
 
-    def img(self, u: int, k: int) -> int:
-        key = (u, k)
-        out = self._img.get(key)
-        if out is None:
-            image = self.cache.image
-            out = 0
-            for x in bits(u):
-                out |= 1 << image(x, k)
-            self._img[key] = out
-        return out
-
-    def find_g(self, img: int, v: int) -> int:
-        action = self.action
-        for g in range(action.group.order):
-            if action.translate(g, img) & v:
-                return g
-        raise RuntimeError("internal: saturation hit without a witnessing element")
-
     def element(self, u: int, k: int, v: int) -> str:
         """The first group element g with g.f^k(U) meeting V."""
-        return self.action.group.elements[self.find_g(self.img(u, k), v)]
+        key = (u, k, v)
+        out = self._elements.get(key)
+        if out is None:
+            image, action = self.cache.image, self.action
+            img = 0
+            for x in bits(u):
+                img |= 1 << image(x, k)
+            for g in range(action.group.order):
+                if action.translate(g, img) & v:
+                    break
+            else:
+                raise RuntimeError("internal: saturation hit without a witnessing element")
+            out = self._elements[key] = action.group.elements[g]
+        return out
 
 
 def _columns(action: Action) -> tuple:
@@ -297,8 +274,12 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _names(sys: GSystem, mask: int) -> tuple[str, ...]:
-    return sys.space.names(mask)
+def _pairs(ctx: _Ctx) -> Iterator[tuple[int, int, int]]:
+    """(U, V, hit mask) for every basis pair, in basis order."""
+    basis = ctx.basis
+    for u in basis:
+        for v, h in zip(basis, ctx.row(u)):
+            yield u, v, h
 
 
 # -- transitivity -------------------------------------------------------------
@@ -312,22 +293,19 @@ def _gt(sys: GSystem) -> bool:
 
 def _transitivity(sys: GSystem) -> tuple[bool, Mapping]:
     """gt's verdict and witness: the first empty basis pair, or certificates."""
-    ctx = _scan(sys)
-    basis = ctx.basis
+    ctx, names = _scan(sys), sys.space.names
     if not _gt(sys):
-        u = next(u for u in basis if not all(ctx.row(u)))
-        v = basis[ctx.row(u).index(0)]
-        return False, {"U": _names(sys, u), "V": _names(sys, v)}
+        u, v, _ = next(t for t in _pairs(ctx) if not t[2])
+        return False, {"U": names(u), "V": names(v)}
 
     def build() -> tuple:
         out = []
-        for u in basis:
-            for v, h in zip(basis, ctx.row(u)):
-                k = _lowest(h)
-                out.append((_names(sys, u), _names(sys, v), k, ctx.element(u, k, v)))
+        for u, v, h in _pairs(ctx):
+            k = _lowest(h)
+            out.append((names(u), names(v), k, ctx.element(u, k, v)))
         return tuple(out)
 
-    return True, _witness(len(basis) ** 2, "basis pairs", build)
+    return True, _witness(len(ctx.basis) ** 2, "basis pairs", build)
 
 
 def is_g_transitive(sys: GSystem) -> PropertyReport:
@@ -378,13 +356,11 @@ def is_totally_g_transitive(sys: GSystem) -> PropertyReport:
     has bit e.  A false verdict names the least failing m, where f^m hits
     at the reduced exponents of m*j, j >= 1: the tail exponents m*j <= p
     and the cycle exponents k in [p+1, p+q] with k = 0 mod gcd(m, q)."""
-    ctx = _scan(sys)
+    ctx, names = _scan(sys), sys.space.names
     if not _tgt(sys):
         m, u, v = _least_failing_iterate(ctx)
-        witness = {"m": m, "U": _names(sys, u), "V": _names(sys, v)}
-        return PropertyReport("tgt", False, witness)
+        return PropertyReport("tgt", False, {"m": m, "U": names(u), "V": names(v)})
     c = ctx.cache
-    basis = ctx.basis
     # f^1 .. f^(p+q-1) are distinct tables, and f^(p+q) repeats f^p
     # unless p = 0
     ms = range(1, c.horizon + 1 if c.preperiod == 0 else c.horizon)
@@ -392,14 +368,13 @@ def is_totally_g_transitive(sys: GSystem) -> PropertyReport:
     def build() -> tuple:
         out = []
         for m in ms:
-            for u in basis:
-                for v, h in zip(basis, ctx.row(u)):
-                    k = next(k for k in (c.reduce(m * j) for j in range(1, c.horizon + 1))
-                             if (h >> k) & 1)
-                    out.append((m, _names(sys, u), _names(sys, v), k, ctx.element(u, k, v)))
+            for u, v, h in _pairs(ctx):
+                k = next(k for k in (c.reduce(m * j) for j in range(1, c.horizon + 1))
+                         if (h >> k) & 1)
+                out.append((m, names(u), names(v), k, ctx.element(u, k, v)))
         return tuple(out)
 
-    count = len(ms) * len(basis) ** 2
+    count = len(ms) * len(ctx.basis) ** 2
     return PropertyReport("tgt", True, _witness(count, "(iterate, pair) checks", build))
 
 
@@ -419,32 +394,25 @@ def is_weakly_g_mixing(sys: GSystem) -> PropertyReport:
     intersect.  The product route is ``is_n_fold_transitive(sys, 2)``;
     the tests compare the two.
     """
-    ctx = _scan(sys)
-    basis = ctx.basis
+    ctx, names = _scan(sys), sys.space.names
     if not _wgm(sys):
         # the ordered scan names the first failing 4-tuple
-        masks = [h for u in basis for h in ctx.row(u)]
-        pairs = [(u, e) for u in basis for e in basis]
-        (u, e), (v, w) = next((a, b) for a, m1 in zip(pairs, masks)
-                              for b, m2 in zip(pairs, masks) if not m1 & m2)
-        witness = {"U": _names(sys, u), "V": _names(sys, v),
-                   "E": _names(sys, e), "F": _names(sys, w)}
+        (u, e, _), (v, w, _) = next((a, b) for a in _pairs(ctx) for b in _pairs(ctx)
+                                    if not a[2] & b[2])
+        witness = {"U": names(u), "V": names(v), "E": names(e), "F": names(w)}
         return PropertyReport("wgm", False, witness)
 
     def build() -> tuple:
-        masks = [h for u in basis for h in ctx.row(u)]
-        pairs = [(u, e) for u in basis for e in basis]
         out = []
-        for (u, e), m1 in zip(pairs, masks):
-            for (v, w), m2 in zip(pairs, masks):
+        for u, e, m1 in _pairs(ctx):
+            for v, w, m2 in _pairs(ctx):
                 k = (m1 & m2).bit_length() - 1
-                out.append((
-                    _names(sys, u), _names(sys, v), _names(sys, e), _names(sys, w), k,
-                    ctx.element(u, k, e), ctx.element(v, k, w),
-                ))
+                out.append((names(u), names(v), names(e), names(w), k,
+                            ctx.element(u, k, e), ctx.element(v, k, w)))
         return tuple(out)
 
-    return PropertyReport("wgm", True, _witness(len(basis) ** 4, "basis 4-tuples", build))
+    count = len(ctx.basis) ** 4
+    return PropertyReport("wgm", True, _witness(count, "basis 4-tuples", build))
 
 
 def is_n_fold_transitive(sys: GSystem, n: int) -> PropertyReport:
@@ -468,26 +436,19 @@ def is_strongly_g_mixing(sys: GSystem) -> PropertyReport:
     hit: some translate of f^n(U) meets V for every n beyond a threshold.
     Decided on the recurring exponents [p+1, p+q]: every hit mask covers
     that window."""
-    ctx = _scan(sys)
+    ctx, names = _scan(sys), sys.space.names
     c = ctx.cache
-    basis = ctx.basis
     if not _sgm(sys):
         window = ctx.cycle_window
-        u, v, h = next((u, v, h) for u in basis for v, h in zip(basis, ctx.row(u))
-                       if window & ~h)
-        witness = {"U": _names(sys, u), "V": _names(sys, v),
-                   "missing_exponent": _lowest(window & ~h)}
+        u, v, h = next(t for t in _pairs(ctx) if window & ~t[2])
+        witness = {"U": names(u), "V": names(v), "missing_exponent": _lowest(window & ~h)}
         return PropertyReport("sgm", False, witness)
 
     def build() -> tuple:
-        return tuple(
-            (_names(sys, u), _names(sys, v), k, ctx.element(u, k, v))
-            for u in basis
-            for v in basis
-            for k in c.cycle_exponents()
-        )
+        return tuple((names(u), names(v), k, ctx.element(u, k, v))
+                     for u, v, _ in _pairs(ctx) for k in c.cycle_exponents())
 
-    count = len(basis) ** 2 * c.period
+    count = len(ctx.basis) ** 2 * c.period
     witness = _witness(count, "(pair, exponent) checks", build,
                        threshold=c.preperiod + 1)
     return PropertyReport("sgm", True, witness)
@@ -522,8 +483,8 @@ def is_g_minimal(sys: GSystem) -> PropertyReport:
     if not lacking:
         return PropertyReport("gm", True, {"summary": "all points have dense saturated orbits"})
     x = next(bits(lacking))
-    witness = {"x": sys.space.points[x],
-               "orbit_closure": _names(sys, sys.space.closure(gf_orbit(sys, x)))}
+    closure = sys.space.closure(sys.action.saturate(sys.cache().fwd[x]))
+    witness = {"x": sys.space.points[x], "orbit_closure": sys.space.names(closure)}
     return PropertyReport("gm", False, witness)
 
 
@@ -540,7 +501,7 @@ def g_minimal_sets(sys: GSystem) -> list[int]:
     preorder x -> y iff y lies in the closure of the saturated orbit of
     x; the tests compare the two.
     """
-    space, f, orbit = sys.space, sys.f, sys.action.orbit
+    space, f, orbit, fwd = sys.space, sys.f, sys.action.orbit, sys.cache().fwd
     # forward orbit -> the closure of its saturation
     orbit_closure = lru_cache(None)(lambda o: space.closure(sys.action.saturate(o)))
     tested: set[int] = set()
@@ -558,7 +519,7 @@ def g_minimal_sets(sys: GSystem) -> list[int]:
         a = space.closure(seen)
         if a not in tested:
             tested.add(a)
-            if all(orbit_closure(f_orbit(sys, y)) == a for y in bits(a)):
+            if all(orbit_closure(fwd[y]) == a for y in bits(a)):
                 out.append(a)
                 found |= a
     return sorted(out, key=lambda m: m & -m)
@@ -590,8 +551,7 @@ def quotient_minimality(sys: GSystem) -> QuotientMinimality:
             "quotient minimality: the map is not pseudoequivariant"
         )
     qs = quotient(sys.action, sys.f)
-    induced = require_induced(qs)
-    q_sys = GSystem._trusted(trivial_action(qs.space), induced)
+    q_sys = GSystem._trusted(trivial_action(qs.space), qs.induced)
     return QuotientMinimality(gm=_gm(sys), induced_minimal=_gm(q_sys))
 
 
@@ -645,10 +605,10 @@ def product_minimality_criterion(s1: GSystem, s2: GSystem) -> ProductMinimality:
     both (g.f(x), y) and (x, k.h(y)) lie in the closure of the saturated
     product orbit of (x, y)."""
     prod = product_system(s1, s2)
-    n2 = s2.space.n
+    n2, fwd = s2.space.n, prod.cache().fwd
 
     def holds(x: int, y: int) -> bool:
-        r = prod.space.closure(gf_orbit(prod, x * n2 + y))
+        r = prod.space.closure(prod.action.saturate(fwd[x * n2 + y]))
         return (all((r >> (row[s1.f[x]] * n2 + y)) & 1 for row in s1.action.act)
                 and all((r >> (x * n2 + row[s2.f[y]])) & 1 for row in s2.action.act))
 

@@ -33,7 +33,7 @@ from .checkers import (
     quotient_minimality,
     sgm_sufficient_condition,
 )
-from .dynamics import GSystem, gf_orbit, periodic_points
+from .dynamics import GSystem, periodic_points
 from .errors import GenerationError, ValidationError
 from .sysfile import serialize
 from .topology import (
@@ -49,6 +49,8 @@ from .topology import (
 DefaultGroupPool = ("Z1", "Z2", "Z3", "Z4", "Z2xZ2")
 # homomorphisms drawn for an action before the trivial action is used
 ActionAttempts = 60
+# random tables drawn for a map before generation fails
+MapAttempts = 4000
 # reseeds of ``generate_robust`` after a failed rejection budget
 Reseeds = 8
 # the largest size in the implication suite's rotation of sizes
@@ -315,7 +317,6 @@ class GeneratorConfig:
     groups: tuple[str, ...] | None = None
     mode: str = "preorder"
     pseudoequivariant_only: bool = False
-    budget: int = 4000
 
 
 _auto_cache: dict[tuple, list] = {}
@@ -366,11 +367,10 @@ def _sample_action(rng: random.Random, group: Group, space: Space) -> Action:
     return Action._trusted(group, space, tuple(ident for _ in range(group.order)))
 
 
-def _sample_map(rng: random.Random, action: Action,
-                pseudo_only: bool, budget: int) -> tuple[int, ...]:
+def _sample_map(rng: random.Random, action: Action, pseudo_only: bool) -> tuple[int, ...]:
     space = action.space
     n = space.n
-    for _ in range(budget):
+    for _ in range(MapAttempts):
         if rng.random() < 0.3:
             t = list(range(n))
             rng.shuffle(t)
@@ -383,7 +383,7 @@ def _sample_map(rng: random.Random, action: Action,
             continue
         return table
     raise GenerationError(
-        f"no admissible map found within {budget} attempts"
+        f"no admissible map found within {MapAttempts} attempts"
     )
 
 
@@ -427,7 +427,7 @@ def generate(cfg: GeneratorConfig) -> GSystem:
         space = _random_preorder_space(rng, names)
     group = cat[rng.choice(list(pool))]
     action = _sample_action(rng, group, space)
-    f = _sample_map(rng, action, cfg.pseudoequivariant_only, cfg.budget)
+    f = _sample_map(rng, action, cfg.pseudoequivariant_only)
     return GSystem._trusted(action, f)
 
 
@@ -659,7 +659,7 @@ def check_system_implications(sys: GSystem, antecedents: Counter,
         ("p1&gm->image-dense", p1 and gm,
          lambda: sys.space.is_dense(map_image(sys.f, full))),
         ("discrete&p1&gm->orbits-cover", discrete and p1 and gm,
-         lambda: all(gf_orbit(sys, x) == full for x in range(sys.space.n))),
+         lambda: all(sys.action.saturate(o) == full for o in sys.cache().fwd)),
         ("p1&gt->cores-full-or-thin", p1 and gt,
          lambda: all(m == full or sys.space.is_nowhere_dense(m)
                      for m in msets)),

@@ -171,22 +171,7 @@ class GSystem:
         return f"GSystem({self.space.n} points, {self.group.name or self.group.order})"
 
 
-# -- orbits -----------------------------------------------------------------
-
-
-def f_orbit(sys: GSystem, x: int) -> int:
-    """Mask of {f^k(x) : k >= 0}."""
-    out = 0
-    y = x
-    while not (out >> y) & 1:
-        out |= 1 << y
-        y = sys.f[y]
-    return out
-
-
-def gf_orbit(sys: GSystem, x: int) -> int:
-    """Mask of {g.f^k(x) : g in G, k >= 0}."""
-    return sys.action.saturate(f_orbit(sys, x))
+# -- periodic points ----------------------------------------------------------
 
 
 def periodic_points(sys: GSystem) -> int:

@@ -19,13 +19,12 @@ functions here are pure, so values can be shared freely across threads.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
-from .bitsets import bits, mask_of, subsets
+from .bitsets import bits
 from .errors import LimitError, ValidationError
 
 MaxAutomorphismPoints = 8
-MaxEnumerablePoints = 16
 
 
 class Space:
@@ -84,9 +83,6 @@ class Space:
 
     # -- set predicates and operators ------------------------------------
 
-    def is_open(self, a: int) -> bool:
-        return all(not (self.min_open[x] & ~a) for x in bits(a))
-
     def closure(self, a: int) -> int:
         """Smallest closed superset: points whose every neighbourhood meets a."""
         out = 0
@@ -112,24 +108,7 @@ class Space:
         """True iff every singleton is open (the finite Hausdorff case)."""
         return all(m == 1 << x for x, m in enumerate(self.min_open))
 
-    def opens(self) -> Iterator[int]:
-        """Enumerate every open set, the empty set included.
-
-        Exponential subset filter; intended for oracle-scale spaces.
-        """
-        if len(self.points) > MaxEnumerablePoints:
-            raise LimitError(f"opens(): carrier larger than {MaxEnumerablePoints} points")
-        for s in subsets(self.full):
-            if self.is_open(s):
-                yield s
-
     # -- conversions ------------------------------------------------------
-
-    def mask(self, names: Iterable[str]) -> int:
-        try:
-            return mask_of(self.index[name] for name in names)
-        except KeyError as exc:
-            raise ValidationError(f"unknown point {exc.args[0]!r}") from None
 
     def names(self, mask: int) -> tuple[str, ...]:
         return tuple(self.points[i] for i in bits(mask))

@@ -24,6 +24,38 @@ def sweep():
     return list(enumerate_systems())
 
 
+def is_open(space, a):
+    """A set is open iff it contains the minimal open of each of its points."""
+    return all(not (space.min_open[x] & ~a) for x in bits(a))
+
+
+def opens(space):
+    """Every open set, the empty set included, by filtering all subsets
+    in ascending order.  Exponential; for small spaces."""
+    return [s for s in range(1 << space.n) if is_open(space, s)]
+
+
+def mask(space, names):
+    """The mask of the named points."""
+    return sum(1 << space.index[name] for name in set(names))
+
+
+def f_orbit(sys, x):
+    """Mask of {f^k(x) : k >= 0}, walking the map until a point repeats:
+    the reference for ``IterateCache.fwd``."""
+    out = 0
+    y = x
+    while not (out >> y) & 1:
+        out |= 1 << y
+        y = sys.f[y]
+    return out
+
+
+def gf_orbit(sys, x):
+    """Mask of {g.f^k(x) : g in G, k >= 0}."""
+    return sys.action.saturate(f_orbit(sys, x))
+
+
 def brute_opens(space):
     """All open sets by unioning basis elements in every combination."""
     found = {0}
@@ -85,8 +117,8 @@ def refute_pair(sys, u_names, v_names, m=1, horizon_pad=4):
     U into contact with V: the definition quantifies over k >= 1 and all
     group elements, so a false verdict must survive this scan."""
     space = sys.space
-    u = space.mask(u_names)
-    v = space.mask(v_names)
+    u = mask(space, u_names)
+    v = mask(space, v_names)
     g_rows = sys.action.act
     t = sys.f
     for _ in range(m - 1):

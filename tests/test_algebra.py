@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import is_open, mask, opens
 from gdyn.algebra import (
     Action,
     Group,
@@ -17,10 +18,10 @@ from gdyn.algebra import (
     product_group,
     pseudoequivariance_failure,
     quotient,
-    require_induced,
     symmetric_group_3,
     trivial_action,
 )
+from gdyn.checkers import quotient_minimality
 from gdyn.corpus import enumerate_systems
 from gdyn.errors import PreconditionError, ValidationError
 from gdyn.topology import Space, discrete_space, map_image, product
@@ -146,8 +147,8 @@ class TestOrbits:
     def test_two_triangles_orbits(self, fixture_map):
         sys = fixture_map["two-triangles"].system
         sp = sys.space
-        assert sys.action.orbit(sp.index["a"]) == sp.mask(("a", "b", "c"))
-        assert sys.action.orbit(sp.index["p"]) == sp.mask(("p", "q", "r"))
+        assert sys.action.orbit(sp.index["a"]) == mask(sp, ("a", "b", "c"))
+        assert sys.action.orbit(sp.index["p"]) == mask(sp, ("p", "q", "r"))
 
     def test_saturate_laws(self):
         count = 0
@@ -166,9 +167,9 @@ class TestOrbits:
         for sys in itertools.islice(enumerate_systems(3, ("Z2",)), 300):
             sp = sys.space
             for g in range(sys.group.order):
-                for u in sp.opens():
-                    assert sp.is_open(sys.action.translate(g, u))
-                    assert sp.is_open(sys.action.saturate(u))
+                for u in opens(sp):
+                    assert is_open(sp, sys.action.translate(g, u))
+                    assert is_open(sp, sys.action.saturate(u))
 
     def test_trivial_action(self):
         sp = discrete_space(("a", "b"))
@@ -247,7 +248,7 @@ class TestQuotient:
         qs = quotient(sys.action, sys.f)
         q = qs.space
         assert q.points == ("-1", "-3/4", "-2/3", "0", "1")
-        tails = q.mask(("-3/4", "-2/3"))
+        tails = mask(q, ("-3/4", "-2/3"))
         for ell in ("-1", "0", "1"):
             assert q.min_open[q.index[ell]] == (1 << q.index[ell]) | tails
         for t in ("-3/4", "-2/3"):
@@ -261,18 +262,18 @@ class TestQuotient:
         qs = quotient(sys.action, sys.f)
         assert qs.induced is None
         with pytest.raises(PreconditionError, match="pseudoequivariant"):
-            require_induced(qs)
+            quotient_minimality(sys)
 
     def test_projection_is_open_map(self):
         # the image of every open set under the projection is open
         for sys in itertools.islice(enumerate_systems(3, ("Z2", "Z3")), 300):
             qs = quotient(sys.action)
-            for u in sys.space.opens():
+            for u in opens(sys.space):
                 img = 0
                 for x in range(sys.space.n):
                     if (u >> x) & 1:
                         img |= 1 << qs.proj[x]
-                assert qs.space.is_open(img)
+                assert is_open(qs.space, img)
 
     def test_quotient_of_trivial_action_is_identity(self, fixture_map):
         sys = fixture_map["sierpinski-id"].system

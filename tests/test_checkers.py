@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import pickle
 import time
+import tracemalloc
 
 import pytest
 
@@ -16,7 +17,7 @@ from gdyn.dynamics import GSystem, MaxTableEntries, nfold_system
 from gdyn.errors import LimitError, PreconditionError
 from gdyn.sysfile import parse
 from gdyn.topology import compose, discrete_space, map_image, space_from_subbasis
-from tests.conftest import DATA, cycles_text, refute_pair, trivialized
+from tests.conftest import DATA, cycles_text, mask, refute_pair, trivialized
 
 
 def _one_point_system():
@@ -33,8 +34,8 @@ def _iterate(sys, k):
 
 def _check_gt_certificate(sys, cert):
     u_names, v_names, k, g_name = cert
-    u = sys.space.mask(u_names)
-    v = sys.space.mask(v_names)
+    u = mask(sys.space, u_names)
+    v = mask(sys.space, v_names)
     t = _iterate(sys, k)
     g = sys.group.index[g_name]
     assert sys.action.translate(g, map_image(t, u)) & v
@@ -43,12 +44,12 @@ def _check_gt_certificate(sys, cert):
 def _check_wgm_certificate(sys, cert):
     u_names, v_names, e_names, f_names, k, g1_name, g2_name = cert
     t = _iterate(sys, k)
-    img_u = map_image(t, sys.space.mask(u_names))
-    img_v = map_image(t, sys.space.mask(v_names))
+    img_u = map_image(t, mask(sys.space, u_names))
+    img_v = map_image(t, mask(sys.space, v_names))
     g1 = sys.group.index[g1_name]
     g2 = sys.group.index[g2_name]
-    assert sys.action.translate(g1, img_u) & sys.space.mask(e_names)
-    assert sys.action.translate(g2, img_v) & sys.space.mask(f_names)
+    assert sys.action.translate(g1, img_u) & mask(sys.space, e_names)
+    assert sys.action.translate(g2, img_v) & mask(sys.space, f_names)
 
 
 class TestTransitivity:
@@ -109,8 +110,8 @@ class TestMixing:
         assert rep.witness == {"U": ("0",), "V": ("0",), "missing_exponent": 1}
         # replay: at the missing exponent no translate of the image meets V
         sys = fixture_map["rot4"].system
-        u = sys.space.mask(rep.witness["U"])
-        v = sys.space.mask(rep.witness["V"])
+        u = mask(sys.space, rep.witness["U"])
+        v = mask(sys.space, rep.witness["V"])
         k = rep.witness["missing_exponent"]
         img = map_image(_iterate(sys, k), u)
         assert not (img & sys.action.saturate(v))
@@ -129,10 +130,10 @@ class TestMixing:
         sys = fixture_map["rot4"].system
         w = ck.is_weakly_g_mixing(sys).witness
         c = sys.cache()
-        u = sys.space.mask(w["U"])
-        v = sys.space.mask(w["V"])
-        e = sys.action.saturate(sys.space.mask(w["E"]))
-        f = sys.action.saturate(sys.space.mask(w["F"]))
+        u = mask(sys.space, w["U"])
+        v = mask(sys.space, w["V"])
+        e = sys.action.saturate(mask(sys.space, w["E"]))
+        f = sys.action.saturate(mask(sys.space, w["F"]))
         for k in range(1, c.horizon + 1):
             t = _iterate(sys, k)
             assert not (map_image(t, u) & e and map_image(t, v) & f)
@@ -408,13 +409,13 @@ class TestWitnesses:
 
     def test_certificates_are_built_on_first_read(self, fixture_map, monkeypatch):
         images = []
-        img = ck._Ctx.img
+        element = ck._Ctx.element
 
-        def counted(self, u, k):
+        def counted(self, u, k, v):
             images.append(k)
-            return img(self, u, k)
+            return element(self, u, k, v)
 
-        monkeypatch.setattr(ck._Ctx, "img", counted)
+        monkeypatch.setattr(ck._Ctx, "element", counted)
         sys = fixture_map["z2swap-id"].system
         reps = [decide(sys) for decide in _SCANS]
         assert all(r.verdict for r in reps)
@@ -454,7 +455,7 @@ def _report_and_read(sys):
 def _count_report_parts(monkeypatch):
     """Counts, by name, the calls of what a report builds on a verdict."""
     calls = collections.Counter()
-    for name in ("PropertyReport", "_names", "_witness", "_least_failing_iterate"):
+    for name in ("PropertyReport", "_pairs", "_witness", "_least_failing_iterate"):
         def counted(*args, _name=name, _fn=getattr(ck, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
@@ -508,8 +509,8 @@ class TestScanContext:
 
     def test_verdicts_build_no_report(self, fixture_map, sweep, monkeypatch):
         # the table's scan and minimality entries, and the miner's literals
-        # on the two targets that exhaust, build no report, basis-open
-        # names, witness or least failing iterate
+        # on the two targets that exhaust, build no report, no walk of the
+        # basis pairs for a witness, and no least failing iterate
         calls = _count_report_parts(monkeypatch)
         systems = [fx.system for fx in fixture_map.values()] + sweep
         for sys in systems:
@@ -539,6 +540,22 @@ class TestScanContext:
         assert ctx.cache.horizon * 2000 == MaxTableEntries
         with pytest.raises(LimitError, match=r"\[1, 2000\] on 2001 points.*at most 1999 exponents"):
             ck._scan(cycle(2001))
+
+    def test_scan_keeps_no_per_point_table(self):
+        # an indiscrete 400-cycle has one basis open, which reaches every
+        # point at 400 exponents: a memo of each point's exponent map would
+        # keep 160,000 masks of 400 bits (about 19 MB); the one row needs
+        # a few kB
+        n = 400
+        space = space_from_subbasis(tuple(map(str, range(n))), ())
+        sys = GSystem(trivial_action(space), tuple((i + 1) % n for i in range(n)))
+        tracemalloc.start()
+        try:
+            assert ck.Verdicts["gt"](sys) and ck.Verdicts["wgm"](sys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_action_columns_are_shared(self, sweep):
         # the sweep's systems share 129 actions; each action's scan columns

@@ -81,11 +81,10 @@ class TestGenerator:
             "96fc0e19ff227baa3fc354c8d79093069abc24d9cb2e7d2bb0be8048038aa652"
         )
 
-    def test_budget_exhaustion(self):
-        cfg = corpus.GeneratorConfig(
-            seed=0, max_points=5, pseudoequivariant_only=True, budget=0
-        )
-        with pytest.raises(GenerationError):
+    def test_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(corpus, "MapAttempts", 0)
+        cfg = corpus.GeneratorConfig(seed=0, max_points=5, pseudoequivariant_only=True)
+        with pytest.raises(GenerationError, match="within 0 attempts"):
             corpus.generate(cfg)
 
 

@@ -10,8 +10,6 @@ from gdyn.corpus import enumerate_systems
 from gdyn.dynamics import (
     GSystem,
     IterateCache,
-    f_orbit,
-    gf_orbit,
     gf_periodic_mask,
     nfold_system,
     periodic_points,
@@ -103,21 +101,28 @@ class TestGSystem:
 
 
 class TestOrbits:
+    """Forward orbits are read off the iterate cache's walk, ``fwd``."""
+
     def test_f_orbit_interval_limits(self, fixture_map):
         sys = fixture_map["interval-tails"].system
-        sp = sys.space
+        sp, fwd = sys.space, sys.cache().fwd
         for ell in ("-1", "0", "1"):
             x = sp.index[ell]
-            assert f_orbit(sys, x) == 1 << x
-            assert gf_orbit(sys, x) == 1 << x
+            assert fwd[x] == 1 << x
+            assert sys.action.saturate(fwd[x]) == 1 << x
 
     def test_f_orbit_steps_through_cycle(self, fixture_map):
         sys = fixture_map["rot4"].system
-        assert f_orbit(sys, 0) == sys.space.full
+        assert sys.cache().fwd[0] == sys.space.full
 
     def test_gf_orbit_saturates(self, fixture_map):
         sys = fixture_map["z4mod2"].system
-        assert gf_orbit(sys, 0) == sys.space.full
+        assert sys.action.saturate(sys.cache().fwd[0]) == sys.space.full
+        # the identity map: each forward orbit is one point, its
+        # saturation the whole swapped pair
+        sys = fixture_map["z2swap-id"].system
+        assert sys.cache().fwd[0] == 0b1
+        assert sys.action.saturate(sys.cache().fwd[0]) == sys.space.full
 
 
 class TestPeriodicity:
@@ -247,7 +252,7 @@ def test_cache_agrees_with_direct_composition(sys):
     # orbits and periodic points against the composed tables
     periodic, least = 0, []
     for x in range(n):
-        assert f_orbit(sys, x) == sum({1 << x} | {1 << t[x] for t in window})
+        assert c.fwd[x] == sum({1 << x} | {1 << t[x] for t in window})
         if any(t[x] == x for t in window):
             periodic |= 1 << x
         orb = sys.action.orbit(x)

@@ -8,12 +8,13 @@ changed."""
 
 import contextlib
 import io
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from gdyn import cli
+from gdyn import cli, corpus
 from gdyn.algebra import catalog
 from gdyn.corpus import GeneratorConfig, fixtures, generate
 from gdyn.errors import Error, GenerationError
@@ -136,9 +137,10 @@ def test_oversized_line_exits_two(fuzz_dir, command, text, kind, extra, data):
 )
 def test_serialize_round_trips_generated_systems(seed, max_points, groups, mode, pseudo):
     cfg = GeneratorConfig(seed=seed, max_points=max_points, groups=groups, mode=mode,
-                          pseudoequivariant_only=pseudo, budget=200)
+                          pseudoequivariant_only=pseudo)
     try:
-        sys = generate(cfg)
+        with mock.patch.object(corpus, "MapAttempts", 200):
+            sys = generate(cfg)
     except GenerationError:
         reject()
     assert parse(serialize(sys)) == sys

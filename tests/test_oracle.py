@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import gf_orbit, opens
 from gdyn import checkers as ck
 from gdyn import oracle as orc
 from gdyn.algebra import trivial_action
@@ -17,7 +18,7 @@ class TestOracleContext:
     def test_opens_match_space_enumeration(self, fixture_map):
         for fx in fixture_map.values():
             ctx = orc.OracleContext(fx.system)
-            assert set(ctx.opens) == set(fx.system.space.opens())
+            assert ctx.opens == opens(fx.system.space)
             assert 0 in ctx.opens
             assert fx.system.space.full in ctx.opens
 
@@ -58,8 +59,6 @@ class TestOracleContext:
                 assert ctx.closure(a) == sys.space.closure(a)
 
     def test_sat_orbit_is_gf_orbit(self, fixture_map):
-        from gdyn.dynamics import gf_orbit
-
         for fx in fixture_map.values():
             sys = fx.system
             ctx = orc.OracleContext(sys)

@@ -21,8 +21,8 @@ EXPORTED = [
     "ValidationError", "algebra", "all_spaces", "automorphisms", "bitsets",
     "catalog", "checkers", "corpus", "cyclic_group", "diagram_violations",
     "discrete_space", "dynamics", "enumerate_systems", "equivariance_failure",
-    "errors", "f_orbit", "fixtures", "g_minimal_sets", "g_transitive_points",
-    "generate", "generate_robust", "gf_orbit", "gf_periodic_mask",
+    "errors", "fixtures", "g_minimal_sets", "g_transitive_points",
+    "generate", "generate_robust", "gf_periodic_mask",
     "is_continuous", "is_equivariant", "is_g_minimal",
     "is_g_transitive", "is_n_fold_transitive", "is_pseudoequivariant",
     "is_strongly_g_mixing", "is_totally_g_transitive", "is_weakly_g_mixing",
@@ -40,7 +40,7 @@ SUBMODULES = {"algebra", "bitsets", "checkers", "corpus", "dynamics", "errors",
 
 class TestNamespace:
     def test_all_is_pinned(self):
-        assert len(EXPORTED) == 77
+        assert len(EXPORTED) == 75
         assert gdyn.__all__ == EXPORTED
         assert gdyn.__version__ == "0.1.0"
 

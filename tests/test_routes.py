@@ -6,23 +6,26 @@ over Z1, Z2 and Z3), the cover criterion and minimal cores against
 fixpoint searches over the sweep and generated systems, group
 associativity over the catalog groups, their products and random Latin
 squares with an identity, action compatibility and the generator's
-homomorphism extension over the catalog groups, and action validation against a copy that also checks every
-translation for a bijection and its inverse for continuity.  Systems that
-the sweep and the generator build without re-validation are rebuilt
-through the validating constructors."""
+homomorphism extension over the catalog groups, action validation
+against a copy that also checks every translation for a bijection and
+its inverse for continuity, and the quotient's opens against a
+saturation fixpoint over the sweep, generated systems and every action
+of the catalog groups on four points.  Systems that the sweep and the
+generator build without re-validation are rebuilt through the
+validating constructors."""
 
 import collections
 import itertools
 import random
 import re
 
-from conftest import map_preimage
+from conftest import gf_orbit, is_open, map_preimage, opens
 from gdyn import checkers as ck
 from gdyn import corpus
 from gdyn.algebra import Action, Group, catalog, product_group, quotient
 from gdyn.bitsets import bits
 from gdyn.corpus import GeneratorConfig, all_spaces, generate, suite_configs
-from gdyn.dynamics import GSystem, gf_orbit, product_system
+from gdyn.dynamics import GSystem, product_system
 from gdyn.errors import GenerationError, ValidationError
 from gdyn.topology import (
     Space,
@@ -506,13 +509,47 @@ def test_quotient_projection_and_induced_map(sweep):
         q, proj, n = qs.space, qs.proj, sys.space.n
         assert Space(q.points, q.min_open) == q
         assert set(proj) == set(range(q.n))
-        for s in q.opens():
+        for s in opens(q):
             pre = sum(1 << x for x in range(n) if (s >> proj[x]) & 1)
-            assert sys.space.is_open(pre)
+            assert is_open(sys.space, pre)
         for x in range(n):
-            assert q.is_open(map_image(proj, sys.space.min_open[x]))
+            assert is_open(q, map_image(proj, sys.space.min_open[x]))
         assert (qs.induced is not None) == sys.pseudoequivariant()
         if qs.induced is not None:
             assert is_continuous(q, qs.induced)
             for x in range(n):
                 assert qs.induced[proj[x]] == proj[sys.f[x]]
+
+
+def _quotient_opens_by_fixpoint(action, proj, orbit_masks):
+    """The least open set of orbits containing each orbit, grown until
+    its preimage is open: add the orbit of every point of a minimal open
+    of the preimage that the preimage misses."""
+    out = []
+    for o in range(len(orbit_masks)):
+        s = 1 << o
+        while True:
+            pre = sum(orbit_masks[p] for p in bits(s))
+            grow = 0
+            for x in bits(pre):
+                for y in bits(action.space.min_open[x] & ~pre):
+                    grow |= 1 << proj[y]
+            if not grow:
+                break
+            s |= grow
+        out.append(s)
+    return tuple(out)
+
+
+def test_quotient_opens_match_the_fixpoint(sweep):
+    # the sweep's actions, the generated systems' and every action of the
+    # catalog groups on every 4-point space
+    on_four = [Action._trusted(group, space, phi)
+               for space in all_spaces(4) for group in catalog().values()
+               for phi in corpus._all_homs(group, automorphisms(space), space.n)]
+    assert len(on_four) == 7034
+    generated = [sys.action for sys in _generated(suite_configs(400))]
+    for action in [sys.action for sys in sweep] + generated + on_four:
+        qs = quotient(action)
+        assert qs.space.min_open == _quotient_opens_by_fixpoint(action, qs.proj,
+                                                                qs.orbit_masks)

