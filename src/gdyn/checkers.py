@@ -12,21 +12,21 @@ Three reductions make every property decidable by a finite scan:
 * universal quantifiers over nonempty open sets are monotone in both
   arguments, so they are decided on the basis of minimal opens.
 
-The scan is one table: for basis opens U and V, the hit mask has bit k
-set, for k in [1, p+q], iff f^k(U) meets G(V).  Transitivity, total
-transitivity, weak and strong mixing are predicates on these masks, read
-one row per basis open U.  The masks come from the functional graph of
-the map: each point of U is walked for the tail depth d and cycle
-length L that the iterate cache records, and a cycle point first met at
-exponent k recurs at k + L, k + 2L, ...  No iterate table is composed,
-and only the rows are kept.
+gt needs no exponent: some g.f^k(U), k >= 1, meets V iff fwd(f(U))
+meets G(V), so gt, like gm, is a density test on forward orbits.  Where
+exponents couple, the scan is one table: the hit mask of basis opens U
+and V has bit k, k in [1, p+q], iff f^k(U) meets G(V).  tgt, wgm, sgm
+and certificates read it, one row per U.  The masks come from the
+functional graph: each point of U is walked for the tail depth d and
+cycle length L that the iterate cache records, a cycle point first met
+at k recurring at k + L, k + 2L, ...; only the rows are kept.
 The deduplicated basis and its saturation columns depend on the action
 alone and are memoised on it; the scan context is memoised on the
 system, so every decider, a profile and the sgm sufficient condition
 share one table.  The context bounds the masks: a window [1, p+q] on |X|
 points past ``MaxTableEntries`` raises LimitError.  Nothing else reads
-the window, so gm, the cover criterion, periodic points and minimal
-cores answer past that bound.
+the window, so gt, n-fold transitivity, gm, the cover criterion,
+periodic points and minimal cores answer past that bound.
 
 Total transitivity is decided on one exponent.  Let e be the least
 multiple of q with e >= max(p, 1).  For every m >= 1, m*e is >= p and
@@ -56,9 +56,9 @@ atom A': sgm.  With sgm -> tgt, tgt and sgm are equivalent.
 
 Each property has one predicate, held in the table ``Verdicts`` (name ->
 bool, cheapest first) that ``profile``, the command-line report, the
-fixture check, the implication suite and the miner read.  Four read the
-hit masks alone: gt, every mask is nonzero; tgt, every mask has bit e;
-wgm, every two masks intersect; sgm, every mask covers [p+1, p+q].
+fixture check, the implication suite and the miner read: tgt, every hit
+mask has bit e; wgm, every two masks intersect; sgm, every mask covers
+[p+1, p+q]; gt and gm, a saturated forward reach is dense.
 The ``is_*`` reports call the same predicates and build a witness on
 the verdict: a false verdict names a failing pair of basis opens (plus
 the iterate exponent where relevant), a true one (exponent, group
@@ -174,10 +174,6 @@ class _Ctx:
             self._rows[u] = out
         return out
 
-    def hits(self, u: int, v: int) -> int:
-        """Mask of the exponents k in [1, p+q] with f^k(U) meeting G(V)."""
-        return self.row(u)[self.pos[v]]
-
     def element(self, u: int, k: int, v: int) -> str:
         """The first group element g with g.f^k(U) meeting V."""
         key = (u, k, v)
@@ -285,27 +281,47 @@ def _pairs(ctx: _Ctx) -> Iterator[tuple[int, int, int]]:
 # -- transitivity -------------------------------------------------------------
 
 
-def _gt(sys: GSystem) -> bool:
-    """gt: every hit mask is nonzero."""
-    ctx = _scan(sys)
-    return all(all(ctx.row(u)) for u in ctx.basis)
+def _dense_saturation(sys: GSystem) -> Callable[[int], bool]:
+    """Set A -> whether G(A) is dense (A meets every basis saturation)."""
+    sats = _columns(sys.action)[3]
+    memo: dict[int, bool] = {}  # lives as long as the returned function
+
+    def dense(a: int) -> bool:
+        d = memo.get(a)
+        if d is None:
+            d = memo[a] = all(a & sat for sat, _, _ in sats)
+        return d
+
+    return dense
+
+
+def _untransitive(sys: GSystem) -> tuple[int, int] | None:
+    """The first basis open U whose reach fwd(f(U)) misses some G(V),
+    with that reach (the row of the first empty hit mask), or None."""
+    fwd, f, dense = sys.cache().fwd, sys.f, _dense_saturation(sys)
+    for u in _columns(sys.action)[0]:
+        reach = reduce(or_, [fwd[f[x]] for x in bits(u)])
+        if not dense(reach):
+            return u, reach
+    return None
 
 
 def _transitivity(sys: GSystem) -> tuple[bool, Mapping]:
-    """gt's verdict and witness: the first empty basis pair, or certificates."""
-    ctx, names = _scan(sys), sys.space.names
-    if not _gt(sys):
-        u, v, _ = next(t for t in _pairs(ctx) if not t[2])
-        return False, {"U": names(u), "V": names(v)}
+    """gt's verdict and witness: the first basis pair that no iterate links, or certificates."""
+    names, basis = sys.space.names, _columns(sys.action)[0]
+    miss = _untransitive(sys)
+    if miss is not None:
+        sat = sys.action.saturate(miss[1])
+        return False, {"U": names(miss[0]), "V": names(next(v for v in basis if not v & sat))}
 
     def build() -> tuple:
-        out = []
+        ctx, out = _scan(sys), []
         for u, v, h in _pairs(ctx):
             k = _lowest(h)
             out.append((names(u), names(v), k, ctx.element(u, k, v)))
         return tuple(out)
 
-    return True, _witness(len(ctx.basis) ** 2, "basis pairs", build)
+    return True, _witness(len(basis) ** 2, "basis pairs", build)
 
 
 def is_g_transitive(sys: GSystem) -> PropertyReport:
@@ -446,7 +462,7 @@ def is_strongly_g_mixing(sys: GSystem) -> PropertyReport:
 
     def build() -> tuple:
         return tuple((names(u), names(v), k, ctx.element(u, k, v))
-                     for u, v, _ in _pairs(ctx) for k in c.cycle_exponents())
+                     for u, v, _ in _pairs(ctx) for k in range(c.preperiod + 1, c.horizon + 1))
 
     count = len(ctx.basis) ** 2 * c.period
     witness = _witness(count, "(pair, exponent) checks", build,
@@ -458,18 +474,9 @@ def is_strongly_g_mixing(sys: GSystem) -> PropertyReport:
 
 
 def g_transitive_points(sys: GSystem) -> int:
-    """Mask of points whose saturated forward orbit is dense, decided once
-    per distinct forward orbit."""
-    space, saturate = sys.space, sys.action.saturate
-    dense: dict[int, bool] = {}
-    out = 0
-    for x, orbit in enumerate(sys.cache().fwd):
-        d = dense.get(orbit)
-        if d is None:
-            d = dense[orbit] = space.is_dense(saturate(orbit))
-        if d:
-            out |= 1 << x
-    return out
+    """Mask of points whose saturated forward orbit is dense."""
+    dense = _dense_saturation(sys)
+    return sum(1 << x for x, orbit in enumerate(sys.cache().fwd) if dense(orbit))
 
 
 def _gm(sys: GSystem) -> bool:
@@ -546,11 +553,9 @@ def quotient_minimality(sys: GSystem) -> QuotientMinimality:
     """Minimality of the system against minimality of the induced map on
     the orbit space (with the group forgotten).  Requires a
     pseudoequivariant map, otherwise no induced map exists."""
-    if not sys.pseudoequivariant():
-        raise PreconditionError(
-            "quotient minimality: the map is not pseudoequivariant"
-        )
     qs = quotient(sys.action, sys.f)
+    if qs.induced is None:
+        raise PreconditionError("quotient minimality: the map is not pseudoequivariant")
     q_sys = GSystem._trusted(trivial_action(qs.space), qs.induced)
     return QuotientMinimality(gm=_gm(sys), induced_minimal=_gm(q_sys))
 
@@ -579,7 +584,7 @@ _FiniteSpaceNote = (
 def sgm_sufficient_condition(sys: GSystem) -> SgmCondition:
     if not sys.pseudoequivariant():
         return SgmCondition(False, None, "map is not pseudoequivariant")
-    if not _gt(sys):
+    if _untransitive(sys) is not None:
         return SgmCondition(False, None, "system is not transitive")
     trans = g_transitive_points(sys)
     ctx = _scan(sys)
@@ -587,7 +592,7 @@ def sgm_sufficient_condition(sys: GSystem) -> SgmCondition:
     for x in bits(trans):
         # W returns at every recurring exponent: f^k(W) meets G(W)
         w = sys.space.min_open[x]
-        if ctx.hits(w, w) & window == window:
+        if ctx.row(w)[ctx.pos[w]] & window == window:
             return SgmCondition(True, _sgm(sys), _FiniteSpaceNote)
     return SgmCondition(
         False, None, "no dense-orbit point whose neighbourhood eventually returns"
@@ -626,7 +631,7 @@ Verdicts: dict[str, Callable[[GSystem], bool]] = {
     "p1": lambda s: s.pseudoequivariant(),
     "equivariant": lambda s: is_equivariant(s.action, s.f),
     "p2": lambda s: s.space.is_dense(gf_periodic_mask(s)),
-    "gt": _gt,
+    "gt": lambda s: _untransitive(s) is None,
     "gm": _gm,
     "sgm": _sgm,
     "cover": minimality_cover_criterion,

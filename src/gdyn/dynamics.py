@@ -106,10 +106,6 @@ class IterateCache:
     def horizon(self) -> int:
         return self.preperiod + self.period
 
-    def cycle_exponents(self) -> range:
-        """Exponents whose tables recur infinitely often."""
-        return range(self.preperiod + 1, self.preperiod + self.period + 1)
-
 
 class GSystem:
     """An action together with a continuous self-map of its space."""

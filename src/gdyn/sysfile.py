@@ -36,11 +36,9 @@ from .topology import space_from_subbasis
 # (a monoid with x.y = x for every x but the identity); at this order
 # that worst case still validates in about half a second (README)
 MaxGroupOrder = 256
-# the largest carrier a file may declare.  At this size the costliest
-# scans measured, one cycle through every point under the trivial group,
-# decide wgm on a discrete carrier in 3.2 s and 319 MB and gt on an
-# indiscrete one in 4.4 s, while cover and the minimal cores take 0.4 s
-# (README)
+# the largest carrier a file may declare.  At this size the costliest check
+# measured, wgm on a discrete cycle under the trivial group, takes about 3 s
+# and 319 MB, and parsing an indiscrete cycle about 3 s (README)
 MaxPoints = 1500
 
 

@@ -115,7 +115,8 @@ class TestMixing:
         k = rep.witness["missing_exponent"]
         img = map_image(_iterate(sys, k), u)
         assert not (img & sys.action.saturate(v))
-        assert k in sys.cache().cycle_exponents()
+        c = sys.cache()
+        assert c.preperiod < k <= c.horizon
 
     def test_sgm_true_witness_replay(self, fixture_map):
         sys = fixture_map["z2swap-id"].system
@@ -556,6 +557,44 @@ class TestScanContext:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_gt_keeps_no_mask_table(self):
+        # a discrete 400-cycle has 400 basis opens: the hit-mask table
+        # would keep 160,000 masks of 400 bits; gt reads the one forward
+        # orbit of the cycle
+        n = 400
+        space = discrete_space(tuple(map(str, range(n))))
+        sys = GSystem(trivial_action(space), tuple((i + 1) % n for i in range(n)))
+        tracemalloc.start()
+        try:
+            assert ck.is_g_transitive(sys).verdict
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_gt_and_nfold_build_no_context(self, fixture_map, sweep, monkeypatch):
+        # gt's table entry and report, and n-fold transitivity on the
+        # product, decide and name a false witness without the scan
+        # context; a true verdict builds it when its certificates are read
+        built = []
+        init = ck._Ctx.__init__
+
+        def counted(self, sys):
+            built.append(sys)
+            init(self, sys)
+
+        monkeypatch.setattr(ck._Ctx, "__init__", counted)
+        falses = 0
+        for sys in [fx.system for fx in fixture_map.values()] + sweep:
+            sys = _fresh(sys)
+            reps = [ck.is_g_transitive(sys), ck.is_n_fold_transitive(sys, 2)]
+            assert ck.Verdicts["gt"](sys) is reps[0].verdict
+            assert not built
+            falses += not reps[1].verdict
+        assert falses
+        rep = ck.is_g_transitive(_fresh(fixture_map["z2swap-id"].system))
+        assert rep.verdict and rep.witness["certificates"] and built
 
     def test_action_columns_are_shared(self, sweep):
         # the sweep's systems share 129 actions; each action's scan columns

@@ -8,6 +8,7 @@ import pytest
 from conftest import DATA, cycles_text
 from gdyn import cli
 from gdyn.cli import main
+from gdyn.dynamics import MaxCarrier
 from gdyn.sysfile import MaxGroupOrder, MaxPoints, parse, serialize
 
 
@@ -282,22 +283,35 @@ class TestErrorsExitTwo:
     def test_horizon_limit(self, tmp_path, capsys):
         # the prime cycles to 19 (77 points, horizon 9,699,690) and every
         # cycle length 2..19 (189 points, horizon 232,792,560): the scan's
-        # deciders and the report stop at the mask bound, while gm, cover
-        # and the minimal cores read only the forward orbits
+        # mask deciders and the report stop at the mask bound, while gt,
+        # gm, cover and the minimal cores read only the forward orbits, and
+        # nfold:2 answers on the 77^2-point product and stops at the
+        # carrier bound on the 189^2-point one
         p = tmp_path / "cycles.gds"
         for lengths in ((2, 3, 5, 7, 11, 13, 17, 19), range(2, 20)):
             p.write_text(cycles_text(lengths))
+            assert main(["check", str(p), "--property", "gt"]) == 1
+            assert capsys.readouterr().out == (
+                "property=gt verdict=false\nwitness: U={p0} V={p2}\n")
             assert main(["check", str(p), "--property", "gm"]) == 1
             assert capsys.readouterr().out == "property=gm verdict=false\nwitness: x=p0\n"
             assert main(["check", str(p), "--property", "cover"]) == 1
             assert capsys.readouterr().out == "property=cover verdict=false\n"
-            checks = [["check", str(p), "--property", prop] for prop in ("gt", "tgt", "wgm", "sgm")]
+            checks = [["check", str(p), "--property", prop] for prop in ("tgt", "wgm", "sgm")]
             for argv in checks + [["report", str(p)]]:
                 assert main(argv) == 2
                 assert capsys.readouterr().err.startswith("error: scan: the exponent window")
             # one minimal core per cycle
             assert main(["minimal-sets", str(p)]) == 0
             assert capsys.readouterr().out.endswith(f"\ncount={len(lengths)}\n")
+        p.write_text(cycles_text((2, 3, 5, 7, 11, 13, 17, 19)))
+        assert main(["check", str(p), "--property", "nfold:2"]) == 1
+        assert capsys.readouterr().out == (
+            "property=nfold:2 verdict=false\nwitness: U={(p0,p0)} V={(p0,p1)}\n")
+        p.write_text(cycles_text(range(2, 20)))
+        assert main(["check", str(p), "--property", "nfold:2"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: nfold_system: 189^2 points exceeds the bound {MaxCarrier}\n")
 
     def test_nfold_limits(self, tmp_path, capsys):
         p = tmp_path / "one_point.gds"

@@ -1,8 +1,11 @@
 """Second routes.  The library decides each property one way; these
-tests recompute it another way and require the two to agree: total
-transitivity, weak mixing, minimal cores, quotients and derived products
-over every system of the miner's sweep (all systems on up to three points
-over Z1, Z2 and Z3), the cover criterion and minimal cores against
+tests recompute it another way and require the two to agree:
+transitivity against the hit-mask table over the sweep, generated
+systems and every labelled system on four points, n-fold transitivity
+against the masks of the product, total transitivity, weak mixing,
+minimal cores, quotients and derived products over every system of the
+miner's sweep (all systems on up to three points over Z1, Z2 and Z3),
+the cover criterion and minimal cores against
 fixpoint searches over the sweep and generated systems, group
 associativity over the catalog groups, their products and random Latin
 squares with an identity, action compatibility and the generator's
@@ -25,7 +28,7 @@ from gdyn import corpus
 from gdyn.algebra import Action, Group, catalog, product_group, quotient
 from gdyn.bitsets import bits
 from gdyn.corpus import GeneratorConfig, all_spaces, generate, suite_configs
-from gdyn.dynamics import GSystem, product_system
+from gdyn.dynamics import GSystem, nfold_system, product_system
 from gdyn.errors import GenerationError, ValidationError
 from gdyn.topology import (
     Space,
@@ -340,6 +343,47 @@ def test_extend_hom_matches_every_product():
     assert found and none
 
 
+def _gt_by_masks(sys):
+    """Transitivity by the hit-mask table: every mask is nonzero.  Returns
+    the verdict and the names of the first empty pair (U, V) in basis
+    order, or None.  The context is built here, not memoised on the
+    system."""
+    ctx = ck._Ctx(sys)
+    for u in ctx.basis:
+        for v, h in zip(ctx.basis, ctx.row(u)):
+            if not h:
+                return False, {"U": sys.space.names(u), "V": sys.space.names(v)}
+    return True, None
+
+
+def _gt_agrees_with_masks(sys, rep):
+    verdict, witness = _gt_by_masks(sys)
+    assert rep.verdict == verdict
+    if not verdict:
+        assert rep.witness == witness
+    return verdict
+
+
+def test_gt_density_matches_the_masks(sweep):
+    # the sweep, the generated systems, and every labelled system on up to
+    # four points over Z1 .. Z4 and Z2xZ2
+    on_four = corpus.enumerate_systems(4, ("Z1", "Z2", "Z3", "Z4", "Z2xZ2"))
+    outcomes = collections.Counter()
+    for sys in itertools.chain(sweep, _generated(suite_configs(400)), on_four):
+        outcomes[_gt_agrees_with_masks(sys, ck.is_g_transitive(sys))] += 1
+    assert sum(outcomes.values()) == 1637 + 400 + 254_141
+    assert outcomes[False] and outcomes[True]
+
+
+def test_nfold_matches_the_product_masks(sweep):
+    outcomes = collections.Counter()
+    for sys in sweep:
+        for n in (2, 3):
+            rep = ck.is_n_fold_transitive(sys, n)
+            outcomes[n, _gt_agrees_with_masks(nfold_system(sys, n), rep)] += 1
+    assert all(outcomes[n, v] for n in (2, 3) for v in (False, True))
+
+
 def _tgt_every_iterate(sys):
     """Total transitivity by the m x j loop: f^m hits U -> V at some
     reduced exponent of m*j, j in [1, p+q], for every distinct table f^m.
@@ -353,7 +397,7 @@ def _tgt_every_iterate(sys):
             reduced |= 1 << c.reduce(m * j)
         for u in ctx.basis:
             for v in ctx.basis:
-                if not ctx.hits(u, v) & reduced:
+                if not ctx.row(u)[ctx.pos[v]] & reduced:
                     names = sys.space.names
                     return False, {"m": m, "U": names(u), "V": names(v)}
     return True, None
