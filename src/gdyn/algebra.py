@@ -188,8 +188,9 @@ class Action:
     translation a homeomorphism.  ``act[g][x]`` is the point g.x."""
 
     # memos, not part of equality: each point's orbit, and the checkers'
-    # scan columns (the basis and its saturations), built on first use
-    __slots__ = ("group", "space", "act", "_orbit_of", "_columns")
+    # scan columns (the basis and its saturations) and minimal points,
+    # built on first use
+    __slots__ = ("group", "space", "act", "_orbit_of", "_columns", "_atoms")
 
     def __init__(self, group: Group, space: Space, act: Sequence[Sequence[int]]):
         table = tuple(tuple(row) for row in act)
@@ -249,6 +250,7 @@ class Action:
             orbit_of.append(o)
         self._orbit_of = tuple(orbit_of)
         self._columns = None
+        self._atoms = None
 
     def orbit(self, x: int) -> int:
         """Bitmask of G(x)."""

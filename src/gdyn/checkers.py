@@ -13,20 +13,22 @@ Three reductions make every property decidable by a finite scan:
   arguments, so they are decided on the basis of minimal opens.
 
 gt needs no exponent: some g.f^k(U), k >= 1, meets V iff fwd(f(U))
-meets G(V), so gt, like gm, is a density test on forward orbits.  Where
-exponents couple, the scan is one table: the hit mask of basis opens U
-and V has bit k, k in [1, p+q], iff f^k(U) meets G(V).  tgt, wgm, sgm
-and certificates read it, one row per U.  The masks come from the
-functional graph: each point of U is walked for the tail depth d and
-cycle length L that the iterate cache records, a cycle point first met
-at k recurring at k + L, k + 2L, ...; only the rows are kept.
-The deduplicated basis and its saturation columns depend on the action
-alone and are memoised on it; the scan context is memoised on the
-system, so every decider, a profile and the sgm sufficient condition
-share one table.  The context bounds the masks: a window [1, p+q] on |X|
-points past ``MaxTableEntries`` raises LimitError.  Nothing else reads
-the window, so gt, n-fold transitivity, gm, the cover criterion,
-periodic points and minimal cores answer past that bound.
+meets G(V), so gt, like gm, is a density test on forward orbits.  tgt,
+wgm and sgm are decided on the minimal points (below), with no exponent
+window either.  Witnesses read one table: the hit mask of basis opens U
+and V has bit k, k in [1, p+q], iff f^k(U) meets G(V).  The false
+witnesses of tgt, wgm and sgm, certificates and the sgm sufficient
+condition read it, one row per U.  The masks come from the functional
+graph: each point of U is walked for the tail depth d and cycle length L
+that the iterate cache records, a cycle point first met at k recurring
+at k + L, k + 2L, ...; only the rows are kept.  The deduplicated basis,
+its saturation columns and the atoms depend on the action alone and are
+memoised on it; the scan context is memoised on the system.  The context
+bounds the masks: a window [1, p+q] on |X| points past
+``MaxTableEntries`` raises LimitError, and past it a true verdict
+carries a summary instead of certificates.  No verdict reads the window,
+so every property answers past that bound; only the false witnesses of
+tgt, wgm and sgm and the sgm sufficient condition stop there.
 
 Total transitivity is decided on one exponent.  Let e be the least
 multiple of q with e >= max(p, 1).  For every m >= 1, m*e is >= p and
@@ -54,16 +56,38 @@ every cycle through Min stays in Min.  (c) For m in Min, f^e(m) is a
 cycle point in Min, so f^k(m) is in Min = G(A') for every k >= e and
 atom A': sgm.  With sgm -> tgt, tgt and sgm are equivalent.
 
+The same facts decide tgt, wgm and sgm on the minimal points.  Each
+basis open V contains an atom A', and G(A') <= G(V); f^k maps an atom
+into one class, which lies in Min or outside it.  So each property holds
+iff it holds on atoms.  If Min is two or more orbits of atoms, no point
+lies in G(A) and in G(A') for atoms of different orbits, and all three
+fail (for wgm take U = V, and E, F in different orbits).  Otherwise
+G(A') = Min for every atom A', and with m the least point of each atom:
+
+* tgt iff f^e(m) is in Min for every m;
+* sgm iff the cycle of every m lies in Min (its own rule, so that the
+  tests keep checking tgt <-> sgm);
+* wgm iff the return sets T(m) = {k >= 1 : f^k(m) in Min} meet
+  pairwise.  Then every two meet infinitely often: were K the largest
+  exponent in both T(a) and T(b), f^K(a) and f^K(b) would be minimal
+  points whose return sets, those of their atoms, share nothing.  So only the
+  exponents k >= d(m) count, where f^k(m) depends on k mod L(m) alone,
+  and T(m) is there a set of residues mod L(m).  Residue sets mod L and
+  L' share an exponent iff, folded mod gcd(L, L'), they share a residue
+  (the Chinese remainder theorem).  Equal residue sets are tested once.
+
+Each rule walks at most d + L steps per atom.
+
 Each property has one predicate, held in the table ``Verdicts`` (name ->
 bool, cheapest first) that ``profile``, the command-line report, the
-fixture check, the implication suite and the miner read: tgt, every hit
-mask has bit e; wgm, every two masks intersect; sgm, every mask covers
-[p+1, p+q]; gt and gm, a saturated forward reach is dense.
-The ``is_*`` reports call the same predicates and build a witness on
-the verdict: a false verdict names a failing pair of basis opens (plus
-the iterate exponent where relevant), a true one (exponent, group
-element) certificates when small enough, built from the hit masks when
-the witness's ``certificates`` entry is first read.
+fixture check, the implication suite and the miner read: tgt, wgm and
+sgm the rules on the minimal points; gt and gm, a saturated forward
+reach is dense.  The ``is_*`` reports call the same predicates and build
+a witness on the verdict: a false verdict names a failing pair of basis
+opens (plus the iterate exponent where relevant), read from the hit
+masks, a true one (exponent, group element) certificates when small
+enough, built from the hit masks when the witness's ``certificates``
+entry is first read.
 `gdyn.oracle` re-derives every verdict by brute force from the raw
 definitions, in a table with the same names; the tests keep them agreed.
 """
@@ -78,7 +102,14 @@ from typing import NamedTuple
 
 from .algebra import Action, is_equivariant, quotient, trivial_action
 from .bitsets import bits
-from .dynamics import GSystem, MaxTableEntries, gf_periodic_mask, nfold_system, product_system
+from .dynamics import (
+    GSystem,
+    IterateCache,
+    MaxTableEntries,
+    gf_periodic_mask,
+    nfold_system,
+    product_system,
+)
 from .errors import LimitError, PreconditionError
 
 CertificateLimit = 10_000
@@ -93,14 +124,15 @@ class PropertyReport(NamedTuple):
 
 class _Ctx:
     """Shared per-system scan state: the action's scan columns and the
-    hit-mask table, one row per basis open.  ``element`` serves
-    certificates only.
+    hit-mask table, one row per basis open.  It serves false witnesses,
+    certificates and the sgm sufficient condition, no verdict.
+    ``element`` serves certificates only.
 
     It keeps the map, the action and the iterate cache, not the system:
     the system holds its context (``_scan``), and a reference back would
     make a cycle that only the garbage collector frees."""
 
-    __slots__ = ("f", "action", "cache", "basis", "pos", "window", "cycle_window", "e",
+    __slots__ = ("f", "action", "cache", "basis", "pos", "window", "cycle_window",
                  "_sats", "_col", "_steps", "_rows", "_elements")
 
     def __init__(self, sys: GSystem):
@@ -108,7 +140,7 @@ class _Ctx:
         self.action = action = sys.action
         self.cache = c = sys.cache()
         n = len(sys.f)
-        if c.horizon >= 2 and c.horizon * n > MaxTableEntries:
+        if not _window_fits(c, n):
             raise LimitError(
                 f"scan: the exponent window [1, {c.horizon}] on {n} points passes"
                 f" the bound of {MaxTableEntries} mask bits"
@@ -117,7 +149,6 @@ class _Ctx:
         self.basis, self.pos, self._col, self._sats = _columns(action)
         self.window = ((1 << c.horizon) - 1) << 1  # exponents [1, p+q]
         self.cycle_window = ((1 << c.period) - 1) << (c.preperiod + 1)
-        self.e = c.period * max(1, -(-c.preperiod // c.period))  # tgt's exponent
         self._steps: dict[int, int] = {}
         self._rows: dict[int, list[int]] = {}
         self._elements: dict[tuple[int, int, int], str] = {}
@@ -217,6 +248,33 @@ def _scan(sys: GSystem) -> _Ctx:
     return sys._scan
 
 
+def _window_fits(c: IterateCache, n: int) -> bool:
+    """Whether hit masks over the window [1, p+q] on n points stay within
+    ``MaxTableEntries`` bits."""
+    return c.horizon < 2 or c.horizon * n <= MaxTableEntries
+
+
+def _exponent(c: IterateCache) -> int:
+    """tgt's exponent e: the least multiple of q with e >= max(p, 1)."""
+    return c.period * max(1, -(-c.preperiod // c.period))
+
+
+def _atoms(action: Action) -> tuple[tuple[int, ...], int, bool]:
+    """The action's minimal points, memoised on it: the least point of
+    each atom (a minimal open that is its class, every point of it having
+    that minimal open), the mask Min of the minimal points, and whether
+    Min is one orbit of atoms."""
+    if action._atoms is None:
+        classes: dict[int, int] = {}  # minimal open -> the points that have it
+        for x, m in enumerate(action.space.min_open):
+            classes[m] = classes.get(m, 0) | 1 << x
+        atoms = [m for m, cls in classes.items() if cls == m]
+        minimal = reduce(or_, atoms)
+        action._atoms = (tuple(map(_lowest, atoms)), minimal,
+                         action.saturate(atoms[0]) == minimal)
+    return action._atoms
+
+
 class _Certified(Mapping):
     """A true verdict's witness: fixed entries, then ``certificates``,
     which is built from the scan table when it is first read."""
@@ -253,9 +311,11 @@ class _Certified(Mapping):
         return dict, (dict(self),)
 
 
-def _witness(count: int, summary: str, build: Callable[[], tuple], **fixed) -> Mapping:
-    """Certificates built on first read, or a summary past the limit."""
-    if count > CertificateLimit:
+def _witness(sys: GSystem, count: int, summary: str, build: Callable[[], tuple],
+             **fixed) -> Mapping:
+    """Certificates built on first read, or a summary past the limit or
+    where the scan context, which builds them, would refuse the window."""
+    if count > CertificateLimit or not _window_fits(sys.cache(), len(sys.f)):
         return {"summary": f"{count} {summary} verified", **fixed}
     return _Certified(fixed, build)
 
@@ -321,7 +381,7 @@ def _transitivity(sys: GSystem) -> tuple[bool, Mapping]:
             out.append((names(u), names(v), k, ctx.element(u, k, v)))
         return tuple(out)
 
-    return True, _witness(len(basis) ** 2, "basis pairs", build)
+    return True, _witness(sys, len(basis) ** 2, "basis pairs", build)
 
 
 def is_g_transitive(sys: GSystem) -> PropertyReport:
@@ -330,10 +390,68 @@ def is_g_transitive(sys: GSystem) -> PropertyReport:
     return PropertyReport("gt", *_transitivity(sys))
 
 
+# -- the minimal points -------------------------------------------------------
+
+
 def _tgt(sys: GSystem) -> bool:
-    """tgt: every hit mask has bit e."""
-    ctx = _scan(sys)
-    return all((h >> ctx.e) & 1 for u in ctx.basis for h in ctx.row(u))
+    """tgt: Min is one orbit of atoms, and f^e maps every atom into it."""
+    reps, minimal, one_orbit = _atoms(sys.action)
+    if not one_orbit:
+        return False
+    c = sys.cache()
+    e, image = _exponent(c), c.image
+    return all((minimal >> image(m, e)) & 1 for m in reps)
+
+
+def _sgm(sys: GSystem) -> bool:
+    """sgm: Min is one orbit of atoms, and the cycle of every atom lies
+    inside it."""
+    reps, minimal, one_orbit = _atoms(sys.action)
+    if not one_orbit:
+        return False
+    c = sys.cache()
+    fwd, depth, image = c.fwd, c.depth, c.image
+    return not any(fwd[image(m, depth[m])] & ~minimal for m in reps)
+
+
+def _residues(c: IterateCache, f: tuple[int, ...], m: int, minimal: int) -> tuple[int, int]:
+    """m's cycle length L and the residues mod L of its return exponents
+    on the cycle: bit j is set iff f^k(m) is in Min for the k >= d(m)
+    with k = j mod L.  One walk of d + L steps."""
+    d, size = c.depth[m], c.length[m]
+    y, out = c.image(m, d), 0
+    for k in range(d, d + size):
+        out |= ((minimal >> y) & 1) << k % size
+        y = f[y]
+    return size, out
+
+
+def _folded(residues: int, g: int) -> int:
+    """A residue mask mod L as residues mod g, a divisor of L."""
+    low, out = (1 << g) - 1, 0
+    while residues:
+        out |= residues & low
+        residues >>= g
+    return out
+
+
+def _wgm(sys: GSystem) -> bool:
+    """wgm: Min is one orbit of atoms, and the return sets of the atoms
+    meet pairwise, which they do iff their residues on the cycles do."""
+    reps, minimal, one_orbit = _atoms(sys.action)
+    if not one_orbit:
+        return False
+    c, f = sys.cache(), sys.f
+    sets = list(dict.fromkeys(_residues(c, f, m, minimal) for m in reps))
+    for i, (size, a) in enumerate(sets):
+        for other, b in sets[i:]:
+            g = gcd(size, other)
+            if not _folded(a, g) & _folded(b, g):
+                return False
+    return True
+
+
+# -- total transitivity and mixing --------------------------------------------
 
 
 def _least_failing_iterate(ctx: _Ctx) -> tuple[int, int, int]:
@@ -349,7 +467,7 @@ def _least_failing_iterate(ctx: _Ctx) -> tuple[int, int, int]:
             # exactly at the empty masks
             return 1, u, basis[row.index(0)]
         masks += row
-    e = ctx.e
+    e = _exponent(c)
     # a mask with bit e meets the reduced exponents of every m, so the
     # least failing m is searched on the distinct masks without it
     lacking = [h for h in set(masks) if not (h >> e) & 1]
@@ -368,21 +486,22 @@ def is_totally_g_transitive(sys: GSystem) -> PropertyReport:
     """Every iterate f^m, m >= 1, is itself G-transitive.
 
     Decided on one exponent: e, the least multiple of q with e >= max(p, 1),
-    serves every m at once (f^(m*e) = f^e), so tgt holds iff every hit mask
-    has bit e.  A false verdict names the least failing m, where f^m hits
-    at the reduced exponents of m*j, j >= 1: the tail exponents m*j <= p
-    and the cycle exponents k in [p+1, p+q] with k = 0 mod gcd(m, q)."""
-    ctx, names = _scan(sys), sys.space.names
+    serves every m at once (f^(m*e) = f^e), so tgt holds iff f^e maps
+    every atom into Min, and Min is one orbit of atoms.  A false verdict
+    names the least failing m, where f^m hits at the reduced exponents of
+    m*j, j >= 1: the tail exponents m*j <= p and the cycle exponents k in
+    [p+1, p+q] with k = 0 mod gcd(m, q)."""
+    names = sys.space.names
     if not _tgt(sys):
-        m, u, v = _least_failing_iterate(ctx)
+        m, u, v = _least_failing_iterate(_scan(sys))
         return PropertyReport("tgt", False, {"m": m, "U": names(u), "V": names(v)})
-    c = ctx.cache
+    c = sys.cache()
     # f^1 .. f^(p+q-1) are distinct tables, and f^(p+q) repeats f^p
     # unless p = 0
     ms = range(1, c.horizon + 1 if c.preperiod == 0 else c.horizon)
 
     def build() -> tuple:
-        out = []
+        ctx, out = _scan(sys), []
         for m in ms:
             for u, v, h in _pairs(ctx):
                 k = next(k for k in (c.reduce(m * j) for j in range(1, c.horizon + 1))
@@ -390,15 +509,8 @@ def is_totally_g_transitive(sys: GSystem) -> PropertyReport:
                 out.append((m, names(u), names(v), k, ctx.element(u, k, v)))
         return tuple(out)
 
-    count = len(ms) * len(ctx.basis) ** 2
-    return PropertyReport("tgt", True, _witness(count, "(iterate, pair) checks", build))
-
-
-def _wgm(sys: GSystem) -> bool:
-    """wgm: every two hit masks intersect."""
-    ctx = _scan(sys)
-    distinct = set().union(*map(ctx.row, ctx.basis))
-    return all(a & b for a in distinct for b in distinct)
+    count = len(ms) * len(_columns(sys.action)[0]) ** 2
+    return PropertyReport("tgt", True, _witness(sys, count, "(iterate, pair) checks", build))
 
 
 def is_weakly_g_mixing(sys: GSystem) -> PropertyReport:
@@ -406,20 +518,22 @@ def is_weakly_g_mixing(sys: GSystem) -> PropertyReport:
 
     Decided on the base system: for all basis opens U, V, E, F a single
     exponent k must send U into contact with G(E) and V with G(F), which
-    links the product's basis pair (U x V, E x F): every two hit masks
-    intersect.  The product route is ``is_n_fold_transitive(sys, 2)``;
-    the tests compare the two.
+    links the product's basis pair (U x V, E x F).  On atoms that is: Min
+    is one orbit of atoms, and every two return sets meet.  The product
+    route is ``is_n_fold_transitive(sys, 2)``; the tests compare the two.
     """
-    ctx, names = _scan(sys), sys.space.names
+    names = sys.space.names
     if not _wgm(sys):
-        # the ordered scan names the first failing 4-tuple
+        # the ordered scan names the first failing 4-tuple: every two hit
+        # masks intersect iff wgm holds
+        ctx = _scan(sys)
         (u, e, _), (v, w, _) = next((a, b) for a in _pairs(ctx) for b in _pairs(ctx)
                                     if not a[2] & b[2])
         witness = {"U": names(u), "V": names(v), "E": names(e), "F": names(w)}
         return PropertyReport("wgm", False, witness)
 
     def build() -> tuple:
-        out = []
+        ctx, out = _scan(sys), []
         for u, e, m1 in _pairs(ctx):
             for v, w, m2 in _pairs(ctx):
                 k = (m1 & m2).bit_length() - 1
@@ -427,8 +541,8 @@ def is_weakly_g_mixing(sys: GSystem) -> PropertyReport:
                             ctx.element(u, k, e), ctx.element(v, k, w)))
         return tuple(out)
 
-    count = len(ctx.basis) ** 4
-    return PropertyReport("wgm", True, _witness(count, "basis 4-tuples", build))
+    count = len(_columns(sys.action)[0]) ** 4
+    return PropertyReport("wgm", True, _witness(sys, count, "basis 4-tuples", build))
 
 
 def is_n_fold_transitive(sys: GSystem, n: int) -> PropertyReport:
@@ -440,32 +554,27 @@ def is_n_fold_transitive(sys: GSystem, n: int) -> PropertyReport:
                           note=f"product carrier of {prod.space.n} points")
 
 
-def _sgm(sys: GSystem) -> bool:
-    """sgm: every hit mask covers the recurring exponents [p+1, p+q]."""
-    ctx = _scan(sys)
-    window = ctx.cycle_window
-    return all(h & window == window for u in ctx.basis for h in ctx.row(u))
-
-
 def is_strongly_g_mixing(sys: GSystem) -> PropertyReport:
     """For every pair of nonempty opens, all sufficiently large exponents
     hit: some translate of f^n(U) meets V for every n beyond a threshold.
-    Decided on the recurring exponents [p+1, p+q]: every hit mask covers
-    that window."""
-    ctx, names = _scan(sys), sys.space.names
-    c = ctx.cache
+    Decided on the atoms: Min is one orbit of atoms, and the cycle of
+    every atom lies inside Min.  A false verdict names the first basis
+    pair whose hit mask misses a recurring exponent in [p+1, p+q]."""
+    names, c = sys.space.names, sys.cache()
     if not _sgm(sys):
+        ctx = _scan(sys)
         window = ctx.cycle_window
         u, v, h = next(t for t in _pairs(ctx) if window & ~t[2])
         witness = {"U": names(u), "V": names(v), "missing_exponent": _lowest(window & ~h)}
         return PropertyReport("sgm", False, witness)
 
     def build() -> tuple:
+        ctx = _scan(sys)
         return tuple((names(u), names(v), k, ctx.element(u, k, v))
                      for u, v, _ in _pairs(ctx) for k in range(c.preperiod + 1, c.horizon + 1))
 
-    count = len(ctx.basis) ** 2 * c.period
-    witness = _witness(count, "(pair, exponent) checks", build,
+    count = len(_columns(sys.action)[0]) ** 2 * c.period
+    witness = _witness(sys, count, "(pair, exponent) checks", build,
                        threshold=c.preperiod + 1)
     return PropertyReport("sgm", True, witness)
 

@@ -55,7 +55,13 @@ class Space:
                 raise ValidationError(f"space: min_open({pts[x]}) is not a subset of the carrier")
             if not (m >> x) & 1:
                 raise ValidationError(f"space: min_open({pts[x]}) does not contain {pts[x]}")
+        # the first point with a given minimal open fails the base condition
+        # iff every later one does, at the same y, so each open is checked once
+        checked: set[int] = set()
         for x, m in enumerate(mo):
+            if m in checked:
+                continue
+            checked.add(m)
             for y in bits(m):
                 if mo[y] & ~m:
                     raise ValidationError(

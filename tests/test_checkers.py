@@ -467,9 +467,9 @@ def _count_report_parts(monkeypatch):
 
 class TestScanContext:
     def test_one_context_per_system(self, fixture_map, monkeypatch):
-        # the context is memoised on the system, and only the p2 entry
-        # reads the G-periodic points: a profile and the sgm condition
-        # build each once
+        # a profile builds no context (tgt, wgm and sgm are decided on the
+        # minimal points), the sgm condition at most one, and only the p2
+        # entry reads the G-periodic points, once
         calls = {"ctx": 0, "periodic": 0}
         init, periodic = ck._Ctx.__init__, ck.gf_periodic_mask
 
@@ -487,8 +487,10 @@ class TestScanContext:
             sys = _fresh(fx.system)
             calls.update(ctx=0, periodic=0)
             ck.profile(sys)
+            assert calls == {"ctx": 0, "periodic": 1}, fx.name
             ck.sgm_sufficient_condition(sys)
-            assert calls == {"ctx": 1, "periodic": 1}, fx.name
+            ck.sgm_sufficient_condition(sys)
+            assert calls["ctx"] <= 1 and calls["periodic"] == 1, fx.name
 
     def test_mining_computes_flags_once(self, fixture_map, monkeypatch):
         # the miner's p2 literal computes the G-periodic points once; the
@@ -552,7 +554,8 @@ class TestScanContext:
         sys = GSystem(trivial_action(space), tuple((i + 1) % n for i in range(n)))
         tracemalloc.start()
         try:
-            assert ck.Verdicts["gt"](sys) and ck.Verdicts["wgm"](sys)
+            ctx = ck._scan(sys)
+            assert ctx.basis == (space.full,) and ctx.row(space.full) == [ctx.window]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -725,3 +728,60 @@ class TestFiniteDiagram:
                 ck.is_n_fold_transitive(sys, 4)
         else:
             assert not ck.is_n_fold_transitive(sys, true_fold + 1).verdict
+
+
+def _shifted_cycles(lengths):
+    """Disjoint cycles of the given lengths on a discrete carrier, under
+    the cyclic group of the point count shifting every point: one orbit
+    of atoms, and every point minimal."""
+    n = sum(lengths)
+    f, base = [], 0
+    for c in lengths:
+        f += [base + (i + 1) % c for i in range(c)]
+        base += c
+    act = tuple(tuple((x + g) % n for x in range(n)) for g in range(n))
+    space = discrete_space(tuple(f"p{x}" for x in range(n)))
+    return GSystem(Action(cyclic_group(n), space, act), tuple(f))
+
+
+class TestMinimalPoints:
+    def test_every_cycle_length_to_19(self):
+        # 189 points under the trivial group, horizon 232,792,560: every
+        # point is an atom of its own orbit, so Min is 189 orbits of atoms
+        # and tgt, wgm and sgm are false without a hit mask
+        sys = parse(cycles_text(range(2, 20)))
+        want = {"tgt": False, "wgm": False, "sgm": False}
+        start = time.perf_counter()
+        assert ck.profile(sys, want) == want
+        assert time.perf_counter() - start < 1.0
+        with pytest.raises(LimitError, match="exponent window"):
+            ck.is_totally_g_transitive(sys)
+
+    def test_transitive_shift_of_cycles(self):
+        # cycles 2, 3, 5, 7, 11 and 13 under Z41, horizon 30,030: Min is
+        # the carrier, one orbit of atoms, so every return set is all of
+        # k >= 1 and the three properties hold
+        sys = _shifted_cycles((2, 3, 5, 7, 11, 13))
+        assert sys.cache().horizon == 30_030
+        start = time.perf_counter()
+        reps = [decide(sys) for decide in _SCANS[1:]]
+        assert time.perf_counter() - start < 1.0
+        assert [r.verdict for r in reps] == [True, True, True]
+        assert reps[2].witness["threshold"] == 1
+        assert all("summary" in r.witness for r in reps)
+
+    def test_certificates_past_the_mask_bound(self):
+        # the prime cycles to 19 under Z77 (77 points, horizon 9,699,690):
+        # gt offers 77^2 certificates, which the scan context cannot build
+        # past the mask bound, so its true verdict carries the summary;
+        # tgt, wgm and sgm answer true
+        sys = _shifted_cycles((2, 3, 5, 7, 11, 13, 17, 19))
+        with pytest.raises(LimitError, match="exponent window"):
+            ck._Ctx(sys)
+        gt = ck.is_g_transitive(sys)
+        assert gt.verdict and gt.witness == {"summary": "5929 basis pairs verified"}
+        assert "summary" in repr(gt)
+        reps = [decide(sys) for decide in _SCANS[1:]]
+        assert [r.verdict for r in reps] == [True, True, True]
+        assert all("summary" in r.witness for r in reps)
+        assert sys._scan is None

@@ -282,8 +282,9 @@ class TestErrorsExitTwo:
 
     def test_horizon_limit(self, tmp_path, capsys):
         # the prime cycles to 19 (77 points, horizon 9,699,690) and every
-        # cycle length 2..19 (189 points, horizon 232,792,560): the scan's
-        # mask deciders and the report stop at the mask bound, while gt,
+        # cycle length 2..19 (189 points, horizon 232,792,560): the false
+        # witnesses of tgt, wgm and sgm read the hit masks and stop at the
+        # mask bound, while the report decides on the minimal points, gt,
         # gm, cover and the minimal cores read only the forward orbits, and
         # nfold:2 answers on the 77^2-point product and stops at the
         # carrier bound on the 189^2-point one
@@ -297,10 +298,13 @@ class TestErrorsExitTwo:
             assert capsys.readouterr().out == "property=gm verdict=false\nwitness: x=p0\n"
             assert main(["check", str(p), "--property", "cover"]) == 1
             assert capsys.readouterr().out == "property=cover verdict=false\n"
-            checks = [["check", str(p), "--property", prop] for prop in ("tgt", "wgm", "sgm")]
-            for argv in checks + [["report", str(p)]]:
-                assert main(argv) == 2
+            for prop in ("tgt", "wgm", "sgm"):
+                assert main(["check", str(p), "--property", prop]) == 2
                 assert capsys.readouterr().err.startswith("error: scan: the exponent window")
+            assert main(["report", str(p)]) == 0
+            assert capsys.readouterr().out == (
+                "p1=true\np2=true\ngt=false\ntgt=false\nwgm=false\nsgm=false\ngm=false\n"
+                "diagram=consistent\n")
             # one minimal core per cycle
             assert main(["minimal-sets", str(p)]) == 0
             assert capsys.readouterr().out.endswith(f"\ncount={len(lengths)}\n")

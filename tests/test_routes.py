@@ -1,7 +1,10 @@
 """Second routes.  The library decides each property one way; these
 tests recompute it another way and require the two to agree:
-transitivity against the hit-mask table over the sweep, generated
-systems and every labelled system on four points, n-fold transitivity
+transitivity, total transitivity, weak and strong mixing against the
+hit-mask table over the sweep, generated systems and every labelled
+system on four points (the last three also over random two-level systems
+under Z_n, where weak mixing without total transitivity is common),
+n-fold transitivity
 against the masks of the product, total transitivity, weak mixing,
 minimal cores, quotients and derived products over every system of the
 miner's sweep (all systems on up to three points over Z1, Z2 and Z3),
@@ -13,7 +16,8 @@ homomorphism extension over the catalog groups, action validation
 against a copy that also checks every translation for a bijection and
 its inverse for continuity, and the quotient's opens against a
 saturation fixpoint over the sweep, generated systems and every action
-of the catalog groups on four points.  Systems that the sweep and the
+of the catalog groups on four points, and the space's base condition
+against the check at every point.  Systems that the sweep and the
 generator build without re-validation are rebuilt through the
 validating constructors."""
 
@@ -22,7 +26,7 @@ import itertools
 import random
 import re
 
-from conftest import gf_orbit, is_open, map_preimage, opens
+from conftest import DATA, gf_orbit, is_open, map_preimage, opens
 from gdyn import checkers as ck
 from gdyn import corpus
 from gdyn.algebra import Action, Group, catalog, product_group, quotient
@@ -30,6 +34,7 @@ from gdyn.bitsets import bits
 from gdyn.corpus import GeneratorConfig, all_spaces, generate, suite_configs
 from gdyn.dynamics import GSystem, nfold_system, product_system
 from gdyn.errors import GenerationError, ValidationError
+from gdyn.sysfile import parse
 from gdyn.topology import (
     Space,
     automorphisms,
@@ -343,36 +348,141 @@ def test_extend_hom_matches_every_product():
     assert found and none
 
 
-def _gt_by_masks(sys):
-    """Transitivity by the hit-mask table: every mask is nonzero.  Returns
-    the verdict and the names of the first empty pair (U, V) in basis
-    order, or None.  The context is built here, not memoised on the
-    system."""
-    ctx = ck._Ctx(sys)
+def _base_condition_every_point(points, min_open):
+    """The base condition's error, checked at every point in order, or
+    None: y in min_open(x) implies min_open(y) <= min_open(x)."""
+    for x, m in enumerate(min_open):
+        for y in bits(m):
+            if min_open[y] & ~m:
+                return (f"space: base condition fails: {points[y]} in min_open({points[x]}) "
+                        f"but min_open({points[y]}) is not contained in it")
+    return None
+
+
+def test_base_condition_matches_every_point():
+    # random tables on up to six points, each point in its own set, many
+    # sharing a set with an earlier point: Space checks each distinct set
+    # once and must reject with the message of the first failing point
+    rng = random.Random(3)
+    outcomes = collections.Counter()
+    for _ in range(20_000):
+        n = rng.randint(1, 6)
+        points = tuple(f"x{i}" for i in range(n))
+        mo = []
+        for x in range(n):
+            if mo and rng.random() < 0.4:
+                m = rng.choice(mo) | 1 << x
+            else:
+                m = rng.randrange(1 << n) | 1 << x
+            mo.append(m)
+        want = _base_condition_every_point(points, mo)
+        try:
+            Space(points, mo)
+            got = None
+        except ValidationError as exc:
+            got = str(exc)
+        assert got == want
+        outcomes[got is None] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+def _mask_verdicts(ctx):
+    """gt, tgt, wgm and sgm as predicates on the hit-mask table: every
+    mask is nonzero; every mask has bit e; every two masks intersect;
+    every mask covers the recurring exponents [p+1, p+q]."""
+    masks = [h for u in ctx.basis for h in ctx.row(u)]
+    distinct, window, e = set(masks), ctx.cycle_window, ck._exponent(ctx.cache)
+    return {
+        "gt": all(masks),
+        "tgt": all((h >> e) & 1 for h in distinct),
+        "wgm": all(a & b for a in distinct for b in distinct),
+        "sgm": all(h & window == window for h in distinct),
+    }
+
+
+def _gt_witness_by_masks(sys, ctx):
+    """The names of the first empty pair (U, V) in basis order, or None."""
     for u in ctx.basis:
         for v, h in zip(ctx.basis, ctx.row(u)):
             if not h:
-                return False, {"U": sys.space.names(u), "V": sys.space.names(v)}
-    return True, None
+                return {"U": sys.space.names(u), "V": sys.space.names(v)}
+    return None
 
 
 def _gt_agrees_with_masks(sys, rep):
-    verdict, witness = _gt_by_masks(sys)
-    assert rep.verdict == verdict
-    if not verdict:
-        assert rep.witness == witness
-    return verdict
+    """gt's report against the masks of a context built here, not
+    memoised on the system; returns the masks' verdicts."""
+    ctx = ck._Ctx(sys)
+    verdicts = _mask_verdicts(ctx)
+    assert rep.verdict == verdicts["gt"]
+    if not rep.verdict:
+        assert rep.witness == _gt_witness_by_masks(sys, ctx)
+    return verdicts
 
 
-def test_gt_density_matches_the_masks(sweep):
-    # the sweep, the generated systems, and every labelled system on up to
-    # four points over Z1 .. Z4 and Z2xZ2
+def test_gt_density_matches_the_masks(sweep, fixture_map):
+    # gt's density test and the rules on the minimal points for tgt, wgm
+    # and sgm against the hit-mask predicates: the fixtures, the 6-point
+    # witness of wgm without tgt, the sweep, the generated systems, and
+    # every labelled system on up to four points over Z1 .. Z4 and Z2xZ2
     on_four = corpus.enumerate_systems(4, ("Z1", "Z2", "Z3", "Z4", "Z2xZ2"))
+    named = [fx.system for fx in fixture_map.values()]
+    named.append(parse((DATA / "z3_wgm_not_tgt.gds").read_text()))
     outcomes = collections.Counter()
-    for sys in itertools.chain(sweep, _generated(suite_configs(400)), on_four):
-        outcomes[_gt_agrees_with_masks(sys, ck.is_g_transitive(sys))] += 1
-    assert sum(outcomes.values()) == 1637 + 400 + 254_141
-    assert outcomes[False] and outcomes[True]
+    count = 0
+    for sys in itertools.chain(named, sweep, _generated(suite_configs(400)), on_four):
+        verdicts = _gt_agrees_with_masks(sys, ck.is_g_transitive(sys))
+        for name, verdict in verdicts.items():
+            assert ck.Verdicts[name](sys) is verdict, name
+            outcomes[name, verdict] += 1
+        outcomes["wgm&!tgt"] += verdicts["wgm"] and not verdicts["tgt"]
+        count += 1
+    assert count == len(named) + 1637 + 400 + 254_141
+    assert all(outcomes[name, v] for name in ("gt", "tgt", "wgm", "sgm") for v in (False, True))
+    assert outcomes["wgm&!tgt"]
+
+
+def _two_level_system(rng):
+    """A random continuous map on a two-level space under Z_n: minimal
+    points x_0 .. x_(n-1), cycled by the generator, and layers of tops, the
+    top (l, i) above x_i and, in a layer with a shift d, also above
+    x_(i+d), cycled alike.  None when some top has no admissible image."""
+    n, layers = rng.randint(3, 8), rng.randint(1, 3)
+    min_open = [1 << i for i in range(n)]
+    for layer in range(layers):
+        d = rng.choice((0, rng.randrange(1, n)))
+        min_open += [1 << i | 1 << (i + d) % n | 1 << n * (layer + 1) + i for i in range(n)]
+    size = len(min_open)
+    act = [[(x + g) % n if x < n else x - x % n + (x + g) % n for x in range(size)]
+           for g in range(n)]
+    f = [rng.randrange(size) for _ in range(n)]
+    for t in range(n, size):
+        image = map_image(f, min_open[t] & ~(1 << t))
+        options = [y for y in range(size) if not image & ~min_open[y]]
+        if not options:
+            return None
+        f.append(rng.choice(options))
+    space = Space(tuple(f"x{i}" for i in range(size)), min_open)
+    return GSystem(Action(catalog().get(f"Z{n}"), space, act), f)
+
+
+def test_minimal_point_rules_on_two_level_systems():
+    # Min is one orbit of atoms on every such system, and its cycles leave
+    # Min and come back, so weak mixing without total transitivity occurs
+    # often enough to reach the residue rule of wgm
+    rng = random.Random(5)
+    outcomes = collections.Counter()
+    while outcomes["checked"] < 3000:
+        sys = _two_level_system(rng)
+        if sys is None:
+            continue
+        verdicts = _mask_verdicts(ck._Ctx(sys))
+        for name in ("tgt", "wgm", "sgm"):
+            assert ck.Verdicts[name](sys) is verdicts[name], name
+        outcomes["checked"] += 1
+        outcomes["wgm&!tgt"] += verdicts["wgm"] and not verdicts["tgt"]
+        outcomes["tgt"] += verdicts["tgt"]
+    assert outcomes["wgm&!tgt"] >= 30 and outcomes["tgt"]
 
 
 def test_nfold_matches_the_product_masks(sweep):
@@ -380,7 +490,7 @@ def test_nfold_matches_the_product_masks(sweep):
     for sys in sweep:
         for n in (2, 3):
             rep = ck.is_n_fold_transitive(sys, n)
-            outcomes[n, _gt_agrees_with_masks(nfold_system(sys, n), rep)] += 1
+            outcomes[n, _gt_agrees_with_masks(nfold_system(sys, n), rep)["gt"]] += 1
     assert all(outcomes[n, v] for n in (2, 3) for v in (False, True))
 
 
