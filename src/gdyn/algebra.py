@@ -3,9 +3,10 @@ finite spaces by homeomorphisms.
 
 Groups are validated at construction (totality, identity, associativity
 by Light's test over a generating set, inverses); actions are validated
-against the action axioms (compatibility over a generating set) and
-every translation is checked to be a continuous bijection, which on a
-finite space is a homeomorphism.  Products of validated groups and
+against the action axioms (compatibility over a generating set), which
+make every translation a bijection, and the translations by a
+generating set are checked to be continuous, which makes every
+translation a homeomorphism.  Products of validated groups and
 actions satisfy the axioms by construction and skip the checks.  Both
 are immutable value types.
 """
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 from .bitsets import bits
 from .errors import ValidationError
-from .topology import Space, identity_table, is_continuous, map_image, product
+from .topology import Space, find_discontinuity, identity_table, map_image, product
 
 
 class Group:
@@ -197,13 +198,10 @@ class Action:
         n, m = space.n, group.order
         if len(table) != m or any(len(row) != n for row in table):
             raise ValidationError("action: table must be |G| x |X|")
-        for row in table:
-            for v in row:
-                if not (0 <= v < n):
-                    raise ValidationError("action: table entry outside the carrier")
-        e = group.identity
-        for x in range(n):
-            if table[e][x] != x:
+        if any(not 0 <= v < n for row in table for v in row):
+            raise ValidationError("action: table entry outside the carrier")
+        for x, y in enumerate(table[group.identity]):
+            if x != y:
                 raise ValidationError(
                     f"action: identity must act trivially, moves {space.points[x]}"
                 )
@@ -218,14 +216,16 @@ class Action:
                             f"action: compatibility fails at "
                             f"({group.elements[g]}, {group.elements[h]}, {space.points[x]})"
                         )
-        # with compatibility and a trivial identity, table[inv g] is the
-        # inverse of table[g], so every translation is a bijection.  The
-        # inverse of a continuous bijection of a finite space is continuous
-        # (taking preimages is injective on the finitely many opens, so
-        # every open is a preimage of an open), so a translation is a
-        # homeomorphism once its own row is continuous
-        for g in range(m):
-            if not is_continuous(space, table[g]):
+        # compatibility and a trivial identity make table[inv g] the inverse
+        # of table[g] and table[gh] the composite of table[g] and table[h].
+        # A continuous bijection of a finite space has a continuous inverse
+        # (preimages are injective on the finitely many opens), so continuous
+        # generator rows make every translation a homeomorphism.  The first
+        # g whose row is not continuous is a generator, since the greedy set
+        # skips only products of earlier, continuous elements: the message
+        # names the same g as a check of every row in element order
+        for g in group.generators():
+            if find_discontinuity(space, table[g]) is not None:
                 raise ValidationError(
                     f"action: translation by {group.elements[g]} is not continuous"
                 )

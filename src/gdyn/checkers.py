@@ -28,7 +28,8 @@ bounds the masks: a window [1, p+q] on |X| points past
 ``MaxTableEntries`` raises LimitError, and past it a true verdict
 carries a summary instead of certificates.  No verdict reads the window,
 so every property answers past that bound; only the false witnesses of
-tgt, wgm and sgm and the sgm sufficient condition stop there.
+tgt, wgm and sgm and the sgm sufficient condition on an sgm-false system
+stop there.
 
 Total transitivity is decided on one exponent.  Let e be the least
 multiple of q with e >= max(p, 1).  For every m >= 1, m*e is >= p and
@@ -691,21 +692,27 @@ _FiniteSpaceNote = (
 
 
 def sgm_sufficient_condition(sys: GSystem) -> SgmCondition:
+    """Whether the sufficient condition for sgm applies, with the sgm
+    verdict where it does.  An sgm system meets it at once: the points of
+    Min have dense saturated orbits, and the minimal open W of each holds
+    an atom whose cycle lies in Min <= G(W), so W returns at every exponent
+    past p.  Otherwise the return test reads the hit masks, so an
+    sgm-false system past ``MaxTableEntries`` still raises ``LimitError``."""
     if not sys.pseudoequivariant():
         return SgmCondition(False, None, "map is not pseudoequivariant")
     if _untransitive(sys) is not None:
         return SgmCondition(False, None, "system is not transitive")
-    trans = g_transitive_points(sys)
+    if _sgm(sys):
+        return SgmCondition(True, True, _FiniteSpaceNote)
     ctx = _scan(sys)
     window = ctx.cycle_window
-    for x in bits(trans):
+    for x in bits(g_transitive_points(sys)):
         # W returns at every recurring exponent: f^k(W) meets G(W)
         w = sys.space.min_open[x]
         if ctx.row(w)[ctx.pos[w]] & window == window:
-            return SgmCondition(True, _sgm(sys), _FiniteSpaceNote)
-    return SgmCondition(
-        False, None, "no dense-orbit point whose neighbourhood eventually returns"
-    )
+            return SgmCondition(True, False, _FiniteSpaceNote)  # sgm is false here
+    return SgmCondition(False, None,
+                        "no dense-orbit point whose neighbourhood eventually returns")
 
 
 class ProductMinimality(NamedTuple):

@@ -377,11 +377,9 @@ def _sample_map(rng: random.Random, action: Action, pseudo_only: bool) -> tuple[
             table = tuple(t)
         else:
             table = tuple(rng.randrange(n) for _ in range(n))
-        if find_discontinuity(space, table) is not None:
-            continue
-        if pseudo_only and not is_pseudoequivariant(action, table):
-            continue
-        return table
+        if find_discontinuity(space, table) is None and (
+                not pseudo_only or is_pseudoequivariant(action, table)):
+            return table
     raise GenerationError(
         f"no admissible map found within {MapAttempts} attempts"
     )

@@ -37,8 +37,8 @@ from .topology import space_from_subbasis
 # that worst case still validates in about half a second (README)
 MaxGroupOrder = 256
 # the largest carrier a file may declare.  At this size the costliest check
-# measured, wgm on a discrete cycle under the trivial group, takes about 3 s
-# and 319 MB, and parsing an indiscrete cycle about 3 s (README)
+# measured, tgt on a discrete cycle under the trivial group, takes about
+# 2.6 s and 336 MB (README)
 MaxPoints = 1500
 
 

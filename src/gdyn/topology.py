@@ -161,13 +161,10 @@ def space_from_subbasis(points: Sequence[str], subbasis: Iterable[Iterable[str]]
                 raise ValidationError(f"subbasis: unknown point {name!r}")
             m |= 1 << idx[name]
         sets.append(m)
-    mo = []
-    for x in range(len(pts)):
-        m = full
-        for s in sets:
-            if (s >> x) & 1:
-                m &= s
-        mo.append(m)
+    mo = [full] * len(pts)
+    for s in sets:
+        for x in bits(s):
+            mo[x] &= s
     return Space(pts, mo)
 
 
@@ -194,8 +191,7 @@ def product(s1: Space, s2: Space) -> Space:
 
 
 def check_table(space: Space, table: Sequence[int]) -> tuple[int, ...]:
-    t = tuple(table)
-    n = space.n
+    t, n = tuple(table), space.n
     if len(t) != n or min(t) < 0 or max(t) >= n:
         raise ValidationError("map: table must send every point to a point of the carrier")
     return t
@@ -223,20 +219,19 @@ def is_continuous(space: Space, table: Sequence[int]) -> bool:
     Equivalent to "the preimage of every open set is open"; the tests
     cross-check both formulations.
     """
-    return find_discontinuity(space, table) is None
+    return find_discontinuity(space, check_table(space, table)) is None
 
 
 def find_discontinuity(space: Space, table: Sequence[int]) -> int | None:
-    """Index of a point violating the continuity criterion, or None."""
-    t = check_table(space, table)
-    mo = space.min_open
+    """The first point x, in carrier order, with f(min_open(x)) not inside
+    min_open(f(x)), or None.  ``table`` must send every point into the
+    carrier (``check_table``); each distinct minimal open is imaged once."""
+    mo, images = space.min_open, {}
     for x, m in enumerate(mo):
-        target = mo[t[x]]
-        while m:  # every y in min_open(x) must have f(y) in min_open(f(x))
-            low = m & -m
-            if not (target >> t[low.bit_length() - 1]) & 1:
-                return x
-            m ^= low
+        if m not in images:
+            images[m] = map_image(table, m)
+        if images[m] & ~mo[table[x]]:
+            return x
     return None
 
 

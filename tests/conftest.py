@@ -80,6 +80,17 @@ def brute_closure(space, a):
     return out
 
 
+def first_discontinuity(space, table):
+    """The first point x, in carrier order, some y of whose minimal open
+    has f(y) outside min_open(f(x)), point by point: the reference for
+    ``find_discontinuity``."""
+    for x in range(space.n):
+        target = space.min_open[table[x]]
+        if any(not (target >> table[y]) & 1 for y in bits(space.min_open[x])):
+            return x
+    return None
+
+
 def map_preimage(table, a, n):
     """Mask of the points x < n with table[x] in a."""
     out = 0

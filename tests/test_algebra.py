@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from gdyn.algebra import (
 from gdyn.checkers import quotient_minimality
 from gdyn.corpus import enumerate_systems
 from gdyn.errors import PreconditionError, ValidationError
+from gdyn.sysfile import MaxPoints
 from gdyn.topology import Space, discrete_space, map_image, product
 
 
@@ -133,6 +135,22 @@ class TestActionValidation:
         sp = Space(("a", "b"), (0b01, 0b11))
         with pytest.raises(ValidationError, match="continuous"):
             Action(cyclic_group(2), sp, ((0, 1), (1, 0)))
+
+    def test_shift_at_the_points_limit(self):
+        # Z8 rotating blocks of 8 points of an indiscrete carrier at the
+        # bound: one continuity check for the one generator, with each
+        # distinct minimal open (here one) imaged once
+        n = MaxPoints
+        sp = Space(tuple(f"p{i}" for i in range(n)), ((1 << n) - 1,) * n)
+        top = n - n % 8
+        rows = tuple(
+            tuple(x if x >= top else x - x % 8 + (x + g) % 8 for x in range(n))
+            for g in range(8)
+        )
+        start = time.perf_counter()
+        action = Action(cyclic_group(8), sp, rows)
+        assert time.perf_counter() - start < 0.5
+        assert action.orbit(0) == 0xFF
 
 
 class TestOrbits:

@@ -294,6 +294,15 @@ class TestSgmCondition:
         assert not cond.applies
         assert cond.note == "system is not transitive"
 
+    def test_known_sgm_past_the_mask_bound(self):
+        # the prime cycles to 19 under Z77: sgm holds, so the condition
+        # applies without the return test, which could not read its hit
+        # masks past the bound
+        sys = _shifted_cycles((2, 3, 5, 7, 11, 13, 17, 19))
+        cond = ck.sgm_sufficient_condition(sys)
+        assert cond[:2] == (True, True)
+        assert sys._scan is None
+
     def test_sound_on_sweep(self):
         # whenever the condition applies the conclusion holds
         applied = 0

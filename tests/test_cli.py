@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -146,6 +147,21 @@ class TestReport:
         for path in files.values():
             assert main(["report", path]) == 0
             assert capsys.readouterr().out.endswith("diagram=consistent\n")
+
+    def test_indiscrete_cycle_at_the_points_limit(self, tmp_path, capsys):
+        # no open lines: every point has the whole carrier as its minimal
+        # open, which continuity checks image once per map
+        text = "".join(line + "\n" for line in cycles_text((MaxPoints,)).splitlines()
+                       if not line.startswith("open "))
+        start = time.perf_counter()
+        parse(text)
+        assert time.perf_counter() - start < 0.5
+        p = tmp_path / "indiscrete_cycle.gds"
+        p.write_text(text)
+        assert main(["report", str(p)]) == 0
+        assert capsys.readouterr().out == (
+            "p1=true\np2=true\ngt=true\ntgt=true\nwgm=true\nsgm=true\ngm=true\n"
+            "diagram=consistent\n")
 
 
 class TestMinimalSets:
