@@ -33,7 +33,7 @@ from .checkers import (
     quotient_minimality,
     sgm_sufficient_condition,
 )
-from .dynamics import GSystem, periodic_points
+from .dynamics import GSystem, IterateCache, periodic_points
 from .errors import GenerationError, ValidationError
 from .sysfile import serialize
 from .topology import (
@@ -53,6 +53,9 @@ ActionAttempts = 60
 MapAttempts = 4000
 # reseeds of ``generate_robust`` after a failed rejection budget
 Reseeds = 8
+# entries in each generator memo (automorphisms per space, actions per
+# draw) before it is cleared
+MemoEntries = 4096
 # the largest size in the implication suite's rotation of sizes
 SuiteMaxPoints = 6
 
@@ -320,6 +323,18 @@ class GeneratorConfig:
 
 
 _auto_cache: dict[tuple, list] = {}
+# (group name, minimal opens, drawn automorphism indices) -> the Action,
+# or None for draws that do not extend to a homomorphism; the indices
+# None key the trivial fallback.  Generated spaces are named by their
+# size, so the minimal opens determine the space
+_action_memo: dict[tuple, Action | None] = {}
+
+
+def _remember(memo: dict, key, value) -> None:
+    """Store in a generator memo, clearing it first when full."""
+    if len(memo) >= MemoEntries:
+        memo.clear()
+    memo[key] = value
 
 
 def _autos(space: Space) -> list[tuple[int, ...]]:
@@ -327,7 +342,7 @@ def _autos(space: Space) -> list[tuple[int, ...]]:
     got = _auto_cache.get(key)
     if got is None:
         got = automorphisms(space)
-        _auto_cache[key] = got
+        _remember(_auto_cache, key, got)
     return got
 
 
@@ -356,28 +371,47 @@ def _extend_hom(group: Group, gens: tuple[int, ...],
 
 
 def _sample_action(rng: random.Random, group: Group, space: Space) -> Action:
+    """Draw generator images until they extend to a homomorphism, else
+    take the trivial action.  Equal draws on one space return one
+    memoised Action, so its orbits, scan columns and atoms are built
+    once per distinct action."""
     autos = _autos(space)
     gens = group.generators()
+    picks = range(len(autos))  # rng.choice(picks) draws as rng.choice(autos)
     for _ in range(ActionAttempts):
-        images = {s: rng.choice(autos) for s in gens}
-        phi = _extend_hom(group, gens, images, space.n)
-        if phi is not None:
-            return Action._trusted(group, space, tuple(phi))
-    ident = identity_table(space.n)
-    return Action._trusted(group, space, tuple(ident for _ in range(group.order)))
+        drawn = tuple(rng.choice(picks) for _ in gens)
+        key = (group.name, space.min_open, drawn)
+        try:
+            action = _action_memo[key]
+        except KeyError:
+            phi = _extend_hom(group, gens, {s: autos[i] for s, i in zip(gens, drawn)},
+                              space.n)
+            action = None if phi is None else Action._trusted(group, space, tuple(phi))
+            _remember(_action_memo, key, action)
+        if action is not None:
+            return action
+    key = (group.name, space.min_open, None)
+    action = _action_memo.get(key)
+    if action is None:
+        ident = identity_table(space.n)
+        action = Action._trusted(group, space, tuple(ident for _ in range(group.order)))
+        _remember(_action_memo, key, action)
+    return action
 
 
 def _sample_map(rng: random.Random, action: Action, pseudo_only: bool) -> tuple[int, ...]:
     space = action.space
     n = space.n
+    picks = range(n)  # rng.choice(picks) draws as rng.randrange(n)
+    discrete = space.is_discrete()  # then every map is continuous
     for _ in range(MapAttempts):
         if rng.random() < 0.3:
-            t = list(range(n))
+            t = list(picks)
             rng.shuffle(t)
             table = tuple(t)
         else:
-            table = tuple(rng.randrange(n) for _ in range(n))
-        if find_discontinuity(space, table) is None and (
+            table = tuple([rng.choice(picks) for _ in picks])
+        if (discrete or find_discontinuity(space, table) is None) and (
                 not pseudo_only or is_pseudoequivariant(action, table)):
             return table
     raise GenerationError(
@@ -405,6 +439,10 @@ def _random_preorder_space(rng: random.Random, names: tuple[str, ...]) -> Space:
     return Space._trusted(names, tuple(mo))
 
 
+# the generator's point names by carrier size
+_Names = tuple(tuple(f"x{i}" for i in range(n)) for n in range(9))
+
+
 def generate(cfg: GeneratorConfig) -> GSystem:
     """Deterministically build a random system from the config seed."""
     if not 1 <= cfg.max_points <= 8:
@@ -418,7 +456,7 @@ def generate(cfg: GeneratorConfig) -> GSystem:
             raise ValidationError(f"generator: unknown group '{name}'")
     rng = random.Random(cfg.seed)
     n = rng.randint(1, cfg.max_points)
-    names = tuple(f"x{i}" for i in range(n))
+    names = _Names[n]
     if cfg.mode == "discrete":
         space = Space._trusted(names, tuple(1 << i for i in range(n)))
     else:
@@ -470,21 +508,26 @@ def enumerate_systems(max_points: int = 3,
                       ) -> Iterator[GSystem]:
     """Every system on at most max_points points over the named groups:
     all topologies, all actions, all continuous maps.  Deterministic
-    order, suitable for exhaustive sweeps."""
+    order, suitable for exhaustive sweeps.  Systems with the same map
+    share one iterate cache, built on the map's first use in the call."""
     cat = catalog()
     for n in range(1, max_points + 1):
+        caches: dict[tuple[int, ...], IterateCache] = {}
         for space in all_spaces(n):
             autos = _autos(space)
-            conts = [
-                t for t in itertools.product(range(n), repeat=n)
-                if find_discontinuity(space, t) is None
-            ]
+            conts = []
+            for t in itertools.product(range(n), repeat=n):
+                if find_discontinuity(space, t) is None:
+                    cache = caches.get(t)
+                    if cache is None:
+                        cache = caches[t] = IterateCache(t)
+                    conts.append((t, cache))
             for gname in group_names:
                 group = cat[gname]
                 for phi in _all_homs(group, autos, n):
                     action = Action._trusted(group, space, phi)
-                    for f in conts:
-                        yield GSystem._trusted(action, f)
+                    for f, cache in conts:
+                        yield GSystem._trusted(action, f, cache)
 
 
 # -- property miner -----------------------------------------------------------

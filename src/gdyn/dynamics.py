@@ -126,16 +126,20 @@ class GSystem:
         self._set(action, table)
 
     @classmethod
-    def _trusted(cls, action: Action, f: tuple[int, ...]) -> GSystem:
-        """A system from a map already known to be continuous."""
+    def _trusted(cls, action: Action, f: tuple[int, ...],
+                 cache: IterateCache | None = None) -> GSystem:
+        """A system from a map already known to be continuous, optionally
+        with an iterate cache of that same map: the cache depends on the
+        map alone, so systems that share a map may share it."""
         s = cls.__new__(cls)
-        s._set(action, f)
+        s._set(action, f, cache)
         return s
 
-    def _set(self, action: Action, f: tuple[int, ...]) -> None:
+    def _set(self, action: Action, f: tuple[int, ...],
+             cache: IterateCache | None = None) -> None:
         self.action = action
         self.f = f
-        self._cache: IterateCache | None = None
+        self._cache = cache
         self._pseudo: bool | None = None
         self._scan = None
 

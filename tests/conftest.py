@@ -3,11 +3,11 @@ from pathlib import Path
 import pytest
 
 from gdyn import fixtures
-from gdyn.algebra import trivial_action
+from gdyn.algebra import Action, cyclic_group, trivial_action
 from gdyn.bitsets import bits
 from gdyn.corpus import enumerate_systems
 from gdyn.dynamics import GSystem
-from gdyn.topology import compose, map_image
+from gdyn.topology import compose, discrete_space, map_image
 
 DATA = Path(__file__).parent / "data"
 
@@ -163,3 +163,18 @@ def cycles_text(lengths, group_order=1):
     ]
     lines += [f"act {g} {p} {p}" for g in elems for p in pts]
     return "\n".join(lines + maps) + "\n"
+
+
+def shifted_cycles(lengths):
+    """Disjoint cycles of the given lengths on a discrete carrier, under
+    the cyclic group of the point count shifting every point: every
+    saturation is the whole space, so there is one orbit of atoms, and
+    every point is minimal."""
+    n = sum(lengths)
+    f, base = [], 0
+    for c in lengths:
+        f += [base + (i + 1) % c for i in range(c)]
+        base += c
+    act = tuple(tuple((x + g) % n for x in range(n)) for g in range(n))
+    space = discrete_space(tuple(f"p{x}" for x in range(n)))
+    return GSystem(Action(cyclic_group(n), space, act), tuple(f))

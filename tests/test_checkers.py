@@ -17,7 +17,7 @@ from gdyn.dynamics import GSystem, MaxTableEntries, nfold_system
 from gdyn.errors import LimitError, PreconditionError
 from gdyn.sysfile import parse
 from gdyn.topology import compose, discrete_space, map_image, space_from_subbasis
-from tests.conftest import DATA, cycles_text, mask, refute_pair, trivialized
+from tests.conftest import DATA, cycles_text, mask, refute_pair, shifted_cycles, trivialized
 
 
 def _one_point_system():
@@ -175,19 +175,6 @@ class TestMixing:
             assert repr(rep.witness) == repr(want.witness), name
 
 
-def _shifted_cycles(lengths):
-    """Disjoint cycles on a discrete carrier under the transitive shift of
-    Z_n, n the number of points: every saturation is the whole space."""
-    n = sum(lengths)
-    f, base = [], 0
-    for c in lengths:
-        f += [base + (i + 1) % c for i in range(c)]
-        base += c
-    sp = discrete_space(tuple(f"p{i}" for i in range(n)))
-    rows = tuple(tuple((x + g) % n for x in range(n)) for g in range(n))
-    return GSystem(Action(cyclic_group(n), sp, rows), f)
-
-
 class TestLongPeriod:
     def test_horizon_30030_decides_in_closed_form(self):
         # cycles 2, 3, 5, 7, 11, 13 on 41 points: p = 0, q = 30030.  Under
@@ -195,7 +182,7 @@ class TestLongPeriod:
         # five properties hold; tgt reads one exponent instead of looping
         # over every m and j
         start = time.perf_counter()
-        sys = _shifted_cycles((2, 3, 5, 7, 11, 13))
+        sys = shifted_cycles((2, 3, 5, 7, 11, 13))
         c = sys.cache()
         assert (c.preperiod, c.period) == (0, 30030)
         for decide in _SCANS + (ck.is_g_minimal,):
@@ -298,7 +285,7 @@ class TestSgmCondition:
         # the prime cycles to 19 under Z77: sgm holds, so the condition
         # applies without the return test, which could not read its hit
         # masks past the bound
-        sys = _shifted_cycles((2, 3, 5, 7, 11, 13, 17, 19))
+        sys = shifted_cycles((2, 3, 5, 7, 11, 13, 17, 19))
         cond = ck.sgm_sufficient_condition(sys)
         assert cond[:2] == (True, True)
         assert sys._scan is None
@@ -739,20 +726,6 @@ class TestFiniteDiagram:
             assert not ck.is_n_fold_transitive(sys, true_fold + 1).verdict
 
 
-def _shifted_cycles(lengths):
-    """Disjoint cycles of the given lengths on a discrete carrier, under
-    the cyclic group of the point count shifting every point: one orbit
-    of atoms, and every point minimal."""
-    n = sum(lengths)
-    f, base = [], 0
-    for c in lengths:
-        f += [base + (i + 1) % c for i in range(c)]
-        base += c
-    act = tuple(tuple((x + g) % n for x in range(n)) for g in range(n))
-    space = discrete_space(tuple(f"p{x}" for x in range(n)))
-    return GSystem(Action(cyclic_group(n), space, act), tuple(f))
-
-
 class TestMinimalPoints:
     def test_every_cycle_length_to_19(self):
         # 189 points under the trivial group, horizon 232,792,560: every
@@ -770,7 +743,7 @@ class TestMinimalPoints:
         # cycles 2, 3, 5, 7, 11 and 13 under Z41, horizon 30,030: Min is
         # the carrier, one orbit of atoms, so every return set is all of
         # k >= 1 and the three properties hold
-        sys = _shifted_cycles((2, 3, 5, 7, 11, 13))
+        sys = shifted_cycles((2, 3, 5, 7, 11, 13))
         assert sys.cache().horizon == 30_030
         start = time.perf_counter()
         reps = [decide(sys) for decide in _SCANS[1:]]
@@ -784,7 +757,7 @@ class TestMinimalPoints:
         # gt offers 77^2 certificates, which the scan context cannot build
         # past the mask bound, so its true verdict carries the summary;
         # tgt, wgm and sgm answer true
-        sys = _shifted_cycles((2, 3, 5, 7, 11, 13, 17, 19))
+        sys = shifted_cycles((2, 3, 5, 7, 11, 13, 17, 19))
         with pytest.raises(LimitError, match="exponent window"):
             ck._Ctx(sys)
         gt = ck.is_g_transitive(sys)

@@ -6,6 +6,7 @@ import pytest
 
 from gdyn import checkers as ck
 from gdyn import corpus
+from gdyn.dynamics import IterateCache
 from gdyn.errors import GenerationError, ValidationError
 from gdyn.sysfile import serialize
 
@@ -81,6 +82,36 @@ class TestGenerator:
             "96fc0e19ff227baa3fc354c8d79093069abc24d9cb2e7d2bb0be8048038aa652"
         )
 
+    def test_memo_bound_keeps_the_digest(self, monkeypatch):
+        # with room for one entry the generator memos are cleared on
+        # almost every draw, and every system must come out the same
+        monkeypatch.setattr(corpus, "MemoEntries", 1)
+        monkeypatch.setattr(corpus, "_auto_cache", {})
+        monkeypatch.setattr(corpus, "_action_memo", {})
+        self.test_generation_is_pinned()
+        assert len(corpus._auto_cache) == len(corpus._action_memo) == 1
+
+    def test_equal_draws_share_one_action(self):
+        for mode in ("discrete", "preorder"):
+            cfg = corpus.GeneratorConfig(seed=42, max_points=5, groups=("Z2",), mode=mode)
+            assert corpus.generate(cfg).action is corpus.generate(cfg).action
+
+    @pytest.mark.parametrize("target, kwargs", [
+        ("tgt&!wgm", {"seed": 3, "budget": 400}),
+        ("gt", {"seed": 0, "budget": 3000, "sweep": False}),
+    ])
+    def test_memo_state_does_not_change_a_result(self, target, kwargs, monkeypatch):
+        monkeypatch.setattr(corpus, "_auto_cache", {})
+        monkeypatch.setattr(corpus, "_action_memo", {})
+
+        def outcome(res):
+            system = None if res.system is None else serialize(res.system)
+            return res.found, res.phase, res.detail, dict(res.record), system
+
+        cold = outcome(corpus.mine(target, **kwargs))
+        assert corpus._action_memo
+        assert outcome(corpus.mine(target, **kwargs)) == cold
+
     def test_budget_exhaustion(self, monkeypatch):
         monkeypatch.setattr(corpus, "MapAttempts", 0)
         cfg = corpus.GeneratorConfig(seed=0, max_points=5, pseudoequivariant_only=True)
@@ -97,6 +128,15 @@ class TestEnumeration:
 
     def test_system_count(self):
         assert sum(1 for _ in corpus.enumerate_systems()) == 1637
+
+    def test_systems_with_one_map_share_its_cache(self, sweep):
+        # one iterate cache per map table, equal to a fresh walk of it
+        for sys in sweep:
+            want, got = IterateCache(sys.f), sys.cache()
+            assert (got.f, got.depth, got.length, got.fwd) == (
+                want.f, want.depth, want.length, want.fwd)
+            assert (got.preperiod, got.period) == (want.preperiod, want.period)
+        assert len({id(sys.cache()) for sys in sweep}) == len({sys.f for sys in sweep}) == 32
 
     def test_systems_are_valid(self):
         for sys in itertools.islice(corpus.enumerate_systems(), 200):
