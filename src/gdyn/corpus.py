@@ -56,6 +56,8 @@ Reseeds = 8
 # entries in each generator memo (automorphisms per space, actions per
 # draw) before it is cleared
 MemoEntries = 4096
+# the largest carrier the generator accepts as ``max_points``
+GeneratorMaxPoints = 8
 # the largest size in the implication suite's rotation of sizes
 SuiteMaxPoints = 6
 
@@ -440,13 +442,15 @@ def _random_preorder_space(rng: random.Random, names: tuple[str, ...]) -> Space:
 
 
 # the generator's point names by carrier size
-_Names = tuple(tuple(f"x{i}" for i in range(n)) for n in range(9))
+_Names = tuple(tuple(f"x{i}" for i in range(n))
+               for n in range(GeneratorMaxPoints + 1))
 
 
 def generate(cfg: GeneratorConfig) -> GSystem:
     """Deterministically build a random system from the config seed."""
-    if not 1 <= cfg.max_points <= 8:
-        raise ValidationError("generator: max_points must be in 1..8")
+    if not 1 <= cfg.max_points <= GeneratorMaxPoints:
+        raise ValidationError(
+            f"generator: max_points must be in 1..{GeneratorMaxPoints}")
     if cfg.mode not in ("discrete", "preorder"):
         raise ValidationError(f"generator: unknown mode '{cfg.mode}'")
     pool = cfg.groups if cfg.groups is not None else DefaultGroupPool
