@@ -13,6 +13,7 @@ are immutable value types.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from operator import itemgetter
 from typing import NamedTuple
@@ -145,16 +146,8 @@ def cyclic_group(n: int) -> Group:
 
 def klein_group() -> Group:
     elems = ("e", "a", "b", "ab")
-    # componentwise xor on two Z2 coordinates
-    coords = {0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (1, 1)}
-    rev = {v: k for k, v in coords.items()}
-    mul = tuple(
-        tuple(
-            rev[(coords[i][0] ^ coords[j][0], coords[i][1] ^ coords[j][1])]
-            for j in range(4)
-        )
-        for i in range(4)
-    )
+    # index bits are the two Z2 coordinates, so the product is their xor
+    mul = tuple(tuple(i ^ j for j in range(4)) for i in range(4))
     return Group(elems, mul, name="Z2xZ2")
 
 
@@ -172,16 +165,11 @@ def symmetric_group_3() -> Group:
     return Group(names, mul, name="S3")
 
 
-_CATALOG: dict[str, Group] | None = None
-
-
+@functools.cache
 def catalog() -> dict[str, Group]:
     """Validated stock groups: Z1..Z8, the Klein four-group, S3."""
-    global _CATALOG
-    if _CATALOG is None:
-        groups = [cyclic_group(n) for n in range(1, 9)] + [klein_group(), symmetric_group_3()]
-        _CATALOG = {g.name: g for g in groups}
-    return _CATALOG
+    groups = [cyclic_group(n) for n in range(1, 9)] + [klein_group(), symmetric_group_3()]
+    return {g.name: g for g in groups}
 
 
 class Action:

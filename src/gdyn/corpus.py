@@ -15,6 +15,7 @@ continuity (optionally also for pseudoequivariance).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -54,7 +55,7 @@ MapAttempts = 4000
 # reseeds of ``generate_robust`` after a failed rejection budget
 Reseeds = 8
 # entries in each generator memo (automorphisms per space, actions per
-# draw) before it is cleared
+# draw), least recently used evicted first
 MemoEntries = 4096
 # the largest carrier the generator accepts as ``max_points``
 GeneratorMaxPoints = 8
@@ -324,28 +325,15 @@ class GeneratorConfig:
     pseudoequivariant_only: bool = False
 
 
-_auto_cache: dict[tuple, list] = {}
-# (group name, minimal opens, drawn automorphism indices) -> the Action,
-# or None for draws that do not extend to a homomorphism; the indices
-# None key the trivial fallback.  Generated spaces are named by their
-# size, so the minimal opens determine the space
-_action_memo: dict[tuple, Action | None] = {}
+# the generator's point names by carrier size
+_Names = tuple(tuple(f"x{i}" for i in range(n))
+               for n in range(GeneratorMaxPoints + 1))
 
 
-def _remember(memo: dict, key, value) -> None:
-    """Store in a generator memo, clearing it first when full."""
-    if len(memo) >= MemoEntries:
-        memo.clear()
-    memo[key] = value
-
-
-def _autos(space: Space) -> list[tuple[int, ...]]:
-    key = (space.n, space.min_open)
-    got = _auto_cache.get(key)
-    if got is None:
-        got = automorphisms(space)
-        _remember(_auto_cache, key, got)
-    return got
+@functools.lru_cache(maxsize=MemoEntries)
+def _autos(min_open: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The automorphisms of the space with these minimal opens."""
+    return tuple(automorphisms(Space._trusted(_Names[len(min_open)], min_open)))
 
 
 def _extend_hom(group: Group, gens: tuple[int, ...],
@@ -372,33 +360,38 @@ def _extend_hom(group: Group, gens: tuple[int, ...],
     return phi
 
 
+@functools.lru_cache(maxsize=MemoEntries)
+def _drawn_action(group_name: str, min_open: tuple[int, ...],
+                  drawn: tuple[int, ...] | None) -> Action | None:
+    """The catalog group's action on the space with these minimal opens
+    in which each generator acts by the automorphism of its drawn index,
+    or None where the draw does not extend to a homomorphism; drawn None
+    gives the trivial action.  Generated and enumerated spaces are named
+    by their size, so equal keys give one Action, whose orbits, scan
+    columns and atoms are built once."""
+    group = catalog()[group_name]
+    n = len(min_open)
+    space = Space._trusted(_Names[n], min_open)
+    if drawn is None:
+        ident = identity_table(n)
+        return Action._trusted(group, space, tuple(ident for _ in range(group.order)))
+    autos = _autos(min_open)
+    gens = group.generators()
+    phi = _extend_hom(group, gens, {s: autos[i] for s, i in zip(gens, drawn)}, n)
+    return None if phi is None else Action._trusted(group, space, tuple(phi))
+
+
 def _sample_action(rng: random.Random, group: Group, space: Space) -> Action:
     """Draw generator images until they extend to a homomorphism, else
-    take the trivial action.  Equal draws on one space return one
-    memoised Action, so its orbits, scan columns and atoms are built
-    once per distinct action."""
-    autos = _autos(space)
+    take the trivial action."""
+    picks = range(len(_autos(space.min_open)))  # draws as rng.choice(autos)
     gens = group.generators()
-    picks = range(len(autos))  # rng.choice(picks) draws as rng.choice(autos)
     for _ in range(ActionAttempts):
         drawn = tuple(rng.choice(picks) for _ in gens)
-        key = (group.name, space.min_open, drawn)
-        try:
-            action = _action_memo[key]
-        except KeyError:
-            phi = _extend_hom(group, gens, {s: autos[i] for s, i in zip(gens, drawn)},
-                              space.n)
-            action = None if phi is None else Action._trusted(group, space, tuple(phi))
-            _remember(_action_memo, key, action)
+        action = _drawn_action(group.name, space.min_open, drawn)
         if action is not None:
             return action
-    key = (group.name, space.min_open, None)
-    action = _action_memo.get(key)
-    if action is None:
-        ident = identity_table(space.n)
-        action = Action._trusted(group, space, tuple(ident for _ in range(group.order)))
-        _remember(_action_memo, key, action)
-    return action
+    return _drawn_action(group.name, space.min_open, None)
 
 
 def _sample_map(rng: random.Random, action: Action, pseudo_only: bool) -> tuple[int, ...]:
@@ -439,11 +432,6 @@ def _random_preorder_space(rng: random.Random, names: tuple[str, ...]) -> Space:
         mo.append(seen)
     # reachability sets satisfy the base condition by construction
     return Space._trusted(names, tuple(mo))
-
-
-# the generator's point names by carrier size
-_Names = tuple(tuple(f"x{i}" for i in range(n))
-               for n in range(GeneratorMaxPoints + 1))
 
 
 def generate(cfg: GeneratorConfig) -> GSystem:
@@ -498,27 +486,19 @@ def all_spaces(n: int) -> Iterator[Space]:
             yield Space._trusted(names, combo)
 
 
-def _all_homs(group: Group, autos: list[tuple[int, ...]], n: int):
-    # distinct images give distinct homomorphisms: phi(s) is the image of s
-    gens = group.generators()
-    for images in itertools.product(autos, repeat=len(gens)):
-        phi = _extend_hom(group, gens, dict(zip(gens, images)), n)
-        if phi is not None:
-            yield tuple(phi)
-
-
 def enumerate_systems(max_points: int = 3,
                       group_names: tuple[str, ...] = ("Z1", "Z2", "Z3"),
                       ) -> Iterator[GSystem]:
     """Every system on at most max_points points over the named groups:
     all topologies, all actions, all continuous maps.  Deterministic
     order, suitable for exhaustive sweeps.  Systems with the same map
-    share one iterate cache, built on the map's first use in the call."""
+    share one iterate cache, built on the map's first use in the call,
+    and each action is the generator's memoised one for its draw."""
     cat = catalog()
     for n in range(1, max_points + 1):
         caches: dict[tuple[int, ...], IterateCache] = {}
         for space in all_spaces(n):
-            autos = _autos(space)
+            picks = range(len(_autos(space.min_open)))
             conts = []
             for t in itertools.product(range(n), repeat=n):
                 if find_discontinuity(space, t) is None:
@@ -527,11 +507,13 @@ def enumerate_systems(max_points: int = 3,
                         cache = caches[t] = IterateCache(t)
                     conts.append((t, cache))
             for gname in group_names:
-                group = cat[gname]
-                for phi in _all_homs(group, autos, n):
-                    action = Action._trusted(group, space, phi)
-                    for f, cache in conts:
-                        yield GSystem._trusted(action, f, cache)
+                # every draw of generator images, in product order
+                gens = cat[gname].generators()
+                for drawn in itertools.product(picks, repeat=len(gens)):
+                    action = _drawn_action(gname, space.min_open, drawn)
+                    if action is not None:
+                        for f, cache in conts:
+                            yield GSystem._trusted(action, f, cache)
 
 
 # -- property miner -----------------------------------------------------------
@@ -590,22 +572,24 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
     lits = parse_target(target)
     if budget < 0:
         raise ValidationError(f"mine: budget must be >= 0, got {budget}")
-    sweep_checked = 0
+    sweep_checked = trials = 0
+
+    def result(system: GSystem | None, phase: str | None, detail: str) -> MineResult:
+        return MineResult(
+            target, system is not None, system, phase, detail,
+            {"target": target, "seed": seed, "budget": budget,
+             "sweep_checked": sweep_checked, "random_trials": trials},
+        )
+
     if sweep:
         for sys in enumerate_systems():
             sweep_checked += 1
             if _matches(sys, lits):
                 verify_against_oracle(sys, lits)
-                return MineResult(
-                    target, True, sys, "sweep",
-                    f"sweep index {sweep_checked - 1}",
-                    {"target": target, "seed": seed, "budget": budget,
-                     "sweep_checked": sweep_checked, "random_trials": 0},
-                )
+                return result(sys, "sweep", f"sweep index {sweep_checked - 1}")
     rng = random.Random(seed)
     pool = DefaultGroupPool
     modes = ("discrete", "preorder")
-    trials = 0
     decided: set[tuple] = set()  # a repeated system is counted, not decided again
     for t in range(budget):
         trials += 1
@@ -625,17 +609,8 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
         decided.add(key)
         if _matches(sys, lits):
             verify_against_oracle(sys, lits)
-            return MineResult(
-                target, True, sys, "random",
-                f"seed {seed} trial {t}",
-                {"target": target, "seed": seed, "budget": budget,
-                 "sweep_checked": sweep_checked, "random_trials": trials},
-            )
-    return MineResult(
-        target, False, None, None, "exhausted",
-        {"target": target, "seed": seed, "budget": budget,
-         "sweep_checked": sweep_checked, "random_trials": trials},
-    )
+            return result(sys, "random", f"seed {seed} trial {t}")
+    return result(None, None, "exhausted")
 
 
 # -- implication suite --------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from gdyn import fixtures
 from gdyn.algebra import Action, cyclic_group, trivial_action
 from gdyn.bitsets import bits
-from gdyn.corpus import enumerate_systems
+from gdyn.corpus import _extend_hom, enumerate_systems
 from gdyn.dynamics import GSystem
 from gdyn.topology import compose, discrete_space, map_image
 
@@ -22,6 +23,17 @@ def sweep():
     """Every system on up to three points over Z1, Z2 and Z3, in the
     order of ``enumerate_systems()``."""
     return list(enumerate_systems())
+
+
+def all_homs(group, autos, n):
+    """Every homomorphism of the group into the given permutations of n
+    points, as an action table: one per choice of generator images that
+    extends, in product order."""
+    gens = group.generators()
+    for images in itertools.product(autos, repeat=len(gens)):
+        phi = _extend_hom(group, gens, dict(zip(gens, images)), n)
+        if phi is not None:
+            yield tuple(phi)
 
 
 def is_open(space, a):

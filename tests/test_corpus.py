@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -83,33 +84,62 @@ class TestGenerator:
         )
 
     def test_memo_bound_keeps_the_digest(self, monkeypatch):
-        # with room for one entry the generator memos are cleared on
-        # almost every draw, and every system must come out the same
-        monkeypatch.setattr(corpus, "MemoEntries", 1)
-        monkeypatch.setattr(corpus, "_auto_cache", {})
-        monkeypatch.setattr(corpus, "_action_memo", {})
+        # with room for one entry the generator memos evict on almost every
+        # draw, and every system must come out the same
+        for name in ("_autos", "_drawn_action"):
+            memo = functools.lru_cache(maxsize=1)(getattr(corpus, name).__wrapped__)
+            monkeypatch.setattr(corpus, name, memo)
         self.test_generation_is_pinned()
-        assert len(corpus._auto_cache) == len(corpus._action_memo) == 1
+        assert corpus._autos.cache_info().currsize == 1
+        assert corpus._drawn_action.cache_info().currsize == 1
 
     def test_equal_draws_share_one_action(self):
         for mode in ("discrete", "preorder"):
             cfg = corpus.GeneratorConfig(seed=42, max_points=5, groups=("Z2",), mode=mode)
             assert corpus.generate(cfg).action is corpus.generate(cfg).action
 
+    def test_sweep_and_generator_share_actions(self):
+        # a generated action on at most three points over Z1..Z3 is the
+        # sweep's action for the same group, space and draw
+        made = [corpus.generate(corpus.GeneratorConfig(seed=s, max_points=3, groups=(g,),
+                                                       mode=mode))
+                for s in range(20) for g in ("Z1", "Z2", "Z3")
+                for mode in ("discrete", "preorder")]
+        swept = {(sys.group.name, sys.space.min_open, sys.action.act): sys.action
+                 for sys in corpus.enumerate_systems()}
+        for sys in made:
+            assert swept[(sys.group.name, sys.space.min_open, sys.action.act)] is sys.action
+        assert len({id(sys.action) for sys in made}) > 20
+
+    def test_a_key_read_in_a_full_memo_survives_the_next_insertion(self):
+        # the memo evicts its least recently used entry, not everything
+        memo = corpus._drawn_action
+        memo.cache_clear()
+        spaces = itertools.islice(corpus.all_spaces(5), corpus.MemoEntries + 1)
+        keys = [("Z2", space.min_open, None) for space in spaces]
+        for key in keys[:-1]:
+            memo(*key)
+        assert memo.cache_info().currsize == corpus.MemoEntries
+        first = memo(*keys[0])
+        memo(*keys[-1])
+        try:
+            assert memo(*keys[0]) is first
+        finally:
+            memo.cache_clear()
+
     @pytest.mark.parametrize("target, kwargs", [
         ("tgt&!wgm", {"seed": 3, "budget": 400}),
         ("gt", {"seed": 0, "budget": 3000, "sweep": False}),
     ])
-    def test_memo_state_does_not_change_a_result(self, target, kwargs, monkeypatch):
-        monkeypatch.setattr(corpus, "_auto_cache", {})
-        monkeypatch.setattr(corpus, "_action_memo", {})
-
+    def test_memo_state_does_not_change_a_result(self, target, kwargs):
         def outcome(res):
             system = None if res.system is None else serialize(res.system)
             return res.found, res.phase, res.detail, dict(res.record), system
 
+        corpus._autos.cache_clear()
+        corpus._drawn_action.cache_clear()
         cold = outcome(corpus.mine(target, **kwargs))
-        assert corpus._action_memo
+        assert corpus._drawn_action.cache_info().currsize
         assert outcome(corpus.mine(target, **kwargs)) == cold
 
     def test_budget_exhaustion(self, monkeypatch):

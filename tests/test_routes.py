@@ -26,7 +26,7 @@ import itertools
 import random
 import re
 
-from conftest import DATA, gf_orbit, is_open, map_preimage, opens
+from conftest import DATA, all_homs, gf_orbit, is_open, map_preimage, opens
 from gdyn import checkers as ck
 from gdyn import corpus
 from gdyn.algebra import Action, Group, catalog, product_group, quotient
@@ -213,7 +213,7 @@ def test_action_compatibility_matches_every_triple():
         for n in range(1, 5):
             space = discrete_space(tuple(f"x{i}" for i in range(n)))
             perms = automorphisms(space)
-            tables = list(itertools.islice(corpus._all_homs(group, perms, n), 40))
+            tables = list(itertools.islice(all_homs(group, perms, n), 40))
             for act in tables[:10]:
                 rows = list(act)
                 rows[rng.randrange(m)] = rng.choice(perms)
@@ -286,7 +286,7 @@ def test_action_validation_matches_the_inverse_check():
         perms = list(itertools.permutations(range(n)))
         for group in catalog().values():
             m = group.order
-            tables = list(itertools.islice(corpus._all_homs(group, perms, n), 6))
+            tables = list(itertools.islice(all_homs(group, perms, n), 6))
             for act in tables[:3]:
                 rows = list(act)
                 rows[rng.randrange(m)] = tuple(rng.randrange(n) for _ in range(n))
@@ -700,7 +700,7 @@ def test_quotient_opens_match_the_fixpoint(sweep):
     # catalog groups on every 4-point space
     on_four = [Action._trusted(group, space, phi)
                for space in all_spaces(4) for group in catalog().values()
-               for phi in corpus._all_homs(group, automorphisms(space), space.n)]
+               for phi in all_homs(group, automorphisms(space), space.n)]
     assert len(on_four) == 7034
     generated = [sys.action for sys in _generated(suite_configs(400))]
     for action in [sys.action for sys in sweep] + generated + on_four:
