@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, replace
 
 from . import oracle
 from .algebra import Action, Group, catalog, is_pseudoequivariant
-from .bitsets import bits
 from .checkers import (
     Implications,
     Verdicts,
@@ -328,6 +327,35 @@ class GeneratorConfig:
 # the generator's point names by carrier size
 _Names = tuple(tuple(f"x{i}" for i in range(n))
                for n in range(GeneratorMaxPoints + 1))
+# the minimal opens of the discrete space by carrier size
+_DiscreteOpens = tuple(tuple(1 << i for i in range(n))
+                       for n in range(GeneratorMaxPoints + 1))
+
+
+def _below(getrandbits, n: int) -> int:
+    """A draw from range(n), n >= 1, made from ``getrandbits`` exactly as
+    ``random.Random._randbelow`` makes it on CPython 3.10 to 3.13: k-bit
+    draws, k the bit length of n, until one is below n.  Through it
+    ``rng.choice(seq)`` is ``seq[_below(rng.getrandbits, len(seq))]``,
+    ``rng.randrange(n)`` is ``_below(rng.getrandbits, n)`` and
+    ``rng.randint(a, b)`` is ``a + _below(rng.getrandbits, b - a + 1)``,
+    with the same draws from the same stream."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _permutation(getrandbits, n: int) -> tuple[int, ...]:
+    """The table that ``rng.shuffle`` leaves in ``list(range(n))``, from
+    the same draws: for i from n - 1 down to 1, swap i with a draw below
+    i + 1.  Shuffling any list of n items moves them the same way."""
+    t = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = _below(getrandbits, i + 1)
+        t[i], t[j] = t[j], t[i]
+    return tuple(t)
 
 
 @functools.lru_cache(maxsize=MemoEntries)
@@ -381,31 +409,34 @@ def _drawn_action(group_name: str, min_open: tuple[int, ...],
     return None if phi is None else Action._trusted(group, space, tuple(phi))
 
 
-def _sample_action(rng: random.Random, group: Group, space: Space) -> Action:
+def _sample_action(getrandbits, group: Group, min_open: tuple[int, ...]) -> Action:
     """Draw generator images until they extend to a homomorphism, else
-    take the trivial action."""
-    picks = range(len(_autos(space.min_open)))  # draws as rng.choice(autos)
+    take the trivial action.  Each image is drawn as
+    ``rng.choice(autos)``, here by its index."""
+    count = len(_autos(min_open))
     gens = group.generators()
     for _ in range(ActionAttempts):
-        drawn = tuple(rng.choice(picks) for _ in gens)
-        action = _drawn_action(group.name, space.min_open, drawn)
+        drawn = tuple([_below(getrandbits, count) for _ in gens])
+        action = _drawn_action(group.name, min_open, drawn)
         if action is not None:
             return action
-    return _drawn_action(group.name, space.min_open, None)
+    return _drawn_action(group.name, min_open, None)
 
 
-def _sample_map(rng: random.Random, action: Action, pseudo_only: bool) -> tuple[int, ...]:
+def _sample_map(rng: random.Random, action: Action, discrete: bool,
+                pseudo_only: bool) -> tuple[int, ...]:
+    """Draw tables until one is continuous (every table is, on a discrete
+    space) and, with pseudo_only, pseudoequivariant: with chance 0.3 a
+    shuffled identity, else n entries each drawn as ``rng.randrange(n)``."""
     space = action.space
     n = space.n
-    picks = range(n)  # rng.choice(picks) draws as rng.randrange(n)
-    discrete = space.is_discrete()  # then every map is continuous
+    picks = range(n)
+    chance, getrandbits = rng.random, rng.getrandbits
     for _ in range(MapAttempts):
-        if rng.random() < 0.3:
-            t = list(picks)
-            rng.shuffle(t)
-            table = tuple(t)
+        if chance() < 0.3:
+            table = _permutation(getrandbits, n)
         else:
-            table = tuple([rng.choice(picks) for _ in picks])
+            table = tuple([_below(getrandbits, n) for _ in picks])
         if (discrete or find_discontinuity(space, table) is None) and (
                 not pseudo_only or is_pseudoequivariant(action, table)):
             return table
@@ -414,49 +445,65 @@ def _sample_map(rng: random.Random, action: Action, pseudo_only: bool) -> tuple[
     )
 
 
-def _random_preorder_space(rng: random.Random, names: tuple[str, ...]) -> Space:
-    n = len(names)
+def _random_preorder(chance, n: int) -> tuple[int, ...]:
+    """The minimal opens of a random preorder on n points: each arrow
+    i -> j (i != j, row by row) drawn with chance min(1, 1.2 / n), and
+    min_open(i) the set reachable from i, closed by Warshall's algorithm
+    on bitmask rows.  Reachable sets satisfy the base condition."""
     p = min(1.0, 1.2 / n)
-    adj = [[i == j or rng.random() < p for j in range(n)] for i in range(n)]
-    mo = []
+    reach = []
     for i in range(n):
-        # reachable set of i, which is automatically downward consistent
-        seen = 1 << i
-        stack = [i]
-        while stack:
-            x = stack.pop()
-            for j in range(n):
-                if adj[x][j] and not (seen >> j) & 1:
-                    seen |= 1 << j
-                    stack.append(j)
-        mo.append(seen)
-    # reachability sets satisfy the base condition by construction
-    return Space._trusted(names, tuple(mo))
+        row = 1 << i
+        for j in range(n):
+            if j != i and chance() < p:
+                row |= 1 << j
+        reach.append(row)
+    for k in range(n):
+        bit, row_k = 1 << k, reach[k]
+        for i in range(n):
+            if reach[i] & bit:
+                reach[i] |= row_k
+    return tuple(reach)
+
+
+def _catalog_groups(names, where: str) -> tuple[Group, ...]:
+    """The catalog groups of these names."""
+    cat = catalog()
+    for name in names:
+        if name not in cat:
+            raise ValidationError(f"{where}: unknown group '{name}'")
+    return tuple(cat[name] for name in names)
+
+
+def _draw(rng: random.Random, max_points: int, groups: tuple[Group, ...],
+          discrete: bool, pseudo_only: bool) -> GSystem:
+    """The system ``generate`` makes from arguments it has validated, and
+    ``rng`` seeded with the config seed: the size, the space, the group,
+    the action and the map, drawn in that order."""
+    getrandbits = rng.getrandbits
+    n = 1 + _below(getrandbits, max_points)
+    min_open = _DiscreteOpens[n] if discrete else _random_preorder(rng.random, n)
+    group = groups[_below(getrandbits, len(groups))]
+    action = _sample_action(getrandbits, group, min_open)
+    f = _sample_map(rng, action, min_open == _DiscreteOpens[n], pseudo_only)
+    return GSystem._trusted(action, f)
 
 
 def generate(cfg: GeneratorConfig) -> GSystem:
     """Deterministically build a random system from the config seed."""
-    if not 1 <= cfg.max_points <= GeneratorMaxPoints:
+    m = cfg.max_points
+    if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= GeneratorMaxPoints:
         raise ValidationError(
-            f"generator: max_points must be in 1..{GeneratorMaxPoints}")
+            f"generator: max_points must be an int in 1..{GeneratorMaxPoints},"
+            f" got {m!r}")
     if cfg.mode not in ("discrete", "preorder"):
         raise ValidationError(f"generator: unknown mode '{cfg.mode}'")
     pool = cfg.groups if cfg.groups is not None else DefaultGroupPool
-    cat = catalog()
-    for name in pool:
-        if name not in cat:
-            raise ValidationError(f"generator: unknown group '{name}'")
-    rng = random.Random(cfg.seed)
-    n = rng.randint(1, cfg.max_points)
-    names = _Names[n]
-    if cfg.mode == "discrete":
-        space = Space._trusted(names, tuple(1 << i for i in range(n)))
-    else:
-        space = _random_preorder_space(rng, names)
-    group = cat[rng.choice(list(pool))]
-    action = _sample_action(rng, group, space)
-    f = _sample_map(rng, action, cfg.pseudoequivariant_only)
-    return GSystem._trusted(action, f)
+    if not pool:
+        raise ValidationError("generator: the group pool is empty")
+    groups = _catalog_groups(pool, "generator")
+    return _draw(random.Random(cfg.seed), m, groups, cfg.mode == "discrete",
+                 cfg.pseudoequivariant_only)
 
 
 def generate_robust(cfg: GeneratorConfig) -> GSystem:
@@ -475,15 +522,30 @@ def generate_robust(cfg: GeneratorConfig) -> GSystem:
 
 
 def all_spaces(n: int) -> Iterator[Space]:
-    """Every topology on n labeled points, as a space."""
+    """Every topology on n labeled points, as a space, in the product
+    order of the minimal-open choices (each x's a superset of {x}).  The
+    base condition relates two points at a time, so each point's choice
+    is checked against the points chosen before it and a choice that
+    fails cuts off every extension."""
     names = tuple(f"x{i}" for i in range(n))
     choices = [
         [m for m in range(1 << n) if (m >> x) & 1] for x in range(n)
     ]
-    for combo in itertools.product(*choices):
-        # each x is in its own set by the choices; the base condition
-        if all(not combo[y] & ~combo[x] for x in range(n) for y in bits(combo[x])):
-            yield Space._trusted(names, combo)
+    combo = [0] * n
+
+    def extend(x: int) -> Iterator[Space]:
+        if x == n:
+            yield Space._trusted(names, tuple(combo))
+            return
+        for m in choices[x]:
+            # y in min_open(x) needs min_open(y) <= min_open(x), and back
+            if all((not (m >> y) & 1 or not combo[y] & ~m)
+                   and (not (combo[y] >> x) & 1 or not m & ~combo[y])
+                   for y in range(x)):
+                combo[x] = m
+                yield from extend(x + 1)
+
+    return extend(0)
 
 
 def enumerate_systems(max_points: int = 3,
@@ -494,7 +556,7 @@ def enumerate_systems(max_points: int = 3,
     order, suitable for exhaustive sweeps.  Systems with the same map
     share one iterate cache, built on the map's first use in the call,
     and each action is the generator's memoised one for its draw."""
-    cat = catalog()
+    groups = _catalog_groups(group_names, "enumerate")
     for n in range(1, max_points + 1):
         caches: dict[tuple[int, ...], IterateCache] = {}
         for space in all_spaces(n):
@@ -506,11 +568,11 @@ def enumerate_systems(max_points: int = 3,
                     if cache is None:
                         cache = caches[t] = IterateCache(t)
                     conts.append((t, cache))
-            for gname in group_names:
+            for group in groups:
                 # every draw of generator images, in product order
-                gens = cat[gname].generators()
+                gens = group.generators()
                 for drawn in itertools.product(picks, repeat=len(gens)):
-                    action = _drawn_action(gname, space.min_open, drawn)
+                    action = _drawn_action(group.name, space.min_open, drawn)
                     if action is not None:
                         for f, cache in conts:
                             yield GSystem._trusted(action, f, cache)
@@ -570,8 +632,8 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
     literal by literal against the brute-force oracle.  The returned
     record makes an exhausted search reproducible."""
     lits = parse_target(target)
-    if budget < 0:
-        raise ValidationError(f"mine: budget must be >= 0, got {budget}")
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+        raise ValidationError(f"mine: budget must be an int >= 0, got {budget!r}")
     sweep_checked = trials = 0
 
     def result(system: GSystem | None, phase: str | None, detail: str) -> MineResult:
@@ -587,20 +649,21 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
             if _matches(sys, lits):
                 verify_against_oracle(sys, lits)
                 return result(sys, "sweep", f"sweep index {sweep_checked - 1}")
-    rng = random.Random(seed)
-    pool = DefaultGroupPool
-    modes = ("discrete", "preorder")
+    # each trial is generate(GeneratorConfig(seed=rng.randrange(1 << 62),
+    # max_points=rng.randint(2, 5), groups=(pool[t % len(pool)],),
+    # mode=("discrete", "preorder")[t % 2])), drawn without the config
+    getrandbits = random.Random(seed).getrandbits
+    cat = catalog()
+    pools = tuple((cat[name],) for name in DefaultGroupPool)
+    trial_rng = random.Random()
     decided: set[tuple] = set()  # a repeated system is counted, not decided again
     for t in range(budget):
         trials += 1
-        cfg = GeneratorConfig(
-            seed=rng.randrange(1 << 62),
-            max_points=rng.randint(2, 5),
-            groups=(pool[t % len(pool)],),
-            mode=modes[t % 2],
-        )
+        trial_seed = _below(getrandbits, 1 << 62)
+        max_points = 2 + _below(getrandbits, 4)
+        trial_rng.seed(trial_seed)
         try:
-            sys = generate(cfg)
+            sys = _draw(trial_rng, max_points, pools[t % len(pools)], t % 2 == 0, False)
         except GenerationError:
             continue
         key = (sys.group.name, sys.space.min_open, sys.action.act, sys.f)

@@ -236,17 +236,42 @@ def find_discontinuity(space: Space, table: Sequence[int]) -> int | None:
 
 
 def automorphisms(space: Space) -> list[tuple[int, ...]]:
-    """All self-homeomorphisms of the space, as permutation tables.
+    """All self-homeomorphisms of the space, as permutation tables, in
+    lexicographic order (the order of ``itertools.permutations``).  The
+    generator draws indices into this list, so the order is part of its
+    random streams.
 
     A permutation s is a homeomorphism iff it preserves the minimal-open
     relation both ways: y in min_open(x) <=> s(y) in min_open(s(x)).
-    Exhaustive over all permutations, so capped at small carriers.
+    The search places the points in carrier order, each on the unused
+    candidates in ascending order.  Point x may go to y only if
+    min_open(y) and the up-set {z : y in min_open(z)} of y have the sizes
+    of x's, and only if the relation between x and every placed point,
+    both ways, holds between y and that point's image.  Capped at small
+    carriers.
     """
-    from itertools import permutations
-
     n = space.n
     if n > MaxAutomorphismPoints:
         raise LimitError(f"automorphisms(): carrier larger than {MaxAutomorphismPoints} points")
     mo = space.min_open
-    return [perm for perm in permutations(range(n))
-            if all(map_image(perm, mo[x]) == mo[perm[x]] for x in range(n))]
+    up = [0] * n
+    for z, m in enumerate(mo):
+        for y in bits(m):
+            up[y] |= 1 << z
+    sig = [(m.bit_count(), u.bit_count()) for m, u in zip(mo, up)]
+    # level x holds every placement of points 0..x-1, in lexicographic
+    # order, with the mask of the images used
+    level: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for x in range(n):
+        placed = (1 << x) - 1
+        down_x, up_x = mo[x] & placed, up[x] & placed
+        cands = [y for y in range(n) if sig[y] == sig[x]]
+        nxt = []
+        for perm, used in level:
+            want_down, want_up = map_image(perm, down_x), map_image(perm, up_x)
+            for y in cands:
+                if (not (used >> y) & 1 and mo[y] & used == want_down
+                        and up[y] & used == want_up):
+                    nxt.append((perm + (y,), used | 1 << y))
+        level = nxt
+    return [perm for perm, _ in level]

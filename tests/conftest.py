@@ -36,6 +36,15 @@ def all_homs(group, autos, n):
             yield tuple(phi)
 
 
+def all_automorphisms(space):
+    """Every permutation of the carrier, in ``itertools.permutations``
+    order, that preserves the minimal opens: the exhaustive reference
+    for ``automorphisms``."""
+    mo = space.min_open
+    return [perm for perm in itertools.permutations(range(space.n))
+            if all(map_image(perm, mo[x]) == mo[perm[x]] for x in range(space.n))]
+
+
 def is_open(space, a):
     """A set is open iff it contains the minimal open of each of its points."""
     return all(not (space.min_open[x] & ~a) for x in bits(a))

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gdyn import checkers as ck
 from gdyn import corpus
@@ -147,6 +149,64 @@ class TestGenerator:
         cfg = corpus.GeneratorConfig(seed=0, max_points=5, pseudoequivariant_only=True)
         with pytest.raises(GenerationError, match="within 0 attempts"):
             corpus.generate(cfg)
+
+
+# sizes for the draw helper: small ones, every power of two up to 2**62
+# (where about half of the k-bit draws are redrawn), and any size up to
+# the 2**62 of the miner's seed draws
+_DrawSizes = st.one_of(
+    st.integers(1, 100),
+    st.integers(0, 62).map(lambda k: 1 << k),
+    st.integers(1, 1 << 62),
+)
+
+
+class TestDrawHelper:
+    # the generator draws through corpus._below; it must make the draws
+    # random.Random makes, from the same stream, on every supported Python
+    @given(seed=st.integers(0, 1 << 64), n=_DrawSizes)
+    @example(seed=0, n=1)
+    @example(seed=0, n=1 << 62)
+    @settings(max_examples=300, deadline=None)
+    def test_below_draws_as_random(self, seed, n):
+        want, got = random.Random(seed), random.Random(seed)
+        draw = got.getrandbits
+        assert corpus._below(draw, n) == want.randrange(n)
+        assert 3 + corpus._below(draw, n) == want.randint(3, n + 2)
+        assert range(n)[corpus._below(draw, n)] == want.choice(range(n))
+        items = [f"i{j}" for j in range(n if n <= 64 else n % 65)]
+        shuffled = items[:]
+        want.shuffle(shuffled)
+        assert [items[j] for j in corpus._permutation(draw, len(items))] == shuffled
+        assert got.getstate() == want.getstate()
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"groups": ()}, "group pool is empty"),
+        ({"groups": ("Z2", "Q8")}, "unknown group"),
+        ({"max_points": 3.0}, "max_points"),
+        ({"max_points": "3"}, "max_points"),
+        ({"max_points": True}, "max_points"),
+        ({"max_points": 0}, "max_points"),
+        ({"max_points": corpus.GeneratorMaxPoints + 1}, "max_points"),
+        ({"mode": "metric"}, "unknown mode"),
+    ])
+    def test_generate_rejects(self, kwargs, match):
+        cfg = corpus.GeneratorConfig(seed=0, **kwargs)
+        with pytest.raises(ValidationError, match=match):
+            corpus.generate(cfg)
+        with pytest.raises(ValidationError, match=match):
+            corpus.generate_robust(cfg)
+
+    def test_enumerate_rejects_an_unknown_group(self):
+        with pytest.raises(ValidationError, match="unknown group 'Q8'"):
+            next(corpus.enumerate_systems(group_names=("Z2", "Q8")))
+
+    @pytest.mark.parametrize("budget", [2.5, "10", None, True])
+    def test_mine_rejects_a_non_integer_budget(self, budget):
+        with pytest.raises(ValidationError, match="budget"):
+            corpus.mine("gt", budget=budget, sweep=False)
 
 
 class TestEnumeration:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    all_automorphisms,
     brute_closure,
     brute_opens,
     first_discontinuity,
@@ -14,7 +15,7 @@ from conftest import (
     mask,
     opens,
 )
-from gdyn.corpus import all_spaces
+from gdyn.corpus import _random_preorder, all_spaces
 from gdyn.errors import LimitError, ValidationError
 from gdyn.topology import (
     Space,
@@ -234,6 +235,30 @@ class TestAutomorphisms:
             for s in automorphisms(sp):
                 for x in range(sp.n):
                     assert map_image(s, sp.min_open[x]) == sp.min_open[s[x]]
+
+    def test_pruned_search_matches_every_permutation_to_five_points(self):
+        # the generator draws indices into the list, so order counts too
+        for n in range(1, 6):
+            for sp in all_spaces(n):
+                assert automorphisms(sp) == all_automorphisms(sp)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_pruned_search_matches_every_permutation_on_larger_spaces(self, n):
+        rng = random.Random(n)
+        names = tuple(f"p{i}" for i in range(n))
+        spaces = [discrete_space(names)] + [
+            Space(names, _random_preorder(rng.random, n)) for _ in range(4)]
+        for sp in spaces:
+            assert automorphisms(sp) == all_automorphisms(sp)
+
+    def test_pruned_search_matches_every_permutation_on_products(self):
+        # symmetric spaces whose points are not all alike
+        s2 = sierpinski()
+        for sp in (product(s2, discrete_space(("a", "b", "c"))),
+                   product(s2, product(s2, s2))):
+            autos = automorphisms(sp)
+            assert len(autos) > 1
+            assert autos == all_automorphisms(sp)
 
     def test_limit(self):
         sp = discrete_space(tuple(f"p{i}" for i in range(9)))
