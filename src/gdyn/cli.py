@@ -106,10 +106,11 @@ def _cmd_check(args) -> int:
               f" induced_minimal={str(qm.induced_minimal).lower()}")
         return 0 if qm.induced_minimal else 1
     if prop.startswith("nfold:"):
-        try:
-            n = int(prop.split(":", 1)[1])
-        except ValueError:
+        count = prop.split(":", 1)[1]
+        # ASCII digits only: int() also takes "1_0", " 3" and non-ASCII digits
+        if not (count.isascii() and count.isdigit()):
             raise ValidationError(f"check: bad fold count in '{prop}'")
+        n = int(count)
         rep, keys = is_n_fold_transitive(sys_, n), _Reports["gt"][1]
     elif prop in _Reports:
         report, keys = _Reports[prop]

@@ -15,6 +15,7 @@ continuity (optionally also for pseudoequivariance).
 
 from __future__ import annotations
 
+import _random
 import functools
 import itertools
 import random
@@ -347,6 +348,20 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
+def _draw_table(getrandbits, n: int) -> tuple[int, ...]:
+    """n draws from range(n), n >= 1, each made as ``_below`` makes it,
+    with the bit length found once: the table that
+    ``[rng.randrange(n) for _ in range(n)]`` makes, from the same draws."""
+    k = n.bit_length()
+    out = []
+    for _ in range(n):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(r)
+    return tuple(out)
+
+
 def _permutation(getrandbits, n: int) -> tuple[int, ...]:
     """The table that ``rng.shuffle`` leaves in ``list(range(n))``, from
     the same draws: for i from n - 1 down to 1, swap i with a draw below
@@ -423,21 +438,21 @@ def _sample_action(getrandbits, group: Group, min_open: tuple[int, ...]) -> Acti
     return _drawn_action(group.name, min_open, None)
 
 
-def _sample_map(rng: random.Random, action: Action, discrete: bool,
+def _sample_map(rng: random.Random, action: Action,
                 pseudo_only: bool) -> tuple[int, ...]:
-    """Draw tables until one is continuous (every table is, on a discrete
-    space) and, with pseudo_only, pseudoequivariant: with chance 0.3 a
-    shuffled identity, else n entries each drawn as ``rng.randrange(n)``."""
+    """Draw tables until one is continuous and, with pseudo_only,
+    pseudoequivariant: with chance 0.3 a shuffled identity, else n
+    entries each drawn as ``rng.randrange(n)``.  The action's space is
+    memoised with it, so its continuity plan is built once."""
     space = action.space
     n = space.n
-    picks = range(n)
     chance, getrandbits = rng.random, rng.getrandbits
     for _ in range(MapAttempts):
         if chance() < 0.3:
             table = _permutation(getrandbits, n)
         else:
-            table = tuple([_below(getrandbits, n) for _ in picks])
-        if (discrete or find_discontinuity(space, table) is None) and (
+            table = _draw_table(getrandbits, n)
+        if find_discontinuity(space, table) is None and (
                 not pseudo_only or is_pseudoequivariant(action, table)):
             return table
     raise GenerationError(
@@ -476,17 +491,16 @@ def _catalog_groups(names, where: str) -> tuple[Group, ...]:
 
 
 def _draw(rng: random.Random, max_points: int, groups: tuple[Group, ...],
-          discrete: bool, pseudo_only: bool) -> GSystem:
-    """The system ``generate`` makes from arguments it has validated, and
-    ``rng`` seeded with the config seed: the size, the space, the group,
-    the action and the map, drawn in that order."""
+          discrete: bool, pseudo_only: bool) -> tuple[Action, tuple[int, ...]]:
+    """The action and map of the system ``generate`` makes from arguments
+    it has validated, and ``rng`` seeded with the config seed: the size,
+    the space, the group, the action and the map, drawn in that order."""
     getrandbits = rng.getrandbits
     n = 1 + _below(getrandbits, max_points)
     min_open = _DiscreteOpens[n] if discrete else _random_preorder(rng.random, n)
     group = groups[_below(getrandbits, len(groups))]
     action = _sample_action(getrandbits, group, min_open)
-    f = _sample_map(rng, action, min_open == _DiscreteOpens[n], pseudo_only)
-    return GSystem._trusted(action, f)
+    return action, _sample_map(rng, action, pseudo_only)
 
 
 def generate(cfg: GeneratorConfig) -> GSystem:
@@ -502,8 +516,8 @@ def generate(cfg: GeneratorConfig) -> GSystem:
     if not pool:
         raise ValidationError("generator: the group pool is empty")
     groups = _catalog_groups(pool, "generator")
-    return _draw(random.Random(cfg.seed), m, groups, cfg.mode == "discrete",
-                 cfg.pseudoequivariant_only)
+    return GSystem._trusted(*_draw(random.Random(cfg.seed), m, groups,
+                                   cfg.mode == "discrete", cfg.pseudoequivariant_only))
 
 
 def generate_robust(cfg: GeneratorConfig) -> GSystem:
@@ -651,25 +665,33 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
                 return result(sys, "sweep", f"sweep index {sweep_checked - 1}")
     # each trial is generate(GeneratorConfig(seed=rng.randrange(1 << 62),
     # max_points=rng.randint(2, 5), groups=(pool[t % len(pool)],),
-    # mode=("discrete", "preorder")[t % 2])), drawn without the config
+    # mode=("discrete", "preorder")[t % 2])), drawn without the config.
+    # The trial generator is reseeded by ``_random.Random.seed``, which is
+    # what ``Random.seed`` does with an int seed, less the reset of the
+    # ``gauss`` state, which no draw here reads
     getrandbits = random.Random(seed).getrandbits
     cat = catalog()
     pools = tuple((cat[name],) for name in DefaultGroupPool)
-    trial_rng = random.Random()
+    trial_rng, reseed = random.Random(), _random.Random.seed
     decided: set[tuple] = set()  # a repeated system is counted, not decided again
+    caches: dict[tuple[int, ...], IterateCache] = {}  # one per map table
     for t in range(budget):
         trials += 1
         trial_seed = _below(getrandbits, 1 << 62)
         max_points = 2 + _below(getrandbits, 4)
-        trial_rng.seed(trial_seed)
+        reseed(trial_rng, trial_seed)
         try:
-            sys = _draw(trial_rng, max_points, pools[t % len(pools)], t % 2 == 0, False)
+            action, f = _draw(trial_rng, max_points, pools[t % len(pools)], t % 2 == 0, False)
         except GenerationError:
             continue
-        key = (sys.group.name, sys.space.min_open, sys.action.act, sys.f)
+        key = (action.group.name, action.space.min_open, action.act, f)
         if key in decided:
             continue
         decided.add(key)
+        cache = caches.get(f)
+        if cache is None:
+            cache = caches[f] = IterateCache(f)
+        sys = GSystem._trusted(action, f, cache)
         if _matches(sys, lits):
             verify_against_oracle(sys, lits)
             return result(sys, "random", f"seed {seed} trial {t}")

@@ -13,7 +13,8 @@ density and continuity all reduce to O(n^2) bitmask scans under this
 encoding.
 
 Point sets are plain ints used as bitmasks: bit i stands for
-``points[i]``.  Spaces are immutable after construction and all
+``points[i]``.  Spaces are immutable after construction (their one memo,
+the continuity plan, is a function of the minimal opens) and all
 functions here are pure, so values can be shared freely across threads.
 """
 
@@ -34,7 +35,8 @@ class Space:
     the bitmask of the smallest open set containing point i.
     """
 
-    __slots__ = ("points", "min_open", "index", "full")
+    # memo: the continuity plan of ``find_discontinuity`` (built on first use)
+    __slots__ = ("points", "min_open", "index", "full", "_plan")
 
     def __init__(self, points: Sequence[str], min_open: Sequence[int]):
         pts = tuple(points)
@@ -82,6 +84,7 @@ class Space:
         self.min_open = min_open
         self.index = {name: i for i, name in enumerate(points)}
         self.full = (1 << len(points)) - 1
+        self._plan: tuple | None = None
 
     @property
     def n(self) -> int:
@@ -225,14 +228,40 @@ def is_continuous(space: Space, table: Sequence[int]) -> bool:
 def find_discontinuity(space: Space, table: Sequence[int]) -> int | None:
     """The first point x, in carrier order, with f(min_open(x)) not inside
     min_open(f(x)), or None.  ``table`` must send every point into the
-    carrier (``check_table``); each distinct minimal open is imaged once."""
-    mo, images = space.min_open, {}
-    for x, m in enumerate(mo):
-        if m not in images:
-            images[m] = map_image(table, m)
-        if images[m] & ~mo[table[x]]:
+    carrier (``check_table``).  Only a point whose minimal open is more
+    than {x} can fail.  The space's continuity plan, built on its first
+    call, lists those points, and points that share a minimal open share
+    its image, built on first need."""
+    plan = space._plan
+    if plan is None:
+        plan = space._plan = _continuity_plan(space.min_open)
+    tests, opens = plan
+    mo, images = space.min_open, [0] * len(opens)
+    for x, k in tests:
+        image = images[k]
+        if not image:
+            for y in opens[k]:
+                image |= 1 << table[y]
+            images[k] = image
+        if image & ~mo[table[x]]:
             return x
     return None
+
+
+def _continuity_plan(min_open: tuple[int, ...]):
+    """The points x whose minimal open is more than {x}, in carrier order,
+    each with the index of its minimal open among the distinct ones, and
+    the points of each distinct open."""
+    slot: dict[int, int] = {}
+    tests, opens = [], []
+    for x, m in enumerate(min_open):
+        if m != 1 << x:
+            k = slot.get(m)
+            if k is None:
+                k = slot[m] = len(opens)
+                opens.append(tuple(bits(m)))
+            tests.append((x, k))
+    return tuple(tests), tuple(opens)
 
 
 def automorphisms(space: Space) -> list[tuple[int, ...]]:

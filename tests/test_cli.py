@@ -99,8 +99,11 @@ class TestCheck:
         assert "witness: U={(a,a)} V={(a,b)}" in out
 
     def test_nfold_bad_count(self, files, capsys):
-        assert main(["check", files["disc2-swap"], "--property", "nfold:x"]) == 2
-        assert "bad fold count" in capsys.readouterr().err
+        # ASCII digits only: int() would read "1_0" as 10, " 2" as 2 and
+        # the Arabic-Indic digit three as 3
+        for count in ("x", "", "1_0", "\u0663", " 2", "+2"):
+            assert main(["check", files["disc2-swap"], "--property", f"nfold:{count}"]) == 2
+            assert "bad fold count" in capsys.readouterr().err
 
     def test_cover(self, files, capsys):
         assert main(["check", files["z2swap-id"], "--property", "cover"]) == 0

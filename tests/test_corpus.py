@@ -1,3 +1,4 @@
+import _random
 import functools
 import hashlib
 import itertools
@@ -179,6 +180,33 @@ class TestDrawHelper:
         want.shuffle(shuffled)
         assert [items[j] for j in corpus._permutation(draw, len(items))] == shuffled
         assert got.getstate() == want.getstate()
+
+    @given(seed=st.integers(0, 1 << 64), n=st.integers(1, 70))
+    @example(seed=0, n=1)
+    @example(seed=0, n=64)
+    @settings(max_examples=300, deadline=None)
+    def test_table_draws_as_random(self, seed, n):
+        want, got = random.Random(seed), random.Random(seed)
+        assert corpus._draw_table(got.getrandbits, n) == tuple(
+            [want.randrange(n) for _ in range(n)])
+        assert got.getstate() == want.getstate()
+
+    @given(seed=st.integers(0, 1 << 64), trial_seed=st.integers(-(1 << 70), 1 << 70))
+    @example(seed=0, trial_seed=0)
+    @example(seed=0, trial_seed=(1 << 62) - 1)
+    @settings(max_examples=300, deadline=None)
+    def test_reseed_as_random(self, seed, trial_seed):
+        # the miner reseeds its trial generator through the C-level seed;
+        # it must leave the state Random.seed leaves, after draws that do
+        # not touch the gauss state
+        want, got = random.Random(seed), random.Random(seed)
+        for rng in (want, got):
+            rng.getrandbits(40)
+            rng.random()
+        want.seed(trial_seed)
+        _random.Random.seed(got, trial_seed)
+        assert got.getstate() == want.getstate()
+        assert [got.getrandbits(62), got.random()] == [want.getrandbits(62), want.random()]
 
 
 class TestBadInputs:

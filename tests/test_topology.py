@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -141,6 +142,13 @@ class TestLaws:
                 )
 
 
+def large_open_spaces():
+    # spaces whose minimal opens are large and shared by several points
+    return [space_from_subbasis(tuple("abcdef"), []),
+            product(sierpinski(), sierpinski()),
+            product(sierpinski(), space_from_subbasis(("p", "q", "r"), []))]
+
+
 class TestMaps:
     def test_image_preimage(self):
         f = (1, 2, 0)
@@ -153,11 +161,14 @@ class TestMaps:
         # continuity via minimal neighbourhoods must agree with the
         # preimage-of-every-open definition, for every map whatsoever, and
         # the point named must be the first one whose minimal open leaves
-        # the minimal open of its image, on every 3-point space and a
-        # seeded sample of the 4-point ones
-        spaces = list(all_spaces(3)) + random.Random(3).sample(list(all_spaces(4)), 25)
-        for sp in spaces:
+        # the minimal open of its image: point by point, and as the first
+        # x at which the preimage of the least open around f(x) is not a
+        # neighbourhood of x, with neighbourhoods taken from the opens
+        spaces = [sp for n in range(1, 5) for sp in all_spaces(n)]
+        for sp in spaces + large_open_spaces():
             found = set(opens(sp))
+            least = [functools.reduce(int.__and__, (o for o in found if o >> x & 1))
+                     for x in range(sp.n)]
             for f in itertools.product(range(sp.n), repeat=sp.n):
                 brute = all(
                     map_preimage(f, o, sp.n) in found for o in found
@@ -166,6 +177,20 @@ class TestMaps:
                 x = find_discontinuity(sp, f)
                 assert (x is None) == brute
                 assert x == first_discontinuity(sp, f)
+                if not brute:
+                    assert x == next(y for y in range(sp.n)
+                                     if least[y] & ~map_preimage(f, least[f[y]], sp.n))
+
+    def test_plan_answers_as_a_fresh_space(self):
+        # one space asked about many tables in shuffled order, its plan
+        # built on the first, answers as a freshly built space does
+        rng = random.Random(7)
+        for sp in rng.sample(list(all_spaces(4)), 40) + large_open_spaces():
+            tables = list(itertools.product(range(sp.n), repeat=sp.n))
+            rng.shuffle(tables)
+            for f in tables[:300]:
+                fresh = Space(sp.points, sp.min_open)
+                assert find_discontinuity(sp, f) == find_discontinuity(fresh, f)
 
     def test_find_discontinuity_names_a_point(self):
         sp = sierpinski()
