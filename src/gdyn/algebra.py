@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .bitsets import bits
 from .errors import ValidationError
-from .topology import Space, find_discontinuity, identity_table, map_image, product
+from .topology import Space, find_discontinuity, identity_table, map_image, product, writable_name
 
 
 class Group:
@@ -32,6 +32,9 @@ class Group:
             raise ValidationError("group: no elements")
         if len(set(elems)) != len(elems):
             raise ValidationError("group: duplicate element names")
+        for g in elems:
+            if not writable_name(g):
+                raise ValidationError(f"group: bad element name {g!r}")
         n = len(elems)
         table = tuple(tuple(row) for row in mul)
         if len(table) != n or any(len(row) != n for row in table):

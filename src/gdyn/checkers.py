@@ -17,7 +17,8 @@ meets G(V), so gt, like gm, is a density test on forward orbits.  tgt,
 wgm and sgm are decided on the minimal points (below), with no exponent
 window either.  Witnesses read one table: the hit mask of basis opens U
 and V has bit k, k in [1, p+q], iff f^k(U) meets G(V).  The false
-witnesses of tgt, wgm and sgm, certificates and the sgm sufficient
+witnesses of wgm and sgm, tgt's where gt holds (where gt fails, tgt's
+witness is gt's at m = 1), certificates and the sgm sufficient
 condition read it, one row per U.  The masks come from the functional
 graph: each point of U is walked for the tail depth d and cycle length L
 that the iterate cache records, a cycle point first met at k recurring
@@ -28,8 +29,8 @@ bounds the masks: a window [1, p+q] on |X| points past
 ``MaxTableEntries`` raises LimitError, and past it a true verdict
 carries a summary instead of certificates.  No verdict reads the window,
 so every property answers past that bound; only the false witnesses of
-tgt, wgm and sgm and the sgm sufficient condition on an sgm-false system
-stop there.
+wgm and sgm, tgt's on a gt-true system, and the sgm sufficient condition
+on an sgm-false system stop there.
 
 Total transitivity is decided on one exponent.  Let e be the least
 multiple of q with e >= max(p, 1).  For every m >= 1, m*e is >= p and
@@ -65,9 +66,8 @@ lies in G(A) and in G(A') for atoms of different orbits, and all three
 fail (for wgm take U = V, and E, F in different orbits).  Otherwise
 G(A') = Min for every atom A', and with m the least point of each atom:
 
-* tgt iff f^e(m) is in Min for every m;
-* sgm iff the cycle of every m lies in Min (its own rule, so that the
-  tests keep checking tgt <-> sgm);
+* tgt, and so sgm, iff f^e(m) is in Min for every m (the tests keep
+  sgm's own rule, the cycle of every m lies in Min, as a second route);
 * wgm iff the return sets T(m) = {k >= 1 : f^k(m) in Min} meet
   pairwise.  Then every two meet infinitely often: were K the largest
   exponent in both T(a) and T(b), f^K(a) and f^K(b) would be minimal
@@ -81,14 +81,14 @@ Each rule walks at most d + L steps per atom.
 
 Each property has one predicate, held in the table ``Verdicts`` (name ->
 bool, cheapest first) that ``profile``, the command-line report, the
-fixture check, the implication suite and the miner read: tgt, wgm and
-sgm the rules on the minimal points; gt and gm, a saturated forward
-reach is dense.  The ``is_*`` reports call the same predicates and build
-a witness on the verdict: a false verdict names a failing pair of basis
-opens (plus the iterate exponent where relevant), read from the hit
-masks, a true one (exponent, group element) certificates when small
-enough, built from the hit masks when the witness's ``certificates``
-entry is first read.
+fixture check, the implication suite and the miner read: tgt and sgm
+the tgt rule and wgm the residue rule on the minimal points; gt and gm,
+a saturated forward reach is dense.  The ``is_*`` reports call the same
+predicates and build a witness on the verdict: a false verdict names a
+failing pair of basis opens (plus the iterate exponent where relevant),
+read from the hit masks, a true one (exponent, group element)
+certificates when small enough, built from the hit masks when the
+witness's ``certificates`` entry is first read.
 `gdyn.oracle` re-derives every verdict by brute force from the raw
 definitions, in a table with the same names; the tests keep them agreed.
 """
@@ -404,17 +404,6 @@ def _tgt(sys: GSystem) -> bool:
     return all((minimal >> image(m, e)) & 1 for m in reps)
 
 
-def _sgm(sys: GSystem) -> bool:
-    """sgm: Min is one orbit of atoms, and the cycle of every atom lies
-    inside it."""
-    reps, minimal, one_orbit = _atoms(sys.action)
-    if not one_orbit:
-        return False
-    c = sys.cache()
-    fwd, depth, image = c.fwd, c.depth, c.image
-    return not any(fwd[image(m, depth[m])] & ~minimal for m in reps)
-
-
 def _residues(c: IterateCache, f: tuple[int, ...], m: int, minimal: int) -> tuple[int, int]:
     """m's cycle length L and the residues mod L of its return exponents
     on the cycle: bit j is set iff f^k(m) is in Min for the k >= d(m)
@@ -456,18 +445,12 @@ def _wgm(sys: GSystem) -> bool:
 
 
 def _least_failing_iterate(ctx: _Ctx) -> tuple[int, int, int]:
-    """(m, U, V) for the least m whose iterate f^m fails to link some basis
-    pair, with the first such pair in basis order; tgt must be false."""
+    """(m, U, V) for the least m >= 2 whose iterate f^m fails to link some
+    basis pair, with the first such pair in basis order; tgt must be false
+    and gt true (m = 1 fails exactly where gt does, so no mask is empty)."""
     c, basis = ctx.cache, ctx.basis
     p, q = c.preperiod, c.period
-    masks = []
-    for u in basis:
-        row = ctx.row(u)
-        if not all(row):
-            # f^1 hits at every exponent of the window, so m = 1 fails
-            # exactly at the empty masks
-            return 1, u, basis[row.index(0)]
-        masks += row
+    masks = [h for u in basis for h in ctx.row(u)]
     e = _exponent(c)
     # a mask with bit e meets the reduced exponents of every m, so the
     # least failing m is searched on the distinct masks without it
@@ -489,13 +472,17 @@ def is_totally_g_transitive(sys: GSystem) -> PropertyReport:
     Decided on one exponent: e, the least multiple of q with e >= max(p, 1),
     serves every m at once (f^(m*e) = f^e), so tgt holds iff f^e maps
     every atom into Min, and Min is one orbit of atoms.  A false verdict
-    names the least failing m, where f^m hits at the reduced exponents of
-    m*j, j >= 1: the tail exponents m*j <= p and the cycle exponents k in
-    [p+1, p+q] with k = 0 mod gcd(m, q)."""
+    names the least failing m: m = 1 with gt's witness where gt fails, and
+    otherwise the least m >= 2 on the hit masks, where f^m hits at the
+    reduced exponents of m*j, j >= 1: the tail exponents m*j <= p and the
+    cycle exponents k in [p+1, p+q] with k = 0 mod gcd(m, q)."""
     names = sys.space.names
     if not _tgt(sys):
-        m, u, v = _least_failing_iterate(_scan(sys))
-        return PropertyReport("tgt", False, {"m": m, "U": names(u), "V": names(v)})
+        gt, witness = _transitivity(sys)
+        if gt:
+            m, u, v = _least_failing_iterate(_scan(sys))
+            return PropertyReport("tgt", False, {"m": m, "U": names(u), "V": names(v)})
+        return PropertyReport("tgt", False, {"m": 1, **witness})
     c = sys.cache()
     # f^1 .. f^(p+q-1) are distinct tables, and f^(p+q) repeats f^p
     # unless p = 0
@@ -558,11 +545,11 @@ def is_n_fold_transitive(sys: GSystem, n: int) -> PropertyReport:
 def is_strongly_g_mixing(sys: GSystem) -> PropertyReport:
     """For every pair of nonempty opens, all sufficiently large exponents
     hit: some translate of f^n(U) meets V for every n beyond a threshold.
-    Decided on the atoms: Min is one orbit of atoms, and the cycle of
-    every atom lies inside Min.  A false verdict names the first basis
-    pair whose hit mask misses a recurring exponent in [p+1, p+q]."""
+    Decided by the tgt rule: sgm and tgt are equivalent on finite G-spaces
+    (module docstring).  A false verdict names the first basis pair whose
+    hit mask misses a recurring exponent in [p+1, p+q]."""
     names, c = sys.space.names, sys.cache()
-    if not _sgm(sys):
+    if not _tgt(sys):
         ctx = _scan(sys)
         window = ctx.cycle_window
         u, v, h = next(t for t in _pairs(ctx) if window & ~t[2])
@@ -702,7 +689,7 @@ def sgm_sufficient_condition(sys: GSystem) -> SgmCondition:
         return SgmCondition(False, None, "map is not pseudoequivariant")
     if _untransitive(sys) is not None:
         return SgmCondition(False, None, "system is not transitive")
-    if _sgm(sys):
+    if _tgt(sys):  # sgm, by the tgt rule
         return SgmCondition(True, True, _FiniteSpaceNote)
     ctx = _scan(sys)
     window = ctx.cycle_window
@@ -749,7 +736,7 @@ Verdicts: dict[str, Callable[[GSystem], bool]] = {
     "p2": lambda s: s.space.is_dense(gf_periodic_mask(s)),
     "gt": lambda s: _untransitive(s) is None,
     "gm": _gm,
-    "sgm": _sgm,
+    "sgm": _tgt,
     "cover": minimality_cover_criterion,
     "tgt": _tgt,
     "wgm": _wgm,

@@ -37,7 +37,7 @@ from .checkers import (
 )
 from .dynamics import GSystem
 from .errors import Error, GenerationError, ParseError, ValidationError
-from .sysfile import parse, serialize
+from .sysfile import open_lines, parse, serialize
 
 
 def _load(path: str) -> GSystem:
@@ -146,10 +146,7 @@ def _cmd_quotient(args) -> int:
     sys_ = _load(args.file)
     qs = quotient(sys_.action, sys_.f)
     q = qs.space
-    print("points " + " ".join(q.points))
-    seen = {m: None for m in q.min_open}
-    for names in sorted(q.names(m) for m in seen):
-        print("open " + " ".join(names))
+    print("points " + " ".join(q.points), *open_lines(q), sep="\n")
     for x, p in enumerate(sys_.space.points):
         print(f"proj {p} {q.points[qs.proj[x]]}")
     if qs.induced is None:

@@ -15,7 +15,7 @@ periodic points are the cycle points.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from math import lcm
+from math import lcm, prod
 
 from .algebra import Action, is_pseudoequivariant, product_action
 from .errors import LimitError, ValidationError
@@ -23,9 +23,9 @@ from .topology import Space, check_table, compose, find_discontinuity
 
 # bound on the entries of one system's tables: the checkers' (p+q)-bit
 # exponent masks of a map on |X| points, as if p+q tables of |X| entries,
-# and the group and action tables of an n-fold product
+# and the group and action tables of a product system
 MaxTableEntries = 4_000_000
-MaxCarrier = 20000  # bound on the carrier of an n-fold product
+MaxCarrier = 20000  # bound on the carrier of a product system, n-fold ones included
 
 
 class IterateCache:
@@ -197,8 +197,32 @@ def gf_periodic_mask(sys: GSystem) -> int:
 # -- products ----------------------------------------------------------------
 
 
+def _check_product(who: str, factors: Sequence[GSystem]) -> None:
+    """Raise LimitError when the product of ``factors`` would have a carrier
+    past ``MaxCarrier`` points, or group and action tables past
+    ``MaxTableEntries`` entries; checked before anything is built."""
+    sizes, orders = [s.space.n for s in factors], [s.group.order for s in factors]
+    points, order = prod(sizes), prod(orders)
+    if points > MaxCarrier:
+        raise LimitError(f"{who}: {_shape(sizes)} points exceeds the bound {MaxCarrier}")
+    if order * (order + points) > MaxTableEntries:
+        raise LimitError(
+            f"{who}: a group of order {_shape(orders)} acting on"
+            f" {points} points exceeds the bound of {MaxTableEntries} table entries"
+        )
+
+
+def _shape(sizes: list[int]) -> str:
+    """Factor sizes as a product: "189^2", or "3*5" when they differ."""
+    if len(set(sizes)) == 1:
+        return f"{sizes[0]}^{len(sizes)}"
+    return "*".join(map(str, sizes))
+
+
 def product_system(s1: GSystem, s2: GSystem) -> GSystem:
-    """The product map on the product space with the componentwise action."""
+    """The product map on the product space with the componentwise action.
+    Raises LimitError past the bounds that ``nfold_system`` names."""
+    _check_product("product_system", (s1, s2))
     n2 = s2.space.n
     f = tuple(
         s1.f[x] * n2 + s2.f[y]
@@ -220,16 +244,7 @@ def nfold_system(sys: GSystem, n: int) -> GSystem:
         raise LimitError(
             f"nfold_system: {n} factors exceed the bound {MaxCarrier.bit_length()}"
         )
-    points, order = sys.space.n ** n, sys.group.order ** n
-    if points > MaxCarrier:
-        raise LimitError(
-            f"nfold_system: {sys.space.n}^{n} points exceeds the bound {MaxCarrier}"
-        )
-    if order * (order + points) > MaxTableEntries:
-        raise LimitError(
-            f"nfold_system: a group of order {sys.group.order}^{n} acting on"
-            f" {points} points exceeds the bound of {MaxTableEntries} table entries"
-        )
+    _check_product("nfold_system", (sys,) * n)
     out = sys
     for _ in range(n - 1):
         out = product_system(out, sys)

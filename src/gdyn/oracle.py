@@ -15,9 +15,14 @@ their re-derivations here.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_, or_
+
+from .algebra import trivial_action
 from .bitsets import bits
 from .dynamics import GSystem
 from .errors import LimitError
+from .topology import Space
 
 MaxOraclePoints = 16
 
@@ -278,58 +283,23 @@ Verdicts = {
 
 
 def oracle_quotient_minimal(sys: GSystem) -> bool:
-    """Minimality of the induced map on the orbit space, with orbits,
-    quotient opens and closures all rebuilt from scratch.  Assumes the
-    induced map exists (the caller checks pseudoequivariance)."""
-    n = sys.space.n
-    if n > MaxOraclePoints:
-        raise LimitError(f"oracle: too many points ({n} > {MaxOraclePoints})")
-    act = sys.action.act
-    orbit_of = [0] * n
-    orbit_masks: list[int] = []
-    assigned = [False] * n
-    for x in range(n):
-        if assigned[x]:
-            continue
-        m = 0
-        for row in act:
-            m |= 1 << row[x]
-        idx = len(orbit_masks)
-        orbit_masks.append(m)
-        for y in bits(m):
-            orbit_of[y] = idx
-            assigned[y] = True
-    k = len(orbit_masks)
-    if k > MaxOraclePoints:
-        raise LimitError(f"oracle: too many orbits ({k} > {MaxOraclePoints})")
-    q_opens = []
-    mo = sys.space.min_open
-    for s in range(1 << k):
-        pre = 0
-        for i in bits(s):
-            pre |= orbit_masks[i]
-        if all(mo[x] & ~pre == 0 for x in bits(pre)):
-            q_opens.append(s)
-    induced = tuple(
-        orbit_of[sys.f[next(bits(orbit_masks[i]))]] for i in range(k)
-    )
-    q_full = (1 << k) - 1
-
-    def q_closure(a: int) -> int:
-        avoid = 0
-        for s in q_opens:
-            if not (s & a):
-                avoid |= s
-        return q_full & ~avoid
-
-    for o in range(k):
-        seen = set()
-        orbit = 0
-        y = o
-        while y not in seen:
-            seen.add(y)
-            orbit |= 1 << y
-            y = induced[y]
-        if q_closure(orbit) != q_full:
-            return False
-    return True
+    """Minimality of the induced map on the orbit space, the group
+    forgotten: ``oracle_gm`` under the trivial group.  Orbits are collected
+    translate by translate, a set of orbits is open iff its union is, and
+    each orbit's minimal open is the intersection of the opens that hold
+    it.  Assumes the induced map exists (the caller checks
+    pseudoequivariance)."""
+    ctx = OracleContext(sys)
+    orbits: list[int] = []
+    for x in range(sys.space.n):
+        orbit = _translate_union(ctx, 1 << x)
+        if orbit not in orbits:
+            orbits.append(orbit)
+    k, opens = len(orbits), set(ctx.opens)
+    q_opens = [s for s in range(1 << k)
+               if reduce(or_, [orbits[i] for i in bits(s)], 0) in opens]
+    min_open = [reduce(and_, [s for s in q_opens if (s >> i) & 1]) for i in range(k)]
+    orbit_of = {x: i for i, orbit in enumerate(orbits) for x in bits(orbit)}
+    induced = [orbit_of[sys.f[next(bits(orbit))]] for orbit in orbits]
+    space = Space(tuple(f"o{i}" for i in range(k)), min_open)
+    return oracle_gm(GSystem(trivial_action(space), induced))

@@ -28,7 +28,7 @@ from __future__ import annotations
 from .algebra import Action, Group
 from .dynamics import GSystem
 from .errors import LimitError, ParseError
-from .topology import space_from_subbasis
+from .topology import Space, space_from_subbasis
 
 # the largest group a file may declare.  Group validation is
 # O(|G|^2 * |S|) for its greedy generating set S.  A group has
@@ -175,13 +175,17 @@ def parse(text: str) -> GSystem:
     return GSystem(action, f)
 
 
+def open_lines(space: Space) -> list[str]:
+    """The space's canonical ``open`` lines: its distinct minimal opens,
+    sorted by their point names."""
+    distinct = {m: None for m in space.min_open}
+    return ["open " + " ".join(names) for names in sorted(map(space.names, distinct))]
+
+
 def serialize(sys: GSystem) -> str:
     space = sys.space
     group = sys.group
-    lines = ["points " + " ".join(space.points)]
-    distinct = {m: None for m in space.min_open}
-    for names in sorted(space.names(m) for m in distinct):
-        lines.append("open " + " ".join(names))
+    lines = ["points " + " ".join(space.points), *open_lines(space)]
     lines.append("group " + " ".join(group.elements))
     lines.append("identity " + group.elements[group.identity])
     for i, g in enumerate(group.elements):

@@ -28,6 +28,12 @@ from .errors import LimitError, ValidationError
 MaxAutomorphismPoints = 8
 
 
+def writable_name(name: str) -> bool:
+    """Whether a point or element name can stand in a system file: it is
+    nonempty and holds no whitespace and no comment sign ``#``."""
+    return bool(name) and "#" not in name and not any(c.isspace() for c in name)
+
+
 class Space:
     """A finite topological space.
 
@@ -46,7 +52,7 @@ class Space:
         if len(set(pts)) != len(pts):
             raise ValidationError("space: duplicate point names")
         for name in pts:
-            if not name or any(c.isspace() for c in name) or "#" in name:
+            if not writable_name(name):
                 raise ValidationError(f"space: bad point name {name!r}")
         n = len(pts)
         full = (1 << n) - 1

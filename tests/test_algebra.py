@@ -63,6 +63,13 @@ class TestGroupValidation:
         with pytest.raises(ValidationError, match="duplicate"):
             Group(("e", "e"), ((0, 1), (1, 0)))
 
+    @pytest.mark.parametrize("name", ["", "a b", "a\tb", "a\nb", "a#b", "#"])
+    def test_names_a_file_cannot_carry(self, name):
+        # a system file splits element names at whitespace and cuts each
+        # line at '#', so such a name would not parse back
+        with pytest.raises(ValidationError, match="bad element name"):
+            Group(("e", name), ((0, 1), (1, 0)))
+
 
 class TestCatalog:
     def test_orders(self):

@@ -18,6 +18,7 @@ from gdyn.errors import LimitError, PreconditionError
 from gdyn.sysfile import parse
 from gdyn.topology import compose, discrete_space, map_image, space_from_subbasis
 from tests.conftest import DATA, cycles_text, mask, refute_pair, shifted_cycles, trivialized
+from tests.test_routes import sgm_by_cycles
 
 
 def _one_point_system():
@@ -317,6 +318,15 @@ class TestProductMinimality:
         s2 = _one_point_system()
         pm = ck.product_minimality_criterion(s1, s2)
         assert pm.product_minimal == pm.criterion
+
+    def test_product_bounded_before_it_is_built(self):
+        # two 150-point cycles make a 22,500-point product, past MaxCarrier:
+        # the bound raises before any table of it is built
+        sys = parse(cycles_text((150,)))
+        start = time.perf_counter()
+        with pytest.raises(LimitError, match="product_system: 150\\^2 points exceeds"):
+            ck.product_minimality_criterion(sys, sys)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestPreconditionsAndReports:
@@ -699,10 +709,15 @@ def _zl_family(n):
 
 class TestFiniteDiagram:
     def test_tgt_iff_sgm(self, sweep):
-        # tgt->sgm (module docstring) with sgm->tgt; the implication suite
-        # checks both on generated systems
+        # tgt->sgm (module docstring) with sgm->tgt: sgm's own rule, every
+        # atom's cycle lies inside Min, against the tgt rule that decides
+        # both; the implication suite checks both on generated systems
+        outcomes = collections.Counter()
         for sys in sweep:
-            assert ck.Verdicts["tgt"](sys) == ck.Verdicts["sgm"](sys)
+            verdict = ck.Verdicts["tgt"](sys)
+            assert sgm_by_cycles(sys) is verdict
+            outcomes[verdict] += 1
+        assert outcomes[True] and outcomes[False]
 
     def test_wgm_without_tgt(self):
         # the 6-point witness of tests/data is the family's L = 3 member
@@ -730,14 +745,19 @@ class TestMinimalPoints:
     def test_every_cycle_length_to_19(self):
         # 189 points under the trivial group, horizon 232,792,560: every
         # point is an atom of its own orbit, so Min is 189 orbits of atoms
-        # and tgt, wgm and sgm are false without a hit mask
+        # and tgt, wgm and sgm are false without a hit mask; tgt's false
+        # witness is gt's at m = 1, while those of wgm and sgm read the
+        # masks and stop at the bound
         sys = parse(cycles_text(range(2, 20)))
         want = {"tgt": False, "wgm": False, "sgm": False}
         start = time.perf_counter()
         assert ck.profile(sys, want) == want
         assert time.perf_counter() - start < 1.0
-        with pytest.raises(LimitError, match="exponent window"):
-            ck.is_totally_g_transitive(sys)
+        rep = ck.is_totally_g_transitive(sys)
+        assert rep.witness == {"m": 1, "U": ("p0",), "V": ("p2",)}
+        for decide in (ck.is_weakly_g_mixing, ck.is_strongly_g_mixing):
+            with pytest.raises(LimitError, match="exponent window"):
+                decide(sys)
 
     def test_transitive_shift_of_cycles(self):
         # cycles 2, 3, 5, 7, 11 and 13 under Z41, horizon 30,030: Min is

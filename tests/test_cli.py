@@ -302,11 +302,11 @@ class TestErrorsExitTwo:
     def test_horizon_limit(self, tmp_path, capsys):
         # the prime cycles to 19 (77 points, horizon 9,699,690) and every
         # cycle length 2..19 (189 points, horizon 232,792,560): the false
-        # witnesses of tgt, wgm and sgm read the hit masks and stop at the
-        # mask bound, while the report decides on the minimal points, gt,
-        # gm, cover and the minimal cores read only the forward orbits, and
-        # nfold:2 answers on the 77^2-point product and stops at the
-        # carrier bound on the 189^2-point one
+        # witnesses of wgm and sgm read the hit masks and stop at the mask
+        # bound, tgt's is gt's at m = 1, while the report decides on the
+        # minimal points, gt, gm, cover and the minimal cores read only the
+        # forward orbits, and nfold:2 answers on the 77^2-point product and
+        # stops at the carrier bound on the 189^2-point one
         p = tmp_path / "cycles.gds"
         for lengths in ((2, 3, 5, 7, 11, 13, 17, 19), range(2, 20)):
             p.write_text(cycles_text(lengths))
@@ -317,7 +317,10 @@ class TestErrorsExitTwo:
             assert capsys.readouterr().out == "property=gm verdict=false\nwitness: x=p0\n"
             assert main(["check", str(p), "--property", "cover"]) == 1
             assert capsys.readouterr().out == "property=cover verdict=false\n"
-            for prop in ("tgt", "wgm", "sgm"):
+            assert main(["check", str(p), "--property", "tgt"]) == 1
+            assert capsys.readouterr().out == (
+                "property=tgt verdict=false\nwitness: U={p0} V={p2} m=1\n")
+            for prop in ("wgm", "sgm"):
                 assert main(["check", str(p), "--property", prop]) == 2
                 assert capsys.readouterr().err.startswith("error: scan: the exponent window")
             assert main(["report", str(p)]) == 0

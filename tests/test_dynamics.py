@@ -189,6 +189,19 @@ class TestProducts:
         with pytest.raises(LimitError, match="group of order 8\\^4"):
             nfold_system(sys, 4)
 
+    def test_product_bounds(self):
+        # the bounds of nfold_system hold for every product: 150 * 300
+        # points pass MaxCarrier, and Z256 x Z256 on one point passes the
+        # bound on table entries, where Z256 x Z4 stays inside it
+        cycle = parse(cycles_text((150,)))
+        big = parse(cycles_text((1,), group_order=256))
+        small = parse(cycles_text((1,), group_order=4))
+        assert product_system(big, small).group.order == 1024
+        with pytest.raises(LimitError, match="group of order 256\\^2 acting on 1 points"):
+            product_system(big, big)
+        with pytest.raises(LimitError, match="product_system: 150\\*300 points"):
+            product_system(cycle, parse(cycles_text((150, 150))))
+
     def test_product_map_componentwise(self, fixture_map):
         s1 = fixture_map["disc2-swap"].system
         s2 = fixture_map["sierpinski-id"].system

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -90,6 +91,17 @@ class TestOracleAgreement:
                 continue
             qm = ck.quotient_minimality(sys)
             assert orc.oracle_quotient_minimal(sys) == qm.induced_minimal
+
+    def test_quotient_minimal_sweep(self, sweep):
+        # every pseudoequivariant system on up to three points over Z1, Z2
+        # and Z3, against the checkers' quotient
+        outcomes = collections.Counter()
+        for sys in sweep:
+            if sys.pseudoequivariant():
+                want = ck.quotient_minimality(sys).induced_minimal
+                assert orc.oracle_quotient_minimal(sys) == want, serialize(sys)
+                outcomes[want] += 1
+        assert outcomes[True] and outcomes[False]
 
     def test_exhaustive_small_sweep(self):
         for sys in itertools.islice(enumerate_systems(3, ("Z2", "Z3")), 250):

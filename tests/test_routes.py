@@ -4,6 +4,8 @@ transitivity, total transitivity, weak and strong mixing against the
 hit-mask table over the sweep, generated systems and every labelled
 system on four points (the last three also over random two-level systems
 under Z_n, where weak mixing without total transitivity is common),
+strong mixing against its own rule on the minimal points (every atom's
+cycle lies inside Min) on the same systems,
 n-fold transitivity
 against the masks of the product, total transitivity, weak mixing,
 minimal cores, quotients and derived products over every system of the
@@ -400,6 +402,16 @@ def _mask_verdicts(ctx):
     }
 
 
+def sgm_by_cycles(sys):
+    """sgm by its own rule on the minimal points: Min is one orbit of
+    atoms, and the cycle of every atom lies inside it.  The library
+    decides sgm by the tgt rule, the two being equivalent on finite
+    G-spaces."""
+    reps, minimal, one_orbit = ck._atoms(sys.action)
+    c = sys.cache()
+    return one_orbit and not any(c.fwd[c.image(m, c.depth[m])] & ~minimal for m in reps)
+
+
 def _gt_witness_by_masks(sys, ctx):
     """The names of the first empty pair (U, V) in basis order, or None."""
     for u in ctx.basis:
@@ -422,9 +434,10 @@ def _gt_agrees_with_masks(sys, rep):
 
 def test_gt_density_matches_the_masks(sweep, fixture_map):
     # gt's density test and the rules on the minimal points for tgt, wgm
-    # and sgm against the hit-mask predicates: the fixtures, the 6-point
-    # witness of wgm without tgt, the sweep, the generated systems, and
-    # every labelled system on up to four points over Z1 .. Z4 and Z2xZ2
+    # and sgm against the hit-mask predicates, and sgm against its cycle
+    # rule: the fixtures, the 6-point witness of wgm without tgt, the
+    # sweep, the generated systems, and every labelled system on up to
+    # four points over Z1 .. Z4 and Z2xZ2
     on_four = corpus.enumerate_systems(4, ("Z1", "Z2", "Z3", "Z4", "Z2xZ2"))
     named = [fx.system for fx in fixture_map.values()]
     named.append(parse((DATA / "z3_wgm_not_tgt.gds").read_text()))
@@ -435,6 +448,7 @@ def test_gt_density_matches_the_masks(sweep, fixture_map):
         for name, verdict in verdicts.items():
             assert ck.Verdicts[name](sys) is verdict, name
             outcomes[name, verdict] += 1
+        assert sgm_by_cycles(sys) is verdicts["sgm"]
         outcomes["wgm&!tgt"] += verdicts["wgm"] and not verdicts["tgt"]
         count += 1
     assert count == len(named) + 1637 + 400 + 254_141
@@ -469,7 +483,8 @@ def _two_level_system(rng):
 def test_minimal_point_rules_on_two_level_systems():
     # Min is one orbit of atoms on every such system, and its cycles leave
     # Min and come back, so weak mixing without total transitivity occurs
-    # often enough to reach the residue rule of wgm
+    # often enough to reach the residue rule of wgm; sgm's cycle rule is
+    # checked alongside
     rng = random.Random(5)
     outcomes = collections.Counter()
     while outcomes["checked"] < 3000:
@@ -479,6 +494,7 @@ def test_minimal_point_rules_on_two_level_systems():
         verdicts = _mask_verdicts(ck._Ctx(sys))
         for name in ("tgt", "wgm", "sgm"):
             assert ck.Verdicts[name](sys) is verdicts[name], name
+        assert sgm_by_cycles(sys) is verdicts["sgm"]
         outcomes["checked"] += 1
         outcomes["wgm&!tgt"] += verdicts["wgm"] and not verdicts["tgt"]
         outcomes["tgt"] += verdicts["tgt"]

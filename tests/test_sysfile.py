@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gdyn.algebra import Action, Group
+from gdyn.dynamics import GSystem
 from gdyn.errors import ParseError, ValidationError
 from gdyn.sysfile import parse, serialize
+from gdyn.topology import discrete_space
 
 MINIMAL = """\
 points a b
@@ -35,6 +40,18 @@ class TestRoundTrip:
         lines = [l for l in text.splitlines() if l]
         scrambled = "\n".join(reversed(lines)) + "\n"
         assert parse(scrambled) == fixture_map["z4mod2"].system
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(max_size=3), min_size=2, max_size=2, unique=True))
+    def test_element_names_round_trip(self, names):
+        # every pair of element names that Group accepts survives a file
+        try:
+            group = Group(names, ((0, 1), (1, 0)))
+        except ValidationError:
+            return
+        space = discrete_space(("a", "b"))
+        sys = GSystem(Action(group, space, ((0, 1), (1, 0))), (1, 0))
+        assert parse(serialize(sys)) == sys
 
     def test_comments_and_blanks(self):
         noisy = "# header\n\n" + MINIMAL.replace(
