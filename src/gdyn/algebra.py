@@ -20,7 +20,15 @@ from typing import NamedTuple
 
 from .bitsets import bits
 from .errors import ValidationError
-from .topology import Space, find_discontinuity, identity_table, map_image, product, writable_name
+from .topology import (
+    Space,
+    find_discontinuity,
+    identity_table,
+    indices_below,
+    map_image,
+    product,
+    writable_name,
+)
 
 
 class Group:
@@ -39,9 +47,8 @@ class Group:
         table = tuple(tuple(row) for row in mul)
         if len(table) != n or any(len(row) != n for row in table):
             raise ValidationError("group: multiplication table must be n x n")
-        for row in table:
-            if min(row) < 0 or max(row) >= n:
-                raise ValidationError("group: table entry outside the element list")
+        if not all(indices_below(row, n) for row in table):
+            raise ValidationError("group: table entry outside the element list")
         # identity
         ident = None
         ids = tuple(range(n))
@@ -189,7 +196,7 @@ class Action:
         n, m = space.n, group.order
         if len(table) != m or any(len(row) != n for row in table):
             raise ValidationError("action: table must be |G| x |X|")
-        if any(not 0 <= v < n for row in table for v in row):
+        if not all(indices_below(row, n) for row in table):
             raise ValidationError("action: table entry outside the carrier")
         for x, y in enumerate(table[group.identity]):
             if x != y:

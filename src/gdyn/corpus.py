@@ -750,10 +750,6 @@ def check_system_implications(sys: GSystem, antecedents: Counter,
             return False
         return True
 
-    def quotient_agrees() -> bool:
-        qm = quotient_minimality(sys)
-        return qm.gm == gm and qm.induced_minimal == gm
-
     items = (
         *((name, all(v[a] for a in antecedent), lambda c=consequent: v[c])
           for name, antecedent, consequent in Implications),
@@ -768,7 +764,6 @@ def check_system_implications(sys: GSystem, antecedents: Counter,
         ("p1&gt->cores-full-or-thin", p1 and gt,
          lambda: all(m == full or sys.space.is_nowhere_dense(m)
                      for m in msets)),
-        ("p1->gm-iff-induced", p1, quotient_agrees),
         ("p1->gm-iff-cover", p1, lambda: gm == v["cover"]),
         ("p1->disjoint-cores", p1, disjoint_invariant_cores),
         ("periodic-dense->p2",

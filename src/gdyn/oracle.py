@@ -21,7 +21,7 @@ from operator import and_, or_
 from .algebra import trivial_action
 from .bitsets import bits
 from .dynamics import GSystem
-from .errors import LimitError
+from .errors import LimitError, PreconditionError
 from .topology import Space
 
 MaxOraclePoints = 16
@@ -287,9 +287,11 @@ def oracle_quotient_minimal(sys: GSystem) -> bool:
     forgotten: ``oracle_gm`` under the trivial group.  Orbits are collected
     translate by translate, a set of orbits is open iff its union is, and
     each orbit's minimal open is the intersection of the opens that hold
-    it.  Assumes the induced map exists (the caller checks
-    pseudoequivariance)."""
+    it.  Raises PreconditionError unless ``oracle_p1`` holds: otherwise
+    no induced map exists."""
     ctx = OracleContext(sys)
+    if not oracle_p1(sys, ctx):
+        raise PreconditionError("quotient minimality: the map is not pseudoequivariant")
     orbits: list[int] = []
     for x in range(sys.space.n):
         orbit = _translate_union(ctx, 1 << x)

@@ -58,6 +58,8 @@ class Space:
         full = (1 << n) - 1
         if len(mo) != n:
             raise ValidationError("space: min_open must assign a set to every point")
+        if not _ints(mo):
+            raise ValidationError("space: min_open entries must be int masks")
         for x, m in enumerate(mo):
             if m & ~full:
                 raise ValidationError(f"space: min_open({pts[x]}) is not a subset of the carrier")
@@ -199,9 +201,20 @@ def product(s1: Space, s2: Space) -> Space:
 # -- maps as index tables -------------------------------------------------
 
 
+def _ints(values: Sequence) -> bool:
+    """Whether every entry is an int (not a bool, float or str, which a
+    range test would pass or fail with a TypeError)."""
+    return set(map(type, values)) <= {int}
+
+
+def indices_below(values: Sequence, n: int) -> bool:
+    """Whether every entry is an int in [0, n)."""
+    return _ints(values) and 0 <= min(values) and max(values) < n
+
+
 def check_table(space: Space, table: Sequence[int]) -> tuple[int, ...]:
-    t, n = tuple(table), space.n
-    if len(t) != n or min(t) < 0 or max(t) >= n:
+    t = tuple(table)
+    if len(t) != space.n or not indices_below(t, space.n):
         raise ValidationError("map: table must send every point to a point of the carrier")
     return t
 

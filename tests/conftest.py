@@ -6,8 +6,9 @@ import pytest
 from gdyn import fixtures
 from gdyn.algebra import Action, cyclic_group, trivial_action
 from gdyn.bitsets import bits
-from gdyn.corpus import _extend_hom, enumerate_systems
+from gdyn.corpus import _extend_hom, enumerate_systems, generate
 from gdyn.dynamics import GSystem
+from gdyn.errors import GenerationError
 from gdyn.topology import compose, discrete_space, map_image
 
 DATA = Path(__file__).parent / "data"
@@ -119,6 +120,16 @@ def map_preimage(table, a, n):
         if (a >> table[x]) & 1:
             out |= 1 << x
     return out
+
+
+def generated_systems(configs):
+    """The generator's system for each config, skipping those whose
+    draws run out (``GenerationError``)."""
+    for cfg in configs:
+        try:
+            yield generate(cfg)
+        except GenerationError:
+            pass
 
 
 def trivialized(sys):

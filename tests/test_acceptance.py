@@ -24,7 +24,7 @@ def _gate(n: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"acceptance criterion {n} ({name}) failed: {detail}"
 
 
-def _oracle_mismatches(sys, check_quotient: bool) -> list[str]:
+def _oracle_mismatches(sys) -> list[str]:
     ctx = orc.OracleContext(sys)
     got = []
     row = ck.profile(sys)
@@ -32,7 +32,7 @@ def _oracle_mismatches(sys, check_quotient: bool) -> list[str]:
     pairs.append(
         ("minimal-sets", ck.g_minimal_sets(sys), orc.oracle_minimal_sets(sys, ctx))
     )
-    if check_quotient and row["p1"]:
+    if row["p1"]:
         pairs.append((
             "quotient-minimal",
             ck.quotient_minimality(sys).induced_minimal,
@@ -50,7 +50,7 @@ def test_criterion_1_oracle_equivalence(fixture_map):
     for fx in fixture_map.values():
         if not orc.oracle_continuous(fx.system):
             bad.append(f"{fx.name}: continuity")
-        for tag in _oracle_mismatches(fx.system, check_quotient=True):
+        for tag in _oracle_mismatches(fx.system):
             bad.append(f"{fx.name}: {tag}")
     generated = 0
     pool = ("Z1", "Z2", "Z3", "Z4", "Z2xZ2")
@@ -69,7 +69,7 @@ def test_criterion_1_oracle_equivalence(fixture_map):
         except corpus.GenerationError:
             continue
         generated += 1
-        for tag in _oracle_mismatches(sys, check_quotient=True):
+        for tag in _oracle_mismatches(sys):
             bad.append(f"seed {cfg.seed}: {tag}\n{serialize(sys)}")
     elapsed = time.monotonic() - started
     ok = not bad and generated >= 200 and elapsed < 120.0

@@ -136,6 +136,14 @@ class TestActionValidation:
         with pytest.raises(ValidationError, match="|G| x |X|"):
             Action(z1, sp, ((0, 0), (0, 1)))
 
+    @pytest.mark.parametrize("entry", [float, str, bool])
+    def test_entries_must_be_ints(self, entry):
+        # Z2's tables with one int entry replaced by an equal non-int
+        with pytest.raises(ValidationError, match="element list"):
+            Group(("e", "a"), ((0, 1), (1, entry(0))))
+        with pytest.raises(ValidationError, match="carrier"):
+            Action(cyclic_group(2), discrete_space(("a", "b")), ((0, 1), (entry(1), 0)))
+
     def test_translation_must_be_homeomorphism(self):
         # swapping the Sierpinski points is a bijection but the inverse
         # image of the open point is not open

@@ -89,6 +89,12 @@ class TestGSystem:
         with pytest.raises(ValidationError, match="not continuous at b"):
             GSystem(act, (1, 0))
 
+    @pytest.mark.parametrize("entry", [float, str, bool])
+    def test_map_entries_must_be_ints(self, entry):
+        act = trivial_action(discrete_space(("a", "b")))
+        with pytest.raises(ValidationError, match="carrier"):
+            GSystem(act, (entry(1), 0))
+
     def test_cache_is_memoized(self, fixture_map):
         sys = fixture_map["rot4"].system
         assert sys.cache() is sys.cache()

@@ -4,13 +4,13 @@ import random
 
 import pytest
 
-from conftest import gf_orbit, opens
+from conftest import generated_systems, gf_orbit, opens
 from gdyn import checkers as ck
 from gdyn import oracle as orc
 from gdyn.algebra import trivial_action
-from gdyn.corpus import enumerate_systems
+from gdyn.corpus import enumerate_systems, suite_configs
 from gdyn.dynamics import GSystem
-from gdyn.errors import LimitError
+from gdyn.errors import LimitError, PreconditionError
 from gdyn.sysfile import serialize
 from gdyn.topology import discrete_space
 
@@ -94,14 +94,21 @@ class TestOracleAgreement:
 
     def test_quotient_minimal_sweep(self, sweep):
         # every pseudoequivariant system on up to three points over Z1, Z2
-        # and Z3, against the checkers' quotient
+        # and Z3, and of the generated systems (at most six points),
+        # against the checkers: the oracle builds the orbit space, and
+        # is the only independent check of ``induced_minimal``
         outcomes = collections.Counter()
-        for sys in sweep:
+        for sys in itertools.chain(sweep, generated_systems(suite_configs(400))):
             if sys.pseudoequivariant():
                 want = ck.quotient_minimality(sys).induced_minimal
                 assert orc.oracle_quotient_minimal(sys) == want, serialize(sys)
                 outcomes[want] += 1
         assert outcomes[True] and outcomes[False]
+        assert sum(outcomes.values()) == 1261 + 332
+
+    def test_quotient_minimal_requires_p1(self, fixture_map):
+        with pytest.raises(PreconditionError, match="not pseudoequivariant"):
+            orc.oracle_quotient_minimal(fixture_map["skew3"].system)
 
     def test_exhaustive_small_sweep(self):
         for sys in itertools.islice(enumerate_systems(3, ("Z2", "Z3")), 250):

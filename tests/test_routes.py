@@ -18,25 +18,28 @@ homomorphism extension over the catalog groups, action validation
 against a copy that also checks every translation for a bijection and
 its inverse for continuity, and the quotient's opens against a
 saturation fixpoint over the sweep, generated systems and every action
-of the catalog groups on four points, and the space's base condition
-against the check at every point.  Systems that the sweep and the
-generator build without re-validation are rebuilt through the
-validating constructors."""
+of the catalog groups on four points, every property of a
+pseudoequivariant system (p2, gt, tgt, wgm, sgm, gm, cover) against its
+explicit orbit space under the trivial group over the sweep, generated
+systems and every seventh labelled system on four points, and the
+space's base condition against the check at every point.  Systems that
+the sweep and the generator build without re-validation are rebuilt
+through the validating constructors."""
 
 import collections
 import itertools
 import random
 import re
 
-from conftest import DATA, all_homs, gf_orbit, is_open, map_preimage, opens
+from conftest import DATA, all_homs, generated_systems, gf_orbit, is_open, map_preimage, opens
 from gdyn import checkers as ck
 from gdyn import corpus
-from gdyn.algebra import Action, Group, catalog, product_group, quotient
+from gdyn.algebra import Action, Group, catalog, product_group, quotient, trivial_action
 from gdyn.bitsets import bits
 from gdyn.corpus import GeneratorConfig, all_spaces, generate, suite_configs
 from gdyn.dynamics import GSystem, nfold_system, product_system
-from gdyn.errors import GenerationError, ValidationError
-from gdyn.sysfile import parse
+from gdyn.errors import ValidationError
+from gdyn.sysfile import parse, serialize
 from gdyn.topology import (
     Space,
     automorphisms,
@@ -443,7 +446,7 @@ def test_gt_density_matches_the_masks(sweep, fixture_map):
     named.append(parse((DATA / "z3_wgm_not_tgt.gds").read_text()))
     outcomes = collections.Counter()
     count = 0
-    for sys in itertools.chain(named, sweep, _generated(suite_configs(400)), on_four):
+    for sys in itertools.chain(named, sweep, generated_systems(suite_configs(400)), on_four):
         verdicts = _gt_agrees_with_masks(sys, ck.is_g_transitive(sys))
         for name, verdict in verdicts.items():
             assert ck.Verdicts[name](sys) is verdict, name
@@ -572,19 +575,11 @@ def test_products_pass_full_validation(sweep):
         assert GSystem(Action(g, space, p.action.act), p.f) == p
 
 
-def _generated(configs):
-    for cfg in configs:
-        try:
-            yield generate(cfg)
-        except GenerationError:
-            pass
-
-
 def test_corpus_systems_pass_full_validation(sweep):
     # the sweep and the generator build spaces, actions and systems from
     # tables they have already checked; the public constructors must
     # accept them
-    generated = list(itertools.islice(_generated(suite_configs(400)), 300))
+    generated = list(itertools.islice(generated_systems(suite_configs(400)), 300))
     assert len(generated) == 300
     for sys in sweep + generated:
         space = Space(sys.space.points, sys.space.min_open)
@@ -660,7 +655,7 @@ def _cores_by_growth(sys):
 
 
 def test_cover_and_cores_match_the_fixpoint_searches(sweep):
-    generated = list(_generated(suite_configs(400)))
+    generated = list(generated_systems(suite_configs(400)))
     covers = cores = 0
     for sys in sweep + generated:
         verdict = ck.minimality_cover_criterion(sys)
@@ -691,6 +686,39 @@ def test_quotient_projection_and_induced_map(sweep):
                 assert qs.induced[proj[x]] == proj[sys.f[x]]
 
 
+# the properties that a pseudoequivariant system shares with its orbit
+# space under the trivial group (the `checkers` module docstring)
+_ORBIT_SPACE_PROPERTIES = ("p2", "gt", "tgt", "wgm", "sgm", "gm", "cover")
+
+
+def test_pseudoequivariant_systems_are_their_orbit_spaces(sweep):
+    # every pseudoequivariant system of the sweep, of the generated
+    # systems and of every seventh labelled system on four points over
+    # Z1 .. Z4 and Z2xZ2, against the explicit orbit space: the induced
+    # map under the trivial group, through the validating constructor.
+    # Each population holds systems whose orbit space is smaller, so the
+    # route is not the identity
+    on_four = itertools.islice(
+        corpus.enumerate_systems(4, ("Z1", "Z2", "Z3", "Z4", "Z2xZ2")), 0, None, 7)
+    populations = {  # label -> (systems, how many are pseudoequivariant)
+        "sweep": (sweep, 1261),
+        "generated": (generated_systems(suite_configs(400)), 332),
+        "on four": (on_four, 15_939),
+    }
+    for label, (systems, p1) in populations.items():
+        outcomes = collections.Counter()
+        for sys in systems:
+            if not sys.pseudoequivariant():
+                continue
+            qs = quotient(sys.action, sys.f)
+            orbit = GSystem(trivial_action(qs.space), qs.induced)
+            assert (ck.profile(sys, _ORBIT_SPACE_PROPERTIES)
+                    == ck.profile(orbit, _ORBIT_SPACE_PROPERTIES)), serialize(sys)
+            outcomes["p1"] += 1
+            outcomes["smaller"] += qs.space.n < sys.space.n
+        assert outcomes["p1"] == p1 and outcomes["smaller"], label
+
+
 def _quotient_opens_by_fixpoint(action, proj, orbit_masks):
     """The least open set of orbits containing each orbit, grown until
     its preimage is open: add the orbit of every point of a minimal open
@@ -718,7 +746,7 @@ def test_quotient_opens_match_the_fixpoint(sweep):
                for space in all_spaces(4) for group in catalog().values()
                for phi in all_homs(group, automorphisms(space), space.n)]
     assert len(on_four) == 7034
-    generated = [sys.action for sys in _generated(suite_configs(400))]
+    generated = [sys.action for sys in generated_systems(suite_configs(400))]
     for action in [sys.action for sys in sweep] + generated + on_four:
         qs = quotient(action)
         assert qs.space.min_open == _quotient_opens_by_fixpoint(action, qs.proj,

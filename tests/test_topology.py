@@ -63,6 +63,14 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Space(("a",), (0b11,))
 
+    @pytest.mark.parametrize("entry", [float, str, bool])
+    def test_entries_must_be_ints(self, entry):
+        # 1.0 and True pass a range test, "1" fails it with a TypeError
+        with pytest.raises(ValidationError, match="int masks"):
+            Space(("a",), (entry(1),))
+        with pytest.raises(ValidationError, match="carrier"):
+            is_continuous(discrete_space(("a", "b")), (entry(1), 0))
+
 
 class TestBasics:
     def test_sierpinski_closure_interior(self):
