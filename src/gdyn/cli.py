@@ -42,7 +42,8 @@ from .sysfile import open_lines, parse, serialize
 
 def _load(path: str) -> GSystem:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # utf-8-sig: a leading byte-order mark is not part of the first line
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return parse(text)

@@ -1,11 +1,16 @@
 """Worked systems, a seeded random generator, exhaustive enumeration of
 small systems, a property miner and the implication test suite.
 
-The fixtures are hand-built systems whose property profiles were worked
-out by hand; loading them re-derives every verdict and refuses to hand
-out a fixture that disagrees with its table.  Together they separate the
-properties pairwise: transitive but not totally transitive, strongly
-mixing but not minimal, minimal but not mixing, and so on.
+The fixtures are system files shipped under ``data/``, whose property
+profiles were worked out by hand.  Each file is ``serialize``'s output
+with comment lines that ``parse`` skips: one ``# note <text>``, one
+``# expect key=value ...`` with the verdicts (``true``, ``false``, the
+pair ``gm,induced_minimal`` of the quotient, or ``none`` where there is
+no induced quotient map) and one ``# expect minimal-set <point> ...`` per
+G-minimal set.  Loading them re-derives every verdict and refuses to
+hand out a fixture that disagrees with its table.  Together they
+separate the properties pairwise: transitive but not totally transitive,
+strongly mixing but not minimal, minimal but not mixing, and so on.
 
 The generator is deterministic in its seed.  Spaces are either discrete
 or drawn from random preorders, actions are sampled homomorphisms into
@@ -22,6 +27,7 @@ import random
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 from . import oracle
 from .algebra import Action, Group, catalog, is_pseudoequivariant
@@ -36,12 +42,11 @@ from .checkers import (
 )
 from .dynamics import GSystem, IterateCache, periodic_points
 from .errors import GenerationError, ValidationError
-from .sysfile import serialize
+from .sysfile import parse, serialize
 from .topology import (
     Space,
     automorphisms,
     compose,
-    discrete_space,
     find_discontinuity,
     identity_table,
     map_image,
@@ -74,217 +79,32 @@ class Fixture:
     note: str = ""
 
 
-def _perm_rows(space: Space, perms: list[Mapping[str, str]]) -> tuple:
-    return tuple(
-        tuple(space.index[p.get(x, x)] for x in space.points) for p in perms
-    )
+# the files under data/, by fixture name, in the order ``fixtures`` returns them
+FixtureNames = ("disc2-swap", "sierpinski-id", "z2swap-id", "z2swap-id-trivial",
+                "rot4", "two-triangles", "interval-tails", "z4mod2", "double-mod5",
+                "skew3")
+_Words = {"true": True, "false": False, "none": None}
 
 
-def _cyclic_rows(space: Space, base: Mapping[str, str], n: int) -> tuple:
-    row = tuple(space.index[base.get(x, x)] for x in space.points)
-    rows = [identity_table(space.n)]
-    for _ in range(n - 1):
-        rows.append(compose(row, rows[-1]))
-    return tuple(rows)
-
-
-def _table(space: Space, m: Mapping[str, str]) -> tuple[int, ...]:
-    return tuple(space.index[m.get(x, x)] for x in space.points)
-
-
-def _build_fixtures() -> list[Fixture]:
-    out = []
-    z1 = catalog()["Z1"]
-    z2 = catalog()["Z2"]
-
-    # two isolated points swapped by the map; group trivial
-    sp = discrete_space(("a", "b"))
-    sys = GSystem(
-        Action(z1, sp, _perm_rows(sp, [{}])),
-        _table(sp, {"a": "b", "b": "a"}),
-    )
-    out.append(Fixture(
-        "disc2-swap", sys,
-        {
-            "p1": True, "p2": True, "equivariant": True,
-            "gt": True, "tgt": False, "wgm": False, "sgm": False, "gm": True,
-            "cover": True, "minimal_sets": (("a", "b"),),
-            "quotient": (True, True),
-        },
-        "transitive but not totally transitive: the square fixes both points",
-    ))
-
-    # Sierpinski space, identity map: mixing without minimality
-    sp = Space(("a", "b"), (0b01, 0b11))
-    sys = GSystem(Action(z1, sp, _perm_rows(sp, [{}])), _table(sp, {}))
-    out.append(Fixture(
-        "sierpinski-id", sys,
-        {
-            "p1": True, "p2": True, "equivariant": True,
-            "gt": True, "tgt": True, "wgm": True, "sgm": True, "gm": False,
-            "cover": False, "minimal_sets": (("b",),),
-            "quotient": (False, False),
-        },
-        "every open set contains the dense point, so the identity mixes;"
-        " the closed point is a proper minimal core",
-    ))
-
-    # identity map made transitive purely by the group
-    sp = discrete_space(("a", "b"))
-    sys = GSystem(
-        Action(z2, sp, _perm_rows(sp, [{}, {"a": "b", "b": "a"}])),
-        _table(sp, {}),
-    )
-    out.append(Fixture(
-        "z2swap-id", sys,
-        {
-            "p1": True, "p2": True, "equivariant": True,
-            "gt": True, "tgt": True, "wgm": True, "sgm": True, "gm": True,
-            "cover": True, "minimal_sets": (("a", "b"),),
-            "quotient": (True, True),
-        },
-        "all dynamics supplied by the swap action",
-    ))
-
-    # the same map with the group forgotten
-    sp = discrete_space(("a", "b"))
-    sys = GSystem(Action(z1, sp, _perm_rows(sp, [{}])), _table(sp, {}))
-    out.append(Fixture(
-        "z2swap-id-trivial", sys,
-        {
-            "p1": True, "p2": True, "equivariant": True,
-            "gt": False, "tgt": False, "wgm": False, "sgm": False, "gm": False,
-            "cover": False, "minimal_sets": (("a",), ("b",)),
-            "quotient": (False, False),
-        },
-        "forgetting the swap action destroys transitivity",
-    ))
-
-    # rotation on four isolated points: minimal but nothing mixes
-    sp = discrete_space(("0", "1", "2", "3"))
-    sys = GSystem(
-        Action(z1, sp, _perm_rows(sp, [{}])),
-        _table(sp, {"0": "1", "1": "2", "2": "3", "3": "0"}),
-    )
-    out.append(Fixture(
-        "rot4", sys,
-        {
-            "p1": True, "p2": True, "equivariant": True,
-            "gt": True, "tgt": False, "wgm": False, "sgm": False, "gm": True,
-            "cover": True, "minimal_sets": (("0", "1", "2", "3"),),
-            "quotient": (True, True),
-        },
-        "a single cycle visits everything but return times are rigid",
-    ))
-
-    # two triangles exchanged by the map, rotated by Z3: orbit-preserving
-    # without commuting with the rotation
-    sp = discrete_space(("a", "b", "c", "p", "q", "r"))
-    z3 = catalog()["Z3"]
-    rot = {"a": "b", "b": "c", "c": "a", "p": "q", "q": "r", "r": "p"}
-    sys = GSystem(
-        Action(z3, sp, _cyclic_rows(sp, rot, 3)),
-        _table(sp, {"a": "p", "b": "r", "c": "q", "p": "a", "q": "b", "r": "c"}),
-    )
-    out.append(Fixture(
-        "two-triangles", sys,
-        {
-            "p1": True, "p2": True, "equivariant": False,
-            "gt": True, "tgt": False, "wgm": False, "sgm": False, "gm": True,
-            "cover": True, "minimal_sets": (("a", "b", "c", "p", "q", "r"),),
-            "quotient": (True, True),
-        },
-        "the map sends rotation orbits onto rotation orbits but twists them",
-    ))
-
-    # three limit points each adjoining all ten isolated cycle points;
-    # the map walks the cycle, the Z5 action splits it into two orbits
-    # that the map alternates between
-    cyc = ("-3/4", "-2/3", "-1/2", "-1/3", "-1/4",
-           "1/4", "1/3", "1/2", "2/3", "3/4")
-    pts = ("-1",) + cyc[:5] + ("0",) + cyc[5:] + ("1",)
-    cyc_mask = 0
-    idx = {p: i for i, p in enumerate(pts)}
-    for c in cyc:
-        cyc_mask |= 1 << idx[c]
-    mo = tuple(
-        (1 << i) | (cyc_mask if p in ("-1", "0", "1") else 0)
-        for i, p in enumerate(pts)
-    )
-    sp = Space(pts, mo)
-    step = {cyc[i]: cyc[(i + 1) % 10] for i in range(10)}
-    evens = [cyc[0], cyc[2], cyc[6], cyc[4], cyc[8]]
-    odds = [cyc[1], cyc[7], cyc[3], cyc[9], cyc[5]]
-    h = {a: b for cycle in (evens, odds)
-         for a, b in zip(cycle, cycle[1:] + cycle[:1])}
-    z5 = catalog()["Z5"]
-    sys = GSystem(Action(z5, sp, _cyclic_rows(sp, h, 5)), _table(sp, step))
-    out.append(Fixture(
-        "interval-tails", sys,
-        {
-            "p1": True, "p2": True, "equivariant": False,
-            "gt": True, "tgt": False, "wgm": False, "sgm": False, "gm": False,
-            "cover": False,
-            "minimal_sets": (("-1",), ("0",), ("1",)),
-            "quotient": (False, False),
-        },
-        "transitive while its square is not: the square preserves the"
-        " two action orbits that the map itself alternates",
-    ))
-
-    # rotation on Z4 commuting with the half-turn
-    sp = discrete_space(("0", "1", "2", "3"))
-    sys = GSystem(
-        Action(z2, sp, _perm_rows(sp, [{}, {"0": "2", "1": "3", "2": "0", "3": "1"}])),
-        _table(sp, {"0": "1", "1": "2", "2": "3", "3": "0"}),
-    )
-    out.append(Fixture(
-        "z4mod2", sys,
-        {
-            "p1": True, "p2": True, "equivariant": True,
-            "gt": True, "tgt": False, "wgm": False, "sgm": False, "gm": True,
-            "cover": True, "minimal_sets": (("0", "1", "2", "3"),),
-            "quotient": (True, True),
-        },
-        "equivariant rotation whose orbit space is the two-point swap",
-    ))
-
-    # doubling on Z5 with the negation action: a fixed point plus a cycle
-    sp = discrete_space(("0", "1", "2", "3", "4"))
-    sys = GSystem(
-        Action(z2, sp, _perm_rows(sp, [{}, {"1": "4", "4": "1", "2": "3", "3": "2"}])),
-        _table(sp, {"0": "0", "1": "2", "2": "4", "3": "1", "4": "3"}),
-    )
-    out.append(Fixture(
-        "double-mod5", sys,
-        {
-            "p1": True, "p2": True, "equivariant": True,
-            "gt": False, "tgt": False, "wgm": False, "sgm": False, "gm": False,
-            "cover": False, "minimal_sets": (("0",), ("1", "2", "3", "4")),
-            "quotient": (False, False),
-        },
-        "two disjoint minimal cores,"
-        " so nothing global holds while both cores are internally minimal",
-    ))
-
-    # a map that is not orbit-preserving: collapses the swapped pair
-    # onto the fixed point's basin
-    sp = discrete_space(("0", "1", "2"))
-    sys = GSystem(
-        Action(z2, sp, _perm_rows(sp, [{}, {"0": "1", "1": "0"}])),
-        _table(sp, {"0": "2", "1": "0", "2": "2"}),
-    )
-    out.append(Fixture(
-        "skew3", sys,
-        {
-            "p1": False, "p2": False, "equivariant": False,
-            "gt": False, "tgt": False, "wgm": False, "sgm": False, "gm": False,
-            "cover": False, "minimal_sets": (("2",),),
-            "quotient": None,
-        },
-        "exercises the general minimal-set search: no induced quotient map",
-    ))
-    return out
+def _load_fixture(name: str) -> Fixture:
+    """The system in ``data/<name>.gds``, with the table of its
+    ``# expect`` lines and the text of its ``# note`` line."""
+    text = (Path(__file__).parent / "data" / f"{name}.gds").read_text(encoding="utf-8")
+    expected: dict = {}
+    sets = []
+    note = ""
+    for line in text.splitlines():
+        if line.startswith("# note "):
+            note = line[len("# note "):]
+        elif line.startswith("# expect minimal-set "):
+            sets.append(tuple(line.split()[3:]))
+        elif line.startswith("# expect "):
+            for item in line.split()[2:]:
+                key, _, value = item.partition("=")
+                words = tuple(_Words[w] for w in value.split(","))
+                expected[key] = words if len(words) > 1 else words[0]
+    expected["minimal_sets"] = tuple(sets)
+    return Fixture(name, parse(text), expected, note)
 
 
 def _fixture_profile(sys: GSystem) -> dict:
@@ -298,9 +118,10 @@ def _fixture_profile(sys: GSystem) -> dict:
 
 
 def fixtures(verify: bool = True) -> list[Fixture]:
-    """The worked systems.  With verify (the default) every stored verdict
-    is recomputed on load and a mismatch is a hard failure."""
-    out = _build_fixtures()
+    """The worked systems, parsed from their files in the order of
+    ``FixtureNames``.  With verify (the default) every stored verdict is
+    recomputed on load and a mismatch is a hard failure."""
+    out = [_load_fixture(name) for name in FixtureNames]
     if verify:
         for fx in out:
             got = _fixture_profile(fx.system)
@@ -483,6 +304,9 @@ def _random_preorder(chance, n: int) -> tuple[int, ...]:
 
 def _catalog_groups(names, where: str) -> tuple[Group, ...]:
     """The catalog groups of these names."""
+    if isinstance(names, str):
+        raise ValidationError(
+            f"{where}: groups must be a tuple of names, not the string {names!r}")
     cat = catalog()
     for name in names:
         if name not in cat:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from gdyn import fixtures
+from gdyn import corpus, fixtures
 from gdyn.algebra import Action, cyclic_group, trivial_action
 from gdyn.bitsets import bits
 from gdyn.corpus import _extend_hom, enumerate_systems, generate
@@ -12,6 +12,8 @@ from gdyn.errors import GenerationError
 from gdyn.topology import compose, discrete_space, map_image
 
 DATA = Path(__file__).parent / "data"
+# the fixture files that ship with the package
+SHIPPED = Path(corpus.__file__).parent / "data"
 
 
 @pytest.fixture(scope="session")

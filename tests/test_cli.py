@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA, cycles_text
+from conftest import DATA, SHIPPED, cycles_text
 from gdyn import cli
 from gdyn.cli import main
 from gdyn.dynamics import MaxCarrier
@@ -14,13 +14,10 @@ from gdyn.sysfile import MaxGroupOrder, MaxPoints, parse, serialize
 
 
 @pytest.fixture
-def files(fixture_map, tmp_path):
-    paths = {}
-    for name, fx in fixture_map.items():
-        p = tmp_path / f"{name}.gds"
-        p.write_text(serialize(fx.system))
-        paths[name] = str(p)
-    return paths
+def files(fixture_map):
+    """The fixture files that ship with the package, in the order of
+    fixtures()."""
+    return {name: str(SHIPPED / f"{name}.gds") for name in fixture_map}
 
 
 class TestValidate:
@@ -276,11 +273,14 @@ class TestRoundTrip:
         assert main(["report", str(out)]) in (0, 1)
         assert "diagram=consistent" in capsys.readouterr().out
 
-    def test_serialize_is_canonical(self, files, fixture_map):
+    def test_serialize_is_canonical(self, files):
+        # a shipped file is serialize's output plus its comment lines
         for name, path in files.items():
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-            assert serialize(parse(text)) == text
+            body = "".join(line for line in text.splitlines(keepends=True)
+                           if not line.startswith("#"))
+            assert serialize(parse(text)) == body, name
 
 
 class TestErrorsExitTwo:
@@ -290,6 +290,13 @@ class TestErrorsExitTwo:
         assert main(["validate", str(p)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "not UTF-8" in err
+
+    def test_byte_order_mark(self, files, tmp_path, capsys):
+        # a UTF-8 file that starts with a byte-order mark reads as without
+        p = tmp_path / "bom.gds"
+        p.write_bytes(b"\xef\xbb\xbf" + Path(files["rot4"]).read_bytes())
+        assert main(["validate", str(p)]) == 0
+        assert capsys.readouterr().out == "valid: 4 points, group of order 1\n"
 
     def test_internal_error(self, files, capsys, monkeypatch):
         def broken(sys_, props):

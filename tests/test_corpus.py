@@ -34,6 +34,30 @@ class TestFixtures:
         for fx in fixture_map.values():
             assert fx.note
 
+    def test_a_wrong_table_is_refused(self, monkeypatch):
+        load = corpus._load_fixture
+
+        def flipped(name):
+            fx = load(name)
+            wrong = {**fx.expected, "tgt": not fx.expected["tgt"]}
+            return corpus.Fixture(fx.name, fx.system, wrong, fx.note)
+
+        monkeypatch.setattr(corpus, "_load_fixture", flipped)
+        with pytest.raises(RuntimeError,
+                           match="internal: fixture disc2-swap: tgt is False, expected True"):
+            corpus.fixtures(verify=True)
+        assert len(corpus.fixtures(verify=False)) == 10
+
+    def test_fixtures_are_pinned(self):
+        # every fixture's name, system, table and note, in order: the
+        # benchmark's cli workload rotates its commands by position
+        digest = hashlib.sha256()
+        for fx in corpus.fixtures(verify=False):
+            digest.update(f"{fx.name}\n{serialize(fx.system)}"
+                          f"{sorted(fx.expected.items())!r}\n{fx.note}\n".encode())
+        assert digest.hexdigest() == (
+            "220bbe4c6699a4369ed884ab0b2d7ccc1b1631cd392ddc77bc2a534412f596ab")
+
 
 class TestGenerator:
     def test_deterministic(self):
@@ -219,6 +243,8 @@ class TestBadInputs:
         ({"max_points": 0}, "max_points"),
         ({"max_points": corpus.GeneratorMaxPoints + 1}, "max_points"),
         ({"mode": "metric"}, "unknown mode"),
+        # a string is not a pool of one group: "Z2" is not ("Z", "2")
+        ({"groups": "Z2"}, "tuple of names"),
     ])
     def test_generate_rejects(self, kwargs, match):
         cfg = corpus.GeneratorConfig(seed=0, **kwargs)
@@ -230,6 +256,10 @@ class TestBadInputs:
     def test_enumerate_rejects_an_unknown_group(self):
         with pytest.raises(ValidationError, match="unknown group 'Q8'"):
             next(corpus.enumerate_systems(group_names=("Z2", "Q8")))
+
+    def test_enumerate_rejects_a_string(self):
+        with pytest.raises(ValidationError, match="tuple of names"):
+            next(corpus.enumerate_systems(2, "Z2"))
 
     @pytest.mark.parametrize("budget", [2.5, "10", None, True])
     def test_mine_rejects_a_non_integer_budget(self, budget):
