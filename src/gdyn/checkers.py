@@ -77,7 +77,10 @@ G(A') = Min for every atom A', and with m the least point of each atom:
   L' share an exponent iff, folded mod gcd(L, L'), they share a residue
   (the Chinese remainder theorem).  Equal residue sets are tested once.
 
-Each rule walks at most d + L steps per atom.
+Each rule walks at most d + L steps per atom.  Past the one-orbit test
+each reads only the map, the least points of the atoms and Min, so its
+outcome is kept on the iterate cache under those two and shared by
+every system on that cache (sgm after tgt is a lookup).
 
 Pseudoequivariant systems are their orbit spaces.  Let f be
 pseudoequivariant (p1: f(G(x)) = G(f(x)) for every x), pi : X -> X/G
@@ -428,21 +431,34 @@ def is_g_transitive(sys: GSystem) -> PropertyReport:
 # -- the minimal points -------------------------------------------------------
 
 
+def _on_minimal(c: IterateCache, reps: tuple[int, ...], minimal: int) -> list:
+    """The map's part of tgt and wgm on these minimal points, [tgt, wgm]
+    with None where not yet decided, memoised on the iterate cache."""
+    key = (reps, minimal)
+    entry = c.on_minimal.get(key)
+    if entry is None:
+        entry = c.on_minimal[key] = [None, None]
+    return entry
+
+
 def _tgt(sys: GSystem) -> bool:
     """tgt: Min is one orbit of atoms, and f^e maps every atom into it."""
     reps, minimal, one_orbit = _atoms(sys.action)
     if not one_orbit:
         return False
     c = sys.cache()
-    e, image = _exponent(c), c.image
-    return all((minimal >> image(m, e)) & 1 for m in reps)
+    entry = _on_minimal(c, reps, minimal)
+    if entry[0] is None:
+        e, image = _exponent(c), c.image
+        entry[0] = all((minimal >> image(m, e)) & 1 for m in reps)
+    return entry[0]
 
 
-def _residues(c: IterateCache, f: tuple[int, ...], m: int, minimal: int) -> tuple[int, int]:
+def _residues(c: IterateCache, m: int, minimal: int) -> tuple[int, int]:
     """m's cycle length L and the residues mod L of its return exponents
     on the cycle: bit j is set iff f^k(m) is in Min for the k >= d(m)
     with k = j mod L.  One walk of d + L steps."""
-    d, size = c.depth[m], c.length[m]
+    f, d, size = c.f, c.depth[m], c.length[m]
     y, out = c.image(m, d), 0
     for k in range(d, d + size):
         out |= ((minimal >> y) & 1) << k % size
@@ -465,14 +481,13 @@ def _wgm(sys: GSystem) -> bool:
     reps, minimal, one_orbit = _atoms(sys.action)
     if not one_orbit:
         return False
-    c, f = sys.cache(), sys.f
-    sets = list(dict.fromkeys(_residues(c, f, m, minimal) for m in reps))
-    for i, (size, a) in enumerate(sets):
-        for other, b in sets[i:]:
-            g = gcd(size, other)
-            if not _folded(a, g) & _folded(b, g):
-                return False
-    return True
+    c = sys.cache()
+    entry = _on_minimal(c, reps, minimal)
+    if entry[1] is None:
+        sets = list(dict.fromkeys(_residues(c, m, minimal) for m in reps))
+        entry[1] = all(_folded(a, g := gcd(size, other)) & _folded(b, g)
+                       for i, (size, a) in enumerate(sets) for other, b in sets[i:])
+    return entry[1]
 
 
 # -- total transitivity and mixing --------------------------------------------

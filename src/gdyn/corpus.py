@@ -302,6 +302,15 @@ def _random_preorder(chance, n: int) -> tuple[int, ...]:
     return tuple(reach)
 
 
+def _check_int(where: str, name: str, value, low: int, high: int | None = None) -> None:
+    """Raise ValidationError unless value is an int, not a bool, in
+    low..high (at least low where high is None)."""
+    if (isinstance(value, bool) or not isinstance(value, int) or value < low
+            or high is not None and value > high):
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValidationError(f"{where}: {name} must be an int {bounds}, got {value!r}")
+
+
 def _catalog_groups(names, where: str) -> tuple[Group, ...]:
     """The catalog groups of these names."""
     if isinstance(names, str):
@@ -329,11 +338,9 @@ def _draw(rng: random.Random, max_points: int, groups: tuple[Group, ...],
 
 def generate(cfg: GeneratorConfig) -> GSystem:
     """Deterministically build a random system from the config seed."""
+    _check_int("generator", "seed", cfg.seed, 0)
     m = cfg.max_points
-    if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= GeneratorMaxPoints:
-        raise ValidationError(
-            f"generator: max_points must be an int in 1..{GeneratorMaxPoints},"
-            f" got {m!r}")
+    _check_int("generator", "max_points", m, 1, GeneratorMaxPoints)
     if cfg.mode not in ("discrete", "preorder"):
         raise ValidationError(f"generator: unknown mode '{cfg.mode}'")
     pool = cfg.groups if cfg.groups is not None else DefaultGroupPool
@@ -347,6 +354,7 @@ def generate(cfg: GeneratorConfig) -> GSystem:
 def generate_robust(cfg: GeneratorConfig) -> GSystem:
     """Like generate, but on a failed rejection budget deterministically
     reseeds and tries again a bounded number of times."""
+    _check_int("generator", "seed", cfg.seed, 0)
     last = None
     for r in range(Reseeds):
         try:
@@ -394,6 +402,7 @@ def enumerate_systems(max_points: int = 3,
     order, suitable for exhaustive sweeps.  Systems with the same map
     share one iterate cache, built on the map's first use in the call,
     and each action is the generator's memoised one for its draw."""
+    _check_int("enumerate", "max_points", max_points, 1)
     groups = _catalog_groups(group_names, "enumerate")
     for n in range(1, max_points + 1):
         caches: dict[tuple[int, ...], IterateCache] = {}
@@ -440,7 +449,12 @@ def parse_target(expr: str) -> tuple[tuple[str, bool], ...]:
 
 
 def _matches(sys: GSystem, lits) -> bool:
-    return all(Verdicts[name](sys) is want for name, want in lits)
+    # a loop, not all() over a generator: with the verdicts memoised on the
+    # iterate cache, the generator cost as much as the verdicts
+    for name, want in lits:
+        if Verdicts[name](sys) is not want:
+            return False
+    return True
 
 
 def verify_against_oracle(sys: GSystem, lits) -> None:
@@ -470,8 +484,8 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
     literal by literal against the brute-force oracle.  The returned
     record makes an exhausted search reproducible."""
     lits = parse_target(target)
-    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
-        raise ValidationError(f"mine: budget must be an int >= 0, got {budget!r}")
+    _check_int("mine", "seed", seed, 0)
+    _check_int("mine", "budget", budget, 0)
     sweep_checked = trials = 0
 
     def result(system: GSystem | None, phase: str | None, detail: str) -> MineResult:
@@ -538,7 +552,8 @@ class SuiteReport:
 
 def suite_configs(trials: int, seed0: int = 0) -> list[GeneratorConfig]:
     """A rotation over sizes, groups, space modes and the
-    pseudoequivariance filter."""
+    pseudoequivariance filter, on the seeds seed0, seed0 + 1, ..."""
+    _check_int("suite", "seed0", seed0, 0)
     modes = ("discrete", "preorder")
     pools: tuple = (("Z1",), ("Z2",), ("Z3",), ("Z4",), ("Z2xZ2",), None)
     return [

@@ -30,9 +30,13 @@ MaxCarrier = 20000  # bound on the carrier of a product system, n-fold ones incl
 
 class IterateCache:
     """The functional graph of f: each point's tail depth, cycle length
-    and forward orbit, with the minimal preperiod/period pair."""
+    and forward orbit, with the minimal preperiod/period pair.
+    ``on_minimal`` holds the checkers' verdicts on the map's part of tgt
+    and wgm, keyed by the minimal points they were decided on, so every
+    system that shares this cache shares them too."""
 
-    __slots__ = ("f", "depth", "length", "fwd", "preperiod", "period", "_powers")
+    __slots__ = ("f", "depth", "length", "fwd", "preperiod", "period", "_powers",
+                 "on_minimal")
 
     def __init__(self, f: Sequence[int]):
         self.f = f = tuple(f)
@@ -70,6 +74,8 @@ class IterateCache:
         self.depth, self.length, self.fwd = depth, length, fwd
         self.preperiod, self.period = p, q
         self._powers: tuple[tuple[int, ...], ...] | None = None
+        # (atom representatives, Min) -> [tgt's part, wgm's part], None until decided
+        self.on_minimal: dict[tuple[tuple[int, ...], int], list] = {}
 
     def reduce(self, m: int) -> int:
         """The exponent in [1, p+q] whose table equals f^m (m >= 1)."""

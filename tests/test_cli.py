@@ -298,6 +298,16 @@ class TestErrorsExitTwo:
         assert main(["validate", str(p)]) == 0
         assert capsys.readouterr().out == "valid: 4 points, group of order 1\n"
 
+    # a negative seed would replay the stream of its absolute value
+    @pytest.mark.parametrize("argv, where", [
+        (["gen", "--seed", "-1"], "generator"),
+        (["mine", "--target", "gt", "--seed", "-1", "--budget", "10", "--no-sweep"], "mine"),
+    ])
+    def test_negative_seed(self, argv, where, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {where}: seed must be an int >= 0, got -1\n")
+
     def test_internal_error(self, files, capsys, monkeypatch):
         def broken(sys_, props):
             raise RuntimeError("simulated defect")

@@ -266,6 +266,31 @@ class TestBadInputs:
         with pytest.raises(ValidationError, match="budget"):
             corpus.mine("gt", budget=budget, sweep=False)
 
+    # random.Random drops a seed's sign, so a negative seed would replay the
+    # stream of its absolute value under a record that names another seed
+    @pytest.mark.parametrize("seed", [-1, -7, 1.5, "x", None, True])
+    def test_generate_rejects_a_bad_seed(self, seed):
+        cfg = corpus.GeneratorConfig(seed=seed)
+        with pytest.raises(ValidationError, match="seed must be an int >= 0"):
+            corpus.generate(cfg)
+        with pytest.raises(ValidationError, match="seed must be an int >= 0"):
+            corpus.generate_robust(cfg)
+
+    @pytest.mark.parametrize("seed", [-1, -3, 1.5, "x", None, True])
+    def test_mine_rejects_a_bad_seed(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an int >= 0"):
+            corpus.mine("gt", seed=seed, budget=10, sweep=False)
+
+    @pytest.mark.parametrize("seed0", [-1, 1.5, "0", True])
+    def test_suite_configs_rejects_a_bad_seed(self, seed0):
+        with pytest.raises(ValidationError, match="seed0 must be an int >= 0"):
+            corpus.suite_configs(3, seed0=seed0)
+
+    @pytest.mark.parametrize("max_points", [2.5, True, 0, "3", None])
+    def test_enumerate_rejects_a_bad_size(self, max_points):
+        with pytest.raises(ValidationError, match="max_points must be an int >= 1"):
+            next(corpus.enumerate_systems(max_points))
+
 
 class TestEnumeration:
     def test_space_counts(self):

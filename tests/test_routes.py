@@ -22,7 +22,10 @@ of the catalog groups on four points, every property of a
 pseudoequivariant system (p2, gt, tgt, wgm, sgm, gm, cover) against its
 explicit orbit space under the trivial group over the sweep, generated
 systems and every seventh labelled system on four points, and the
-space's base condition against the check at every point.  Systems that
+space's base condition against the check at every point, and the
+verdicts of tgt, wgm and sgm kept on an iterate cache that many systems
+share against fresh systems with caches of their own, over the sweep
+and over random two-level maps under several actions.  Systems that
 the sweep and the generator build without re-validation are rebuilt
 through the validating constructors."""
 
@@ -31,13 +34,16 @@ import itertools
 import random
 import re
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conftest import DATA, all_homs, generated_systems, gf_orbit, is_open, map_preimage, opens
 from gdyn import checkers as ck
 from gdyn import corpus
 from gdyn.algebra import Action, Group, catalog, product_group, quotient, trivial_action
 from gdyn.bitsets import bits
 from gdyn.corpus import GeneratorConfig, all_spaces, generate, suite_configs
-from gdyn.dynamics import GSystem, nfold_system, product_system
+from gdyn.dynamics import GSystem, IterateCache, nfold_system, product_system
 from gdyn.errors import ValidationError
 from gdyn.sysfile import parse, serialize
 from gdyn.topology import (
@@ -561,6 +567,98 @@ def test_wgm_is_transitivity_of_the_square(sweep):
     for sys in sweep:
         assert (ck.is_weakly_g_mixing(sys).verdict
                 == ck.is_n_fold_transitive(sys, 2).verdict)
+
+
+def _fresh_verdicts(sys, props):
+    """The verdict of each of ``props`` on its own copy of the system,
+    rebuilt through the validating constructor with an iterate cache of
+    its own."""
+    return {name: ck.Verdicts[name](GSystem(sys.action, sys.f)) for name in props}
+
+
+def test_memo_on_the_shared_cache_matches_fresh_systems():
+    # the map's part of tgt and wgm is kept on the iterate cache, which the
+    # sweep's systems on one map share; deciding them in a shuffled order,
+    # each property first in turn, fills the 32 caches in another order,
+    # and every verdict, report and sgm condition must be that of a fresh
+    # system.  The sweep is built here, so no other test has filled them.
+    systems = list(corpus.enumerate_systems())
+    caches = {id(sys.cache()): sys.cache() for sys in systems}
+    assert len(caches) == 32
+    assert all(not c.on_minimal for c in caches.values())
+    order = list(range(len(systems)))
+    random.Random(23).shuffle(order)
+    props = ("tgt", "wgm", "sgm")
+    keys, outcomes = set(), collections.Counter()
+    for i in order:
+        sys = systems[i]
+        first = i % len(props)
+        got = ck.profile(sys, props[first:] + props[:first])
+        assert got == _fresh_verdicts(sys, props)
+        assert [ck.is_totally_g_transitive(sys).verdict, ck.is_weakly_g_mixing(sys).verdict,
+                ck.is_strongly_g_mixing(sys).verdict] == [got[name] for name in props]
+        cond = ck.sgm_sufficient_condition(sys)
+        assert cond == ck.sgm_sufficient_condition(GSystem(sys.action, sys.f))
+        reps, minimal, one_orbit = ck._atoms(sys.action)
+        if one_orbit:
+            keys.add((sys.f, reps, minimal))
+        outcomes[tuple(got.values())] += 1
+    # one entry per map and minimal points on which Min is one orbit of
+    # atoms, each decided for both parts
+    entries = [(c.f, *key, *entry) for c in caches.values()
+               for key, entry in c.on_minimal.items()]
+    assert {e[:3] for e in entries} == keys and len(entries) == len(keys)
+    assert all(isinstance(e[3], bool) and isinstance(e[4], bool) for e in entries)
+    assert len(keys) < len(systems)
+    assert outcomes[True, True, True] and outcomes[False, False, False]
+
+
+def _wgm_without_tgt(sys):
+    masks = _mask_verdicts(ck._Ctx(sys))
+    return masks["wgm"] and not masks["tgt"]
+
+
+@st.composite
+def _actions_over_one_map(draw):
+    """The map of a random two-level system under Z_n (where weak mixing
+    without total transitivity is common) and several actions on spaces
+    where it is continuous: the system's own space, the discrete and the
+    indiscrete space on its points, each under Z_n rotating by k*g for a
+    drawn k (k = 0 gives the trivial action, k prime to n makes the
+    minimal points one orbit).  The pairs may repeat and share spaces.
+    Half the draws take the first base system that the hit masks find wgm
+    and not tgt, which one in about sixty is."""
+    rng, split = random.Random(draw(st.integers(0, 1 << 32))), draw(st.booleans())
+    while True:
+        base = _two_level_system(rng)
+        if base is not None and (not split or _wgm_without_tgt(base)):
+            break
+    group, n, size = base.group, base.group.order, base.space.n
+    names = base.space.points
+    spaces = (base.space, discrete_space(names), Space(names, (base.space.full,) * size))
+    actions = []
+    for _ in range(draw(st.integers(2, 6))):
+        space, k = draw(st.sampled_from(spaces)), draw(st.integers(0, n - 1))
+        act = [base.action.act[k * g % n] for g in range(n)]
+        actions.append(Action(group, space, act))
+    return base.f, actions
+
+
+@given(_actions_over_one_map(), st.permutations(("tgt", "wgm", "sgm")))
+@settings(max_examples=300, deadline=None)
+def test_memo_over_one_map_matches_fresh_systems(drawn, order):
+    # continuous (space, action) pairs over one shared iterate cache, each
+    # decided in the drawn order of properties, against fresh systems and
+    # the hit masks
+    table, actions = drawn
+    cache = IterateCache(table)
+    for action in actions:
+        sys = GSystem._trusted(action, table, cache)
+        got = ck.profile(sys, order)
+        assert got == _fresh_verdicts(sys, order)
+        masks = _mask_verdicts(ck._Ctx(sys))
+        assert got == {name: masks[name] for name in order}
+    assert len(cache.on_minimal) <= len({a.space.min_open for a in actions})
 
 
 def test_products_pass_full_validation(sweep):
