@@ -25,8 +25,6 @@ _EXPORTS = {
         "is_equivariant",
         "is_pseudoequivariant",
         "klein_group",
-        "product_action",
-        "product_group",
         "pseudoequivariance_failure",
         "quotient",
         "symmetric_group_3",
@@ -89,7 +87,6 @@ _EXPORTS = {
         "automorphisms",
         "discrete_space",
         "is_continuous",
-        "product",
         "space_from_subbasis",
     ), "topology"),
 }

@@ -6,9 +6,7 @@ by Light's test over a generating set, inverses); actions are validated
 against the action axioms (compatibility over a generating set), which
 make every translation a bijection, and the translations by a
 generating set are checked to be continuous, which makes every
-translation a homeomorphism.  Products of validated groups and
-actions satisfy the axioms by construction and skip the checks.  Both
-are immutable value types.
+translation a homeomorphism.  Both are immutable value types.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from .topology import (
     identity_table,
     indices_below,
     map_image,
-    product,
     writable_name,
 )
 
@@ -289,42 +286,6 @@ class Action:
 
 def trivial_action(space: Space) -> Action:
     return Action._trusted(cyclic_group(1), space, (identity_table(space.n),))
-
-
-def product_group(g1: Group, g2: Group) -> Group:
-    """Componentwise product; the index of (a, b) is ``a * |G2| + b``."""
-    n1, n2 = g1.order, g2.order
-    names = tuple(f"({a}|{b})" for a in g1.elements for b in g2.elements)
-    mul = tuple(
-        tuple(
-            g1.mul[a1][a2] * n2 + g2.mul[b1][b2]
-            for a2 in range(n1)
-            for b2 in range(n2)
-        )
-        for a1 in range(n1)
-        for b1 in range(n2)
-    )
-    inv = tuple(g1.inv[a] * n2 + g2.inv[b] for a in range(n1) for b in range(n2))
-    return Group._trusted(
-        names, mul, g1.identity * n2 + g2.identity, inv, f"{g1.name}x{g2.name}"
-    )
-
-
-def product_action(a1: Action, a2: Action) -> Action:
-    """Componentwise action of G1 x G2 on the product space."""
-    n1, n2 = a1.space.n, a2.space.n
-    rows = tuple(
-        tuple(
-            r1[x] * n2 + r2[y]
-            for x in range(n1)
-            for y in range(n2)
-        )
-        for r1 in a1.act
-        for r2 in a2.act
-    )
-    return Action._trusted(
-        product_group(a1.group, a2.group), product(a1.space, a2.space), rows
-    )
 
 
 # -- equivariance ----------------------------------------------------------

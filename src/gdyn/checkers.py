@@ -116,6 +116,26 @@ Two consequences:
   maps the class A into one class, so into A.  e*j is >= p and = 0 mod
   q, so f^e(m) = f^(e*j)(m) = (f^j)^e(m) is in A, which is tgt.
 
+Products factor.  Give X1 x X2 the product topology, the action of
+G1 x G2 and the map f x h.  The minimal open of (a, b) is U_a x U_b, a
+point lies in the closure of S iff its minimal open meets S, and g.S
+meets W iff S meets g^-1.W.  So (a, b) lies in the closure of the
+saturated orbit of (x, y) iff some k >= 0 has f^k(x) in G1(U_a) and
+h^k(y) in G2(U_b) (G(U_a x U_b) is their product).  Below
+D = max(d(x), d(y)) that is one walk of both tails; from D on, both
+return sets are residue sets on the cycles, which share an exponent iff
+they meet folded mod gcd(L(x), L(y)), as for wgm.  The product is gm iff
+every (x, y) reaches every U_a x U_b so, which enters only through the
+two saturations.  Every forward orbit of f x h runs into a cycle, and a
+superset of a dense set is dense, so one point per cycle of f x h is
+asked: for cycles through c and c' of lengths L and L', (c, h^i(c')) and
+(c, h^j(c')) lie on one cycle iff i = j mod gcd(L, L') (the Chinese
+remainder theorem), so take j < gcd(L, L').  The criterion asks it for
+(g.f(x), y) and (x, g'.h(y)).  Translations are homeomorphisms, so
+U_(g.z) = g.U_z and G1(U_(g.f(x))) = G1(U_f(x)): g and g' drop out,
+leaving two questions per (x, y).  No product is built; the tests build
+it as a second route.
+
 Each property has one predicate, held in the table ``Verdicts`` (name ->
 bool, cheapest first) that ``profile``, the command-line report, the
 fixture check, the implication suite and the miner read: tgt and sgm
@@ -144,9 +164,9 @@ from .dynamics import (
     GSystem,
     IterateCache,
     MaxTableEntries,
+    _check_product,
     gf_periodic_mask,
     nfold_system,
-    product_system,
 )
 from .errors import LimitError, PreconditionError
 
@@ -454,14 +474,14 @@ def _tgt(sys: GSystem) -> bool:
     return entry[0]
 
 
-def _residues(c: IterateCache, m: int, minimal: int) -> tuple[int, int]:
+def _residues(c: IterateCache, m: int, target: int) -> tuple[int, int]:
     """m's cycle length L and the residues mod L of its return exponents
-    on the cycle: bit j is set iff f^k(m) is in Min for the k >= d(m)
-    with k = j mod L.  One walk of d + L steps."""
+    on the cycle: bit j is set iff f^k(m) is in the target for the
+    k >= d(m) with k = j mod L.  One walk of d + L steps."""
     f, d, size = c.f, c.depth[m], c.length[m]
     y, out = c.image(m, d), 0
     for k in range(d, d + size):
-        out |= ((minimal >> y) & 1) << k % size
+        out |= ((target >> y) & 1) << k % size
         y = f[y]
     return size, out
 
@@ -475,6 +495,13 @@ def _folded(residues: int, g: int) -> int:
     return out
 
 
+def _meet(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Whether residue sets (L, mask) and (L', mask') hold a common
+    exponent: folded mod gcd(L, L'), they share a residue."""
+    g = gcd(a[0], b[0])
+    return bool(_folded(a[1], g) & _folded(b[1], g))
+
+
 def _wgm(sys: GSystem) -> bool:
     """wgm: Min is one orbit of atoms, and the return sets of the atoms
     meet pairwise, which they do iff their residues on the cycles do."""
@@ -485,8 +512,7 @@ def _wgm(sys: GSystem) -> bool:
     entry = _on_minimal(c, reps, minimal)
     if entry[1] is None:
         sets = list(dict.fromkeys(_residues(c, m, minimal) for m in reps))
-        entry[1] = all(_folded(a, g := gcd(size, other)) & _folded(b, g)
-                       for i, (size, a) in enumerate(sets) for other, b in sets[i:])
+        entry[1] = all(_meet(a, b) for i, a in enumerate(sets) for b in sets[i:])
     return entry[1]
 
 
@@ -584,8 +610,6 @@ def is_weakly_g_mixing(sys: GSystem) -> PropertyReport:
 
 def is_n_fold_transitive(sys: GSystem, n: int) -> PropertyReport:
     """G^n-transitivity of the n-fold product map."""
-    if n < 1:
-        raise PreconditionError("n-fold transitivity: n must be >= 1")
     prod = nfold_system(sys, n)
     return PropertyReport(f"nfold:{n}", *_transitivity(prod),
                           note=f"product carrier of {prod.space.n} points")
@@ -763,17 +787,34 @@ def product_minimality_criterion(s1: GSystem, s2: GSystem) -> ProductMinimality:
     """Minimality of the product system against the orbit-closure
     membership criterion: for all points x, y and group elements g, k,
     both (g.f(x), y) and (x, k.h(y)) lie in the closure of the saturated
-    product orbit of (x, y)."""
-    prod = product_system(s1, s2)
-    n2, fwd = s2.space.n, prod.cache().fwd
+    product orbit of (x, y).  Decided on the two factors (module
+    docstring, "Products factor"); LimitError past ``MaxCarrier`` point
+    pairs."""
+    n1, n2 = s1.space.n, s2.space.n
+    _check_product("product_minimality_criterion", [n1, n2])
+    c1, c2 = s1.cache(), s2.cache()
+    residues = lru_cache(None)(_residues)
 
-    def holds(x: int, y: int) -> bool:
-        r = prod.space.closure(prod.action.saturate(fwd[x * n2 + y]))
-        return (all((r >> (row[s1.f[x]] * n2 + y)) & 1 for row in s1.action.act)
-                and all((r >> (x * n2 + row[s2.f[y]])) & 1 for row in s2.action.act))
+    def meet(x: int, a: int, y: int, b: int) -> bool:
+        """Whether some k >= 0 has f^k(x) in A and h^k(y) in B."""
+        for _ in range(max(c1.depth[x], c2.depth[y])):
+            if (a >> x) & 1 and (b >> y) & 1:
+                return True
+            x, y = c1.f[x], c2.f[y]
+        return _meet(residues(c1, x, a), residues(c2, y, b))
 
-    crit = all(holds(x, y) for x in range(s1.space.n) for y in range(n2))
-    return ProductMinimality(product_minimal=_gm(prod), criterion=crit)
+    sats1, sats2 = ([sat for sat, _, _ in _columns(s.action)[3]] for s in (s1, s2))
+    # one point per cycle of f x h (module docstring, "Products factor")
+    least1, least2 = ([x for x, d in enumerate(c.depth) if not d and _lowest(c.fwd[x]) == x]
+                      for c in (c1, c2))
+    loops = [(x, c2.image(y, j)) for x in least1 for y in least2
+             for j in range(gcd(c1.length[x], c2.length[y]))]
+    gm = all(meet(x, a, y, b) for x, y in loops for a in sats1 for b in sats2)
+    # G(U_x) for every point x of each factor
+    near1, near2 = ([s.action.saturate(u) for u in s.space.min_open] for s in (s1, s2))
+    crit = all(meet(x, near1[s1.f[x]], y, near2[y]) and meet(x, near1[x], y, near2[s2.f[y]])
+               for x in range(n1) for y in range(n2))
+    return ProductMinimality(product_minimal=gm, criterion=crit)
 
 
 # -- the property table ------------------------------------------------------

@@ -312,7 +312,9 @@ def _check_int(where: str, name: str, value, low: int, high: int | None = None) 
 
 
 def _catalog_groups(names, where: str) -> tuple[Group, ...]:
-    """The catalog groups of these names."""
+    """The catalog groups of these names, at least one."""
+    if not names:
+        raise ValidationError(f"{where}: the group pool is empty")
     if isinstance(names, str):
         raise ValidationError(
             f"{where}: groups must be a tuple of names, not the string {names!r}")
@@ -344,8 +346,6 @@ def generate(cfg: GeneratorConfig) -> GSystem:
     if cfg.mode not in ("discrete", "preorder"):
         raise ValidationError(f"generator: unknown mode '{cfg.mode}'")
     pool = cfg.groups if cfg.groups is not None else DefaultGroupPool
-    if not pool:
-        raise ValidationError("generator: the group pool is empty")
     groups = _catalog_groups(pool, "generator")
     return GSystem._trusted(*_draw(random.Random(cfg.seed), m, groups,
                                    cfg.mode == "discrete", cfg.pseudoequivariant_only))

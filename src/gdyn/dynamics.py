@@ -17,7 +17,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from math import lcm, prod
 
-from .algebra import Action, is_pseudoequivariant, product_action
+from .algebra import Action, Group, is_pseudoequivariant
+from .bitsets import bits
 from .errors import LimitError, ValidationError
 from .topology import Space, check_table, compose, find_discontinuity
 
@@ -25,7 +26,7 @@ from .topology import Space, check_table, compose, find_discontinuity
 # exponent masks of a map on |X| points, as if p+q tables of |X| entries,
 # and the group and action tables of a product system
 MaxTableEntries = 4_000_000
-MaxCarrier = 20000  # bound on the carrier of a product system, n-fold ones included
+MaxCarrier = 20000  # product carriers (n-fold ones too) and product minimality's point pairs
 
 
 class IterateCache:
@@ -203,15 +204,16 @@ def gf_periodic_mask(sys: GSystem) -> int:
 # -- products ----------------------------------------------------------------
 
 
-def _check_product(who: str, factors: Sequence[GSystem]) -> None:
-    """Raise LimitError when the product of ``factors`` would have a carrier
-    past ``MaxCarrier`` points, or group and action tables past
-    ``MaxTableEntries`` entries; checked before anything is built."""
-    sizes, orders = [s.space.n for s in factors], [s.group.order for s in factors]
-    points, order = prod(sizes), prod(orders)
+def _check_product(who: str, sizes: list[int], orders: list[int] | None = None) -> None:
+    """Raise LimitError when a product of carriers of these sizes would
+    pass ``MaxCarrier`` points or, given the group orders, its group and
+    action tables ``MaxTableEntries`` entries; checked before anything is
+    built."""
+    points = prod(sizes)
     if points > MaxCarrier:
         raise LimitError(f"{who}: {_shape(sizes)} points exceeds the bound {MaxCarrier}")
-    if order * (order + points) > MaxTableEntries:
+    order = prod(orders or ())
+    if orders and order * (order + points) > MaxTableEntries:
         raise LimitError(
             f"{who}: a group of order {_shape(orders)} acting on"
             f" {points} points exceeds the bound of {MaxTableEntries} table entries"
@@ -226,33 +228,47 @@ def _shape(sizes: list[int]) -> str:
 
 
 def product_system(s1: GSystem, s2: GSystem) -> GSystem:
-    """The product map on the product space with the componentwise action.
-    Raises LimitError past the bounds that ``nfold_system`` names."""
-    _check_product("product_system", (s1, s2))
-    n2 = s2.space.n
-    f = tuple(
-        s1.f[x] * n2 + s2.f[y]
-        for x in range(s1.space.n)
-        for y in range(n2)
+    """The product map on the product space with the componentwise action
+    of the product group.  The point (x, y) has index x * |X2| + y and name
+    "(x,y)", the element (a, b) index a * |G2| + b and name "(a|b)"; minimal
+    opens multiply, min_open((x, y)) = min_open(x) x min_open(y).  Products
+    of validated factors satisfy the axioms and skip the checks.  Raises
+    LimitError past the bounds that ``nfold_system`` names."""
+    sp1, sp2, g1, g2 = s1.space, s2.space, s1.group, s2.group
+    n2, m2 = sp2.n, g2.order
+    _check_product("product_system", [sp1.n, n2], [g1.order, m2])
+
+    def pairs(t1: Sequence[int], t2: Sequence[int], width: int) -> tuple[int, ...]:
+        return tuple(a * width + b for a in t1 for b in t2)
+
+    space = Space._trusted(
+        tuple(f"({x},{y})" for x in sp1.points for y in sp2.points),
+        tuple(sum(v << a * n2 for a in bits(u)) for u in sp1.min_open for v in sp2.min_open),
     )
-    return GSystem._trusted(product_action(s1.action, s2.action), f)
+    group = Group._trusted(
+        tuple(f"({a}|{b})" for a in g1.elements for b in g2.elements),
+        tuple(pairs(r1, r2, m2) for r1 in g1.mul for r2 in g2.mul),
+        g1.identity * m2 + g2.identity, pairs(g1.inv, g2.inv, m2), f"{g1.name}x{g2.name}",
+    )
+    act = tuple(pairs(r1, r2, n2) for r1 in s1.action.act for r2 in s2.action.act)
+    return GSystem._trusted(Action._trusted(group, space, act), pairs(s1.f, s2.f, n2))
 
 
 def nfold_system(sys: GSystem, n: int) -> GSystem:
-    """The n-fold product of the system with itself.  Raises LimitError
-    when the carrier would pass ``MaxCarrier`` points or the group and
-    action tables ``MaxTableEntries`` entries."""
-    if n < 1:
-        raise ValueError("nfold_system: n must be >= 1")
+    """The n-fold product of the system with itself, each factor joined on
+    the right.  Raises ValidationError unless n is an int >= 1, and
+    LimitError when the carrier would pass ``MaxCarrier`` points or the
+    group and action tables ``MaxTableEntries`` entries."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValidationError(f"nfold_system: n must be an int >= 1, got {n!r}")
     # a carrier of two or more points passes MaxCarrier within this many
     # factors, and further factors of a one-point carrier add nothing
     if n > MaxCarrier.bit_length():
         raise LimitError(
             f"nfold_system: {n} factors exceed the bound {MaxCarrier.bit_length()}"
         )
-    _check_product("nfold_system", (sys,) * n)
+    _check_product("nfold_system", [sys.space.n] * n, [sys.group.order] * n)
     out = sys
     for _ in range(n - 1):
         out = product_system(out, sys)
     return out
-

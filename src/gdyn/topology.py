@@ -179,25 +179,6 @@ def space_from_subbasis(points: Sequence[str], subbasis: Iterable[Iterable[str]]
     return Space(pts, mo)
 
 
-def product(s1: Space, s2: Space) -> Space:
-    """Product space on pairs; index of (i, j) is ``i * s2.n + j``.
-
-    Minimal opens multiply: min_open((x, y)) = min_open(x) x min_open(y).
-    """
-    n2 = s2.n
-    names = tuple(f"({p},{q})" for p in s1.points for q in s2.points)
-    mo = []
-    for i in range(s1.n):
-        for j in range(n2):
-            m = 0
-            for a in bits(s1.min_open[i]):
-                base = a * n2
-                for b in bits(s2.min_open[j]):
-                    m |= 1 << (base + b)
-            mo.append(m)
-    return Space._trusted(names, tuple(mo))
-
-
 # -- maps as index tables -------------------------------------------------
 
 

@@ -1,15 +1,16 @@
+import functools
 import itertools
 from pathlib import Path
 
 import pytest
 
 from gdyn import corpus, fixtures
-from gdyn.algebra import Action, cyclic_group, trivial_action
+from gdyn.algebra import Action, Group, cyclic_group, trivial_action
 from gdyn.bitsets import bits
 from gdyn.corpus import _extend_hom, enumerate_systems, generate
 from gdyn.dynamics import GSystem
 from gdyn.errors import GenerationError
-from gdyn.topology import compose, discrete_space, map_image
+from gdyn.topology import Space, compose, discrete_space, map_image
 
 DATA = Path(__file__).parent / "data"
 # the fixture files that ship with the package
@@ -176,6 +177,47 @@ def refute_pair(sys, u_names, v_names, m=1, horizon_pad=4):
             for x in bits(cur):
                 tr |= 1 << row[x]
             assert not (tr & v), "witness pair is actually reachable"
+
+
+@functools.lru_cache(maxsize=None)
+def product_space(s1, s2):
+    """The product space, built and validated by ``Space``: (x, y) is
+    point x * |X2| + y, named "(x,y)", and its minimal open is the set of
+    pairs of the minimal opens of x and y.  Spaces compare by names and
+    opens, so a cached product is the one these would build."""
+    n2 = s2.n
+    return Space(
+        tuple(f"({p},{q})" for p in s1.points for q in s2.points),
+        tuple(sum(1 << (a * n2 + b) for a in bits(u) for b in bits(v))
+              for u in s1.min_open for v in s2.min_open))
+
+
+@functools.lru_cache(maxsize=None)
+def _product_group(g1, g2, name):
+    """The product group, built and validated by ``Group``: (a, b) is
+    element a * |G2| + b, named "(a|b)", multiplied componentwise.  Groups
+    compare without their names, so the name is part of the key."""
+    m2 = g2.order
+    return Group(
+        tuple(f"({a}|{b})" for a in g1.elements for b in g2.elements),
+        [[g1.mul[a1][a2] * m2 + g2.mul[b1][b2] for a2 in range(g1.order) for b2 in range(m2)]
+         for a1 in range(g1.order) for b1 in range(m2)],
+        name=name)
+
+
+def reference_product(s1, s2):
+    """The product system, every part built and validated by the public
+    constructors, the action and the map componentwise on the indices of
+    ``product_space`` and ``_product_group``: the reference for
+    ``product_system``."""
+    g1, g2 = s1.group, s2.group
+    n2 = s2.space.n
+    group = _product_group(g1, g2, f"{g1.name}x{g2.name}")
+    act = [[s1.action.act[a][x] * n2 + s2.action.act[b][y]
+            for x in range(s1.space.n) for y in range(n2)]
+           for a in range(g1.order) for b in range(g2.order)]
+    action = Action(group, product_space(s1.space, s2.space), act)
+    return GSystem(action, [s1.f[x] * n2 + s2.f[y] for x in range(s1.space.n) for y in range(n2)])
 
 
 def cycles_text(lengths, group_order=1):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import is_open, mask, opens
+from conftest import is_open, mask, opens, product_space
 from gdyn.algebra import (
     Action,
     Group,
@@ -15,8 +15,6 @@ from gdyn.algebra import (
     is_equivariant,
     is_pseudoequivariant,
     klein_group,
-    product_action,
-    product_group,
     pseudoequivariance_failure,
     quotient,
     symmetric_group_3,
@@ -24,9 +22,10 @@ from gdyn.algebra import (
 )
 from gdyn.checkers import quotient_minimality
 from gdyn.corpus import enumerate_systems
+from gdyn.dynamics import GSystem, product_system
 from gdyn.errors import PreconditionError, ValidationError
 from gdyn.sysfile import MaxPoints
-from gdyn.topology import Space, discrete_space, map_image, product
+from gdyn.topology import Space, discrete_space, map_image
 
 
 class TestGroupValidation:
@@ -240,7 +239,9 @@ class TestEquivariance:
 
 class TestProducts:
     def test_product_group(self):
-        g = product_group(cyclic_group(2), cyclic_group(3))
+        point = discrete_space(("x",))
+        s2, s3 = (GSystem(Action(cyclic_group(n), point, [[0]] * n), (0,)) for n in (2, 3))
+        g = product_system(s2, s3).group
         assert g.order == 6
         assert g.elements[0] == "(0|0)"
         # (1|1) has order lcm(2,3) = 6
@@ -254,8 +255,8 @@ class TestProducts:
     def test_product_action_componentwise(self, fixture_map):
         s1 = fixture_map["z4mod2"].system
         s2 = fixture_map["z2swap-id"].system
-        pa = product_action(s1.action, s2.action)
-        assert pa.space == product(s1.space, s2.space)
+        pa = product_system(s1, s2).action
+        assert pa.space == product_space(s1.space, s2.space)
         n2 = s2.space.n
         for g1 in range(2):
             for g2 in range(2):

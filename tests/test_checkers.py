@@ -14,7 +14,7 @@ from gdyn.algebra import Action, cyclic_group, trivial_action
 from gdyn.bitsets import bits
 from gdyn.corpus import enumerate_systems
 from gdyn.dynamics import GSystem, MaxTableEntries, nfold_system
-from gdyn.errors import LimitError, PreconditionError
+from gdyn.errors import LimitError, PreconditionError, ValidationError
 from gdyn.sysfile import parse
 from gdyn.topology import compose, discrete_space, map_image, space_from_subbasis
 from tests.conftest import DATA, cycles_text, mask, refute_pair, shifted_cycles, trivialized
@@ -165,7 +165,7 @@ class TestMixing:
             assert rep.verdict == fx.expected["wgm"]
 
     def test_nfold_rejects_zero(self, fixture_map):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(ValidationError, match="n must be an int >= 1"):
             ck.is_n_fold_transitive(fixture_map["rot4"].system, 0)
 
     def test_nfold_witness_is_the_products_gt_witness(self, fixture_map):
@@ -320,13 +320,32 @@ class TestProductMinimality:
         assert pm.product_minimal == pm.criterion
 
     def test_product_bounded_before_it_is_built(self):
-        # two 150-point cycles make a 22,500-point product, past MaxCarrier:
-        # the bound raises before any table of it is built
+        # two 150-point cycles make 22,500 point pairs, past MaxCarrier:
+        # the bound raises before any work
         sys = parse(cycles_text((150,)))
         start = time.perf_counter()
-        with pytest.raises(LimitError, match="product_system: 150\\^2 points exceeds"):
+        with pytest.raises(LimitError,
+                           match="product_minimality_criterion: 150\\^2 points exceeds"):
             ck.product_minimality_criterion(sys, sys)
         assert time.perf_counter() - start < 0.1
+
+    def test_coprime_cycles(self):
+        # cycles of 100 and 99 points make one product cycle of 9,900
+        # points: one question per pair of saturations, not per point pair
+        s1, s2 = parse(cycles_text((100,))), parse(cycles_text((99,)))
+        start = time.perf_counter()
+        pm = ck.product_minimality_criterion(s1, s2)
+        assert time.perf_counter() - start < 2
+        assert pm == ck.ProductMinimality(product_minimal=True, criterion=True)
+
+    def test_no_product_tables(self):
+        # Z256 x Z256 has 65,536^2 table entries, past MaxTableEntries; the
+        # criterion reads the two factors only
+        sys = parse(cycles_text((1,), group_order=256))
+        start = time.perf_counter()
+        pm = ck.product_minimality_criterion(sys, sys)
+        assert time.perf_counter() - start < 0.1
+        assert pm == ck.ProductMinimality(product_minimal=True, criterion=True)
 
 
 class TestPreconditionsAndReports:

@@ -364,6 +364,8 @@ class TestErrorsExitTwo:
         p.write_text(cycles_text((1,), group_order=8))
         assert main(["check", str(p), "--property", "nfold:4"]) == 2
         assert "group of order 8^4" in capsys.readouterr().err
+        assert main(["check", str(p), "--property", "nfold:0"]) == 2
+        assert "n must be an int >= 1" in capsys.readouterr().err
 
     def test_group_order_limit(self, tmp_path, capsys):
         p = tmp_path / "big_group.gds"

@@ -257,6 +257,10 @@ class TestBadInputs:
         with pytest.raises(ValidationError, match="unknown group 'Q8'"):
             next(corpus.enumerate_systems(group_names=("Z2", "Q8")))
 
+    def test_enumerate_rejects_an_empty_pool(self):
+        with pytest.raises(ValidationError, match="enumerate: the group pool is empty"):
+            next(corpus.enumerate_systems(2, ()))
+
     def test_enumerate_rejects_a_string(self):
         with pytest.raises(ValidationError, match="tuple of names"):
             next(corpus.enumerate_systems(2, "Z2"))

@@ -177,8 +177,9 @@ class TestProducts:
         s = fixture_map["double-mod5"].system  # 5 points, 5^7 > 20000
         with pytest.raises(LimitError):
             nfold_system(s, 7)
-        with pytest.raises(ValueError):
-            nfold_system(s, 0)
+        for n in (0, True, 2.5, "2"):
+            with pytest.raises(ValidationError, match="n must be an int >= 1"):
+                nfold_system(s, n)
 
     def test_nfold_fold_count_bounded_before_sizes(self, fixture_map):
         # 5 ** 10**9 alone would be a 290 MB integer; a one-point carrier

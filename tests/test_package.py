@@ -27,8 +27,7 @@ EXPORTED = [
     "is_g_transitive", "is_n_fold_transitive", "is_pseudoequivariant",
     "is_strongly_g_mixing", "is_totally_g_transitive", "is_weakly_g_mixing",
     "klein_group", "mine", "minimality_cover_criterion", "nfold_system", "oracle",
-    "parse", "parse_target", "periodic_points", "product",
-    "product_action", "product_group", "product_minimality_criterion",
+    "parse", "parse_target", "periodic_points", "product_minimality_criterion",
     "product_system", "profile", "pseudoequivariance_failure", "quotient",
     "quotient_minimality", "run_implication_suite", "serialize",
     "sgm_sufficient_condition", "space_from_subbasis", "suite_configs",
@@ -40,7 +39,7 @@ SUBMODULES = {"algebra", "bitsets", "checkers", "corpus", "dynamics", "errors",
 
 class TestNamespace:
     def test_all_is_pinned(self):
-        assert len(EXPORTED) == 75
+        assert len(EXPORTED) == 72
         assert gdyn.__all__ == EXPORTED
         assert gdyn.__version__ == "0.1.0"
 

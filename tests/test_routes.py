@@ -25,7 +25,10 @@ systems and every seventh labelled system on four points, and the
 space's base condition against the check at every point, and the
 verdicts of tgt, wgm and sgm kept on an iterate cache that many systems
 share against fresh systems with caches of their own, over the sweep
-and over random two-level maps under several actions.  Systems that
+and over random two-level maps under several actions, both fields of
+product minimality, decided on the two factors, against the explicit
+product, and products and n-fold products against the reference
+product that the validating constructors build.  Systems that
 the sweep and the generator build without re-validation are rebuilt
 through the validating constructors."""
 
@@ -37,10 +40,21 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA, all_homs, generated_systems, gf_orbit, is_open, map_preimage, opens
+from conftest import (
+    DATA,
+    all_homs,
+    cycles_text,
+    generated_systems,
+    gf_orbit,
+    is_open,
+    map_preimage,
+    opens,
+    reference_product,
+    shifted_cycles,
+)
 from gdyn import checkers as ck
 from gdyn import corpus
-from gdyn.algebra import Action, Group, catalog, product_group, quotient, trivial_action
+from gdyn.algebra import Action, Group, catalog, quotient, trivial_action
 from gdyn.bitsets import bits
 from gdyn.corpus import GeneratorConfig, all_spaces, generate, suite_configs
 from gdyn.dynamics import GSystem, IterateCache, nfold_system, product_system
@@ -139,6 +153,14 @@ def _left_zero_monoid(n):
     return tuple(tuple(range(n)) if x == 0 else (x,) * n for x in range(n))
 
 
+def _product_system_group(g1, g2):
+    """The product group, as ``product_system`` builds it for two
+    one-point systems."""
+    point = discrete_space(("x",))
+    s1, s2 = (GSystem(Action(g, point, [[0]] * g.order), (0,)) for g in (g1, g2))
+    return product_system(s1, s2).group
+
+
 def test_light_associativity_matches_every_triple():
     # catalog groups, their products, and random Latin squares with an
     # identity (loops): Group accepts exactly the associative ones, since an
@@ -146,7 +168,7 @@ def test_light_associativity_matches_every_triple():
     rng = random.Random(7)
     groups = list(catalog().values())
     tables = [g.mul for g in groups]
-    tables += [product_group(a, b).mul for a in groups for b in groups]
+    tables += [_product_system_group(a, b).mul for a in groups for b in groups]
     tables += [_random_loop(rng, n) for n in (2, 3, 4, 5, 5, 6, 6, 7) for _ in range(25)]
     tables += [_twisted_product(rng, m, k) for m in (2, 3) for k in groups[1:6] + groups[8:]
                for _ in range(4)]
@@ -169,7 +191,7 @@ def test_light_associativity_matches_every_triple():
 
 def test_generators_match_full_closure():
     groups = list(catalog().values())
-    for g in groups + [product_group(a, b) for a in groups for b in groups]:
+    for g in groups + [_product_system_group(a, b) for a in groups for b in groups]:
         assert g.generators() == _closure_generators(g)
 
 
@@ -661,16 +683,81 @@ def test_memo_over_one_map_matches_fresh_systems(drawn, order):
     assert len(cache.on_minimal) <= len({a.space.min_open for a in actions})
 
 
+def _same_product(got, want):
+    """Equal systems (point and element names included), with equal group
+    names, identities and inverses, which equality does not compare."""
+    assert got == want
+    g, w = got.group, want.group
+    assert (g.name, g.identity, g.inv) == (w.name, w.identity, w.inv)
+
+
 def test_products_pass_full_validation(sweep):
-    # products are built without re-validation; the public constructors
-    # must accept every table they produce
+    # products are built without re-validation: each equals the reference
+    # product, which the public constructors validate
     for sys in sweep:
-        p = product_system(sys, sys)
-        g = Group(p.group.elements, p.group.mul)
-        assert g == p.group
-        assert (g.identity, g.inv) == (p.group.identity, p.group.inv)
-        space = Space(p.space.points, p.space.min_open)
-        assert GSystem(Action(g, space, p.action.act), p.f) == p
+        _same_product(product_system(sys, sys), reference_product(sys, sys))
+    rng = random.Random(11)
+    for _ in range(300):
+        s1, s2 = rng.choice(sweep), rng.choice(sweep)
+        _same_product(product_system(s1, s2), reference_product(s1, s2))
+
+
+def test_nfold_matches_the_chained_reference(sweep, fixture_map):
+    # (..(s x s) x ..) x s through the validating constructors
+    systems = [fx.system for fx in fixture_map.values()] + sweep[::9]
+    for sys in systems:
+        want = sys
+        for n in (1, 2, 3):
+            if n > 1:
+                if sys.space.n ** n > 1000:
+                    break
+                want = reference_product(want, sys)
+            _same_product(nfold_system(sys, n), want)
+
+
+def _product_minimality_on_the_product(s1, s2):
+    """Both fields of ``ProductMinimality`` on the reference product: gm of
+    the product, and the criterion read off the closures of its saturated
+    orbits."""
+    prod = reference_product(s1, s2)
+    n2, fwd = s2.space.n, prod.cache().fwd
+
+    def holds(x, y):
+        r = prod.space.closure(prod.action.saturate(fwd[x * n2 + y]))
+        return (all((r >> (row[s1.f[x]] * n2 + y)) & 1 for row in s1.action.act)
+                and all((r >> (x * n2 + row[s2.f[y]])) & 1 for row in s2.action.act))
+
+    crit = all(holds(x, y) for x in range(s1.space.n) for y in range(n2))
+    return ck.ProductMinimality(product_minimal=ck._gm(prod), criterion=crit)
+
+
+def test_product_minimality_on_the_factors(sweep):
+    # the acceptance pairs (every ordered pair of minimal pseudoequivariant
+    # systems on three points over Z1 and Z2), seeded sweep pairs, pairs
+    # of generated systems that mix groups and sizes, disjoint cycles,
+    # whose cycles pair into several cycles of the product, and generated
+    # maps that do not permute orbits, where a product of two cycles can
+    # have dense and nondense cycles
+    minimal = [s for s in corpus.enumerate_systems(3, ("Z1", "Z2"))
+               if s.pseudoequivariant() and ck.is_g_minimal(s).verdict]
+    rng = random.Random(3)
+    generated = list(itertools.islice(generated_systems(suite_configs(200)), 150))
+    cycles = [parse(cycles_text(c, group_order=g)) for c in ((4,), (6,), (2, 3), (4, 6), (3, 9))
+              for g in (1, 2)] + [shifted_cycles(c) for c in ((4,), (2, 6), (3, 6))]
+    cycles += [generate(GeneratorConfig(seed=seed, max_points=6, mode="discrete",
+                                        groups=("Z2", "Z3", "Z4", "Z2xZ2", "S3")))
+               for seed in (220, 786, 1674, 2626)]
+    pairs = (list(itertools.product(minimal, repeat=2))
+             + [(rng.choice(sweep), rng.choice(sweep)) for _ in range(3000)]
+             + [(rng.choice(generated), rng.choice(generated)) for _ in range(1000)]
+             + list(itertools.product(cycles, repeat=2)))
+    outcomes = collections.Counter()
+    for s1, s2 in pairs:
+        got = ck.product_minimality_criterion(s1, s2)
+        assert got == _product_minimality_on_the_product(s1, s2)
+        outcomes[got] += 1
+    # minimal and not, with the criterion true and false
+    assert len(outcomes) == 3 and len(pairs) == 49_658
 
 
 def test_corpus_systems_pass_full_validation(sweep):

@@ -16,7 +16,9 @@ from conftest import (
     mask,
     opens,
 )
+from gdyn.algebra import trivial_action
 from gdyn.corpus import _random_preorder, all_spaces
+from gdyn.dynamics import GSystem, product_system
 from gdyn.errors import LimitError, ValidationError
 from gdyn.topology import (
     Space,
@@ -27,7 +29,6 @@ from gdyn.topology import (
     identity_table,
     is_continuous,
     map_image,
-    product,
     space_from_subbasis,
 )
 
@@ -148,6 +149,13 @@ class TestLaws:
                 assert sp.is_nowhere_dense(a) == (
                     sp.interior(sp.closure(a)) == 0
                 )
+
+
+def product(s1, s2):
+    """The product space, as ``product_system`` builds it for the
+    identity maps under the trivial group."""
+    s1, s2 = (GSystem(trivial_action(s), identity_table(s.n)) for s in (s1, s2))
+    return product_system(s1, s2).space
 
 
 def large_open_spaces():
