@@ -14,23 +14,22 @@ Three reductions make every property decidable by a finite scan:
 
 gt needs no exponent: some g.f^k(U), k >= 1, meets V iff fwd(f(U))
 meets G(V), so gt, like gm, is a density test on forward orbits.  tgt,
-wgm and sgm are decided on the minimal points (below), with no exponent
-window either.  Witnesses read one table: the hit mask of basis opens U
-and V has bit k, k in [1, p+q], iff f^k(U) meets G(V).  The false
-witnesses of wgm and sgm, tgt's where gt holds (where gt fails, tgt's
-witness is gt's at m = 1), certificates and the sgm sufficient
-condition read it, one row per U.  The masks come from the functional
-graph: each point of U is walked for the tail depth d and cycle length L
-that the iterate cache records, a cycle point first met at k recurring
-at k + L, k + 2L, ...; only the rows are kept.  The deduplicated basis,
-its saturation columns and the atoms depend on the action alone and are
-memoised on it; the scan context is memoised on the system.  The context
-bounds the masks: a window [1, p+q] on |X| points past
+wgm and sgm are decided on the minimal points, and the sgm sufficient
+condition on verdicts (below).  Only the ``is_*`` reports read a table:
+the hit mask of basis opens U and V has bit k, k in [1, p+q], iff f^k(U)
+meets G(V).  The false witnesses of wgm and sgm, tgt's where gt holds
+(where gt fails, tgt's witness is gt's at m = 1) and certificates read
+it, one row per U.  The masks come from the functional graph: each
+point of U is walked for the tail depth d and cycle length L that the
+iterate cache records, a cycle point first met at k recurring at k + L,
+k + 2L, ...; only the rows are kept.  The deduplicated basis, its
+saturation columns and the atoms depend on the action alone and are
+memoised on it; the scan context is memoised on the system.  The
+context bounds the masks: a window [1, p+q] on |X| points past
 ``MaxTableEntries`` raises LimitError, and past it a true verdict
-carries a summary instead of certificates.  No verdict reads the window,
-so every property answers past that bound; only the false witnesses of
-wgm and sgm, tgt's on a gt-true system, and the sgm sufficient condition
-on an sgm-false system stop there.
+carries a summary instead of certificates.  No verdict reads the
+window, so every property answers past that bound; only the false
+witnesses of wgm and sgm, and tgt's on a gt-true system, stop there.
 
 Total transitivity is decided on one exponent.  Let e be the least
 multiple of q with e >= max(p, 1).  For every m >= 1, m*e is >= p and
@@ -116,6 +115,18 @@ Two consequences:
   maps the class A into one class, so into A.  e*j is >= p and = 0 mod
   q, so f^e(m) = f^(e*j)(m) = (f^j)^e(m) is in A, which is tgt.
 
+The paper's sufficient condition for sgm is a theorem.  Let f be p1, x
+a point with G(fwd(x)) dense and W = U_x with f^j(W) meeting G(W) for
+every j > p; then f is sgm.  For nonempty opens A and B take g.f^a(x)
+in A and h.f^b(x) in B; by continuity g.f^a(W) <= A and h.f^b(W) <= B.
+For k >= max(1, p + 1 + b - a), j = k + a - b > p gives w, w' in W and
+c in G with f^j(w) = c.w', and by p1, G(f^i(c.z)) = G(f^i(z)), so
+G(f^k(g.f^a(w))) = G(f^b(c.w')) = G(f^b(w')) holds h.f^b(w') in B:
+f^k(A) meets G(B).  Transitivity is not used.  Conversely a tgt (so sgm)
+system meets the condition at any minimal point x (G(x) is dense, and
+the atom W cycles inside Min = G(W)), so on a p1, gt system it holds
+iff tgt does, and ``sgm_sufficient_condition`` reads only verdicts.
+
 Products factor.  Give X1 x X2 the product topology, the action of
 G1 x G2 and the map f x h.  The minimal open of (a, b) is U_a x U_b, a
 point lies in the closure of S iff its minimal open meets S, and g.S
@@ -168,7 +179,7 @@ from .dynamics import (
     gf_periodic_mask,
     nfold_system,
 )
-from .errors import LimitError, PreconditionError
+from .errors import LimitError, PreconditionError, ValidationError
 
 CertificateLimit = 10_000
 
@@ -182,15 +193,14 @@ class PropertyReport(NamedTuple):
 
 class _Ctx:
     """Shared per-system scan state: the action's scan columns and the
-    hit-mask table, one row per basis open.  It serves false witnesses,
-    certificates and the sgm sufficient condition, no verdict.
-    ``element`` serves certificates only.
+    hit-mask table, one row per basis open, for the false witnesses and
+    the certificates (``element``) of the ``is_*`` reports, no verdict.
 
     It keeps the map, the action and the iterate cache, not the system:
     the system holds its context (``_scan``), and a reference back would
     make a cycle that only the garbage collector frees."""
 
-    __slots__ = ("f", "action", "cache", "basis", "pos", "window", "cycle_window",
+    __slots__ = ("f", "action", "cache", "basis", "window", "cycle_window",
                  "_sats", "_col", "_steps", "_rows", "_elements")
 
     def __init__(self, sys: GSystem):
@@ -204,7 +214,7 @@ class _Ctx:
                 f" the bound of {MaxTableEntries} mask bits"
                 f" (at most {max(1, MaxTableEntries // n)} exponents)"
             )
-        self.basis, self.pos, self._col, self._sats = _columns(action)
+        self.basis, self._col, self._sats = _columns(action)
         self.window = ((1 << c.horizon) - 1) << 1  # exponents [1, p+q]
         self.cycle_window = ((1 << c.period) - 1) << (c.preperiod + 1)
         self._steps: dict[int, int] = {}
@@ -283,17 +293,15 @@ class _Ctx:
 
 def _columns(action: Action) -> tuple:
     """The action's part of the scan, memoised on it: the basis opens
-    deduplicated in order, each one's index, each one's column (the index
-    of its saturation among the distinct ones; None if all are distinct)
-    and the distinct saturations as (mask, points, count)."""
+    deduplicated in order, each one's column (the index of its saturation
+    among the distinct ones; None if all are distinct) and the distinct
+    saturations as (mask, points, count)."""
     if action._columns is None:
-        pos: dict[int, int] = {}
-        for m in action.space.min_open:
-            pos.setdefault(m, len(pos))
+        basis = tuple(dict.fromkeys(action.space.min_open))
         sats: dict[int, int] = {}
-        col = [sats.setdefault(action.saturate(v), len(sats)) for v in pos]
+        col = [sats.setdefault(action.saturate(v), len(sats)) for v in basis]
         action._columns = (
-            tuple(pos), pos, None if len(sats) == len(col) else col,
+            basis, None if len(sats) == len(col) else col,
             [(sat, pts, len(pts)) for sat in sats for pts in (tuple(bits(sat)),)],
         )
     return action._columns
@@ -401,7 +409,7 @@ def _pairs(ctx: _Ctx) -> Iterator[tuple[int, int, int]]:
 
 def _dense_saturation(sys: GSystem) -> Callable[[int], bool]:
     """Set A -> whether G(A) is dense (A meets every basis saturation)."""
-    sats = _columns(sys.action)[3]
+    sats = _columns(sys.action)[2]
     memo: dict[int, bool] = {}  # lives as long as the returned function
 
     def dense(a: int) -> bool:
@@ -737,9 +745,9 @@ class SgmCondition(NamedTuple):
     """Outcome of the sufficient condition for strong mixing: the map is
     pseudoequivariant and transitive, some point has a dense saturated
     orbit, and that point's minimal neighbourhood eventually returns to
-    itself at every large exponent.  ``conclusion_checked`` records the
-    strong-mixing verdict whenever the condition applies (None
-    otherwise)."""
+    itself at every large exponent.  ``conclusion_checked`` is the sgm
+    verdict where the condition applies, True by the module docstring's
+    theorem, and None otherwise."""
 
     applies: bool
     conclusion_checked: bool | None
@@ -756,24 +764,14 @@ _FiniteSpaceNote = (
 
 def sgm_sufficient_condition(sys: GSystem) -> SgmCondition:
     """Whether the sufficient condition for sgm applies, with the sgm
-    verdict where it does.  An sgm system meets it at once: the points of
-    Min have dense saturated orbits, and the minimal open W of each holds
-    an atom whose cycle lies in Min <= G(W), so W returns at every exponent
-    past p.  Otherwise the return test reads the hit masks, so an
-    sgm-false system past ``MaxTableEntries`` still raises ``LimitError``."""
+    verdict where it does: on a p1, gt system, iff tgt (module docstring,
+    "The paper's sufficient condition for sgm is a theorem")."""
     if not sys.pseudoequivariant():
         return SgmCondition(False, None, "map is not pseudoequivariant")
     if _untransitive(sys) is not None:
         return SgmCondition(False, None, "system is not transitive")
-    if _tgt(sys):  # sgm, by the tgt rule
+    if _tgt(sys):
         return SgmCondition(True, True, _FiniteSpaceNote)
-    ctx = _scan(sys)
-    window = ctx.cycle_window
-    for x in bits(g_transitive_points(sys)):
-        # W returns at every recurring exponent: f^k(W) meets G(W)
-        w = sys.space.min_open[x]
-        if ctx.row(w)[ctx.pos[w]] & window == window:
-            return SgmCondition(True, False, _FiniteSpaceNote)  # sgm is false here
     return SgmCondition(False, None,
                         "no dense-orbit point whose neighbourhood eventually returns")
 
@@ -803,7 +801,7 @@ def product_minimality_criterion(s1: GSystem, s2: GSystem) -> ProductMinimality:
             x, y = c1.f[x], c2.f[y]
         return _meet(residues(c1, x, a), residues(c2, y, b))
 
-    sats1, sats2 = ([sat for sat, _, _ in _columns(s.action)[3]] for s in (s1, s2))
+    sats1, sats2 = ([sat for sat, _, _ in _columns(s.action)[2]] for s in (s1, s2))
     # one point per cycle of f x h (module docstring, "Products factor")
     least1, least2 = ([x for x, d in enumerate(c.depth) if not d and _lowest(c.fwd[x]) == x]
                       for c in (c1, c2))
@@ -842,7 +840,12 @@ Diagram = ("p1", "p2", "gt", "tgt", "wgm", "sgm", "gm")
 
 def profile(sys: GSystem, props: Iterable[str] = Verdicts) -> dict[str, bool]:
     """Property name -> verdict for each of ``props``, in their order."""
-    return {name: Verdicts[name](sys) for name in props}
+    try:
+        return {name: Verdicts[name](sys) for name in props}
+    except KeyError as exc:
+        if exc.args[0] in Verdicts:  # raised by a predicate, not the lookup
+            raise
+        raise ValidationError(f"profile: unknown property {exc.args[0]!r}") from None
 
 
 # the implications of the diagram: name, antecedent literals, consequent.

@@ -165,7 +165,7 @@ def _cmd_gen(args) -> int:
     cfg = GeneratorConfig(
         seed=args.seed,
         max_points=args.max_points,
-        groups=(args.group,) if args.group else None,
+        groups=None if args.group is None else (args.group,),
         mode=args.mode,
         pseudoequivariant_only=args.pseudoequivariant,
     )

@@ -38,7 +38,6 @@ from .checkers import (
     is_n_fold_transitive,
     profile,
     quotient_minimality,
-    sgm_sufficient_condition,
 )
 from .dynamics import GSystem, IterateCache, periodic_points
 from .errors import GenerationError, ValidationError
@@ -553,6 +552,7 @@ class SuiteReport:
 def suite_configs(trials: int, seed0: int = 0) -> list[GeneratorConfig]:
     """A rotation over sizes, groups, space modes and the
     pseudoequivariance filter, on the seeds seed0, seed0 + 1, ..."""
+    _check_int("suite", "trials", trials, 0)
     _check_int("suite", "seed0", seed0, 0)
     modes = ("discrete", "preorder")
     pools: tuple = (("Z1",), ("Z2",), ("Z3",), ("Z4",), ("Z2xZ2",), None)
@@ -572,7 +572,6 @@ def check_system_implications(sys: GSystem, antecedents: Counter,
                               violations: list, label: str) -> None:
     v = profile(sys)
     p1, p2, gm, gt, wgm = v["p1"], v["p2"], v["gm"], v["gt"], v["wgm"]
-    cond = sgm_sufficient_condition(sys)
     msets = g_minimal_sets(sys)
     discrete = sys.space.is_discrete()
     full = sys.space.full
@@ -594,8 +593,6 @@ def check_system_implications(sys: GSystem, antecedents: Counter,
           for name, antecedent, consequent in Implications),
         ("p1&wgm->3fold", p1 and wgm,
          lambda: is_n_fold_transitive(sys, 3).verdict),
-        ("condition->sgm", cond.applies,
-         lambda: cond.conclusion_checked is True),
         ("p1&gm->image-dense", p1 and gm,
          lambda: sys.space.is_dense(map_image(sys.f, full))),
         ("discrete&p1&gm->orbits-cover", discrete and p1 and gm,

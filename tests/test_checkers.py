@@ -291,6 +291,18 @@ class TestSgmCondition:
         assert cond[:2] == (True, True)
         assert sys._scan is None
 
+    def test_sgm_false_past_the_mask_bound(self):
+        # a 2001-cycle on a discrete space under the trivial group is p1
+        # and gt but not sgm, and its window of 2001 exponents on 2001
+        # points passes the mask bound: the verdicts answer all the same
+        n = 2001
+        sys = GSystem(trivial_action(discrete_space(tuple(f"p{x}" for x in range(n)))),
+                      tuple((x + 1) % n for x in range(n)))
+        assert n * n > MaxTableEntries
+        assert ck.sgm_sufficient_condition(sys) == (
+            False, None, "no dense-orbit point whose neighbourhood eventually returns")
+        assert sys._scan is None
+
     def test_sound_on_sweep(self):
         # whenever the condition applies the conclusion holds
         applied = 0
@@ -300,6 +312,27 @@ class TestSgmCondition:
                 applied += 1
                 assert cond.conclusion_checked is True
         assert applied > 0
+
+    def test_outcomes_are_pinned(self, sweep):
+        # the triples on the sweep, the suite's 400 generated systems and
+        # every seventh labelled system on four points, in that order, with
+        # how often each note occurs
+        on_four = itertools.islice(
+            enumerate_systems(4, ("Z1", "Z2", "Z3", "Z4", "Z2xZ2")), 0, None, 7)
+        generated = (corpus.generate_robust(cfg) for cfg in corpus.suite_configs(400))
+        digest, notes = hashlib.sha256(), collections.Counter()
+        for sys in itertools.chain(sweep, generated, on_four):
+            cond = ck.sgm_sufficient_condition(sys)
+            digest.update(repr(tuple(cond)).encode())
+            notes["applies" if cond.applies else cond.note] += 1
+        assert notes == {
+            "applies": 5680,
+            "system is not transitive": 11_327,
+            "no dense-orbit point whose neighbourhood eventually returns": 525,
+            "map is not pseudoequivariant": 20_811,
+        }
+        assert digest.hexdigest() == (
+            "d57ad23e9aea65388fd37d58e89922dc4241510386d23aaf88e977db7f24d776")
 
 
 class TestProductMinimality:
@@ -366,6 +399,11 @@ class TestPreconditionsAndReports:
         assert list(diagram) == ["p1", "p2", "gt", "tgt", "wgm", "sgm", "gm"]
         assert diagram == {k: row[k] for k in ck.Diagram}
         assert ck.diagram_violations(diagram) == ()
+
+    @pytest.mark.parametrize("props", [("bogus",), ("gt", "bogus"), ("sgm", 3)])
+    def test_profile_rejects_an_unknown_property(self, fixture_map, props):
+        with pytest.raises(ValidationError, match=f"profile: unknown property {props[-1]!r}"):
+            ck.profile(fixture_map["rot4"].system, props)
 
     def test_profile_consistent_everywhere(self, fixture_map):
         for fx in fixture_map.values():
@@ -492,9 +530,9 @@ def _count_report_parts(monkeypatch):
 
 class TestScanContext:
     def test_one_context_per_system(self, fixture_map, monkeypatch):
-        # a profile builds no context (tgt, wgm and sgm are decided on the
-        # minimal points), the sgm condition at most one, and only the p2
-        # entry reads the G-periodic points, once
+        # neither a profile nor the sgm condition builds a context (both
+        # read only verdicts), and only the p2 entry reads the G-periodic
+        # points, once
         calls = {"ctx": 0, "periodic": 0}
         init, periodic = ck._Ctx.__init__, ck.gf_periodic_mask
 
@@ -515,7 +553,7 @@ class TestScanContext:
             assert calls == {"ctx": 0, "periodic": 1}, fx.name
             ck.sgm_sufficient_condition(sys)
             ck.sgm_sufficient_condition(sys)
-            assert calls["ctx"] <= 1 and calls["periodic"] == 1, fx.name
+            assert calls == {"ctx": 0, "periodic": 1}, fx.name
 
     def test_mining_computes_flags_once(self, fixture_map, monkeypatch):
         # the miner's p2 literal computes the G-periodic points once; the
@@ -601,6 +639,27 @@ class TestScanContext:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_only_the_reports_build_a_context(self, fixture_map, sweep, monkeypatch):
+        # every decide path reads the functional graph alone: the property
+        # table, the sgm condition, the minimality functions, the suite and
+        # the miner on the targets that exhaust run with no scan context
+        def refused(self, sys):
+            raise AssertionError("a scan context was built")
+
+        monkeypatch.setattr(ck._Ctx, "__init__", refused)
+        for sys in [fx.system for fx in fixture_map.values()] + sweep:
+            sys = _fresh(sys)
+            ck.profile(sys)
+            ck.sgm_sufficient_condition(sys)
+            if sys.pseudoequivariant():
+                ck.quotient_minimality(sys)
+            ck.minimality_cover_criterion(sys)
+            ck.g_minimal_sets(sys)
+            ck.product_minimality_criterion(sys, sys)
+        assert corpus.run_implication_suite(corpus.suite_configs(60)).ok
+        for target in ("tgt&!wgm", "wgm&!sgm"):
+            assert not corpus.mine(target, seed=0, budget=200).found
+
     def test_gt_and_nfold_build_no_context(self, fixture_map, sweep, monkeypatch):
         # gt's table entry and report, and n-fold transitivity on the
         # product, decide and name a false witness without the scan
@@ -640,7 +699,7 @@ class TestScanContext:
             kept, sys.action._columns = columns, None
             cleared = ck._Ctx(GSystem._trusted(sys.action, sys.f))
             sys.action._columns = kept
-            assert (cleared.basis, cleared.pos) == (ctx.basis, ctx.pos)
+            assert cleared.basis == ctx.basis
             for u in ctx.basis:
                 assert ctx.row(u) == cleared.row(u)
 

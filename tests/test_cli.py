@@ -308,6 +308,11 @@ class TestErrorsExitTwo:
         assert capsys.readouterr() == (
             "", f"error: {where}: seed must be an int >= 0, got -1\n")
 
+    def test_empty_group_name(self, capsys):
+        # an empty name is a name, not an absent --group
+        assert main(["gen", "--seed", "1", "--group", ""]) == 2
+        assert capsys.readouterr() == ("", "error: generator: unknown group ''\n")
+
     def test_internal_error(self, files, capsys, monkeypatch):
         def broken(sys_, props):
             raise RuntimeError("simulated defect")

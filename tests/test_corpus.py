@@ -280,6 +280,11 @@ class TestBadInputs:
         with pytest.raises(ValidationError, match="seed must be an int >= 0"):
             corpus.generate_robust(cfg)
 
+    @pytest.mark.parametrize("trials", [-1, 2.5, "3", None, True])
+    def test_suite_configs_rejects_a_bad_count(self, trials):
+        with pytest.raises(ValidationError, match="suite: trials must be an int >= 0"):
+            corpus.suite_configs(trials)
+
     @pytest.mark.parametrize("seed", [-1, -3, 1.5, "x", None, True])
     def test_mine_rejects_a_bad_seed(self, seed):
         with pytest.raises(ValidationError, match="seed must be an int >= 0"):
@@ -456,7 +461,7 @@ class TestImplicationSuite:
 
     def test_antecedents_covered(self):
         report = corpus.run_implication_suite(corpus.suite_configs(120, seed0=0))
-        for key in ("gm->gt", "sgm->tgt", "equivariant->p1", "condition->sgm"):
+        for key in ("gm->gt", "sgm->tgt", "equivariant->p1"):
             assert report.antecedents.get(key, 0) > 0, key
 
     def test_config_rotation(self):

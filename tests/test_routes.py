@@ -21,8 +21,10 @@ saturation fixpoint over the sweep, generated systems and every action
 of the catalog groups on four points, every property of a
 pseudoequivariant system (p2, gt, tgt, wgm, sgm, gm, cover) against its
 explicit orbit space under the trivial group over the sweep, generated
-systems and every seventh labelled system on four points, and the
-space's base condition against the check at every point, and the
+systems and every seventh labelled system on four points, the paper's
+sufficient condition for sgm, from its definition, against sgm and
+against ``sgm_sufficient_condition`` on the same pseudoequivariant
+systems, and the space's base condition against the check at every point, and the
 verdicts of tgt, wgm and sgm kept on an iterate cache that many systems
 share against fresh systems with caches of their own, over the sweep
 and over random two-level maps under several actions, both fields of
@@ -553,8 +555,8 @@ def _tgt_every_iterate(sys):
         for j in range(1, c.horizon + 1):
             reduced |= 1 << c.reduce(m * j)
         for u in ctx.basis:
-            for v in ctx.basis:
-                if not ctx.row(u)[ctx.pos[v]] & reduced:
+            for v, h in zip(ctx.basis, ctx.row(u)):
+                if not h & reduced:
                     names = sys.space.names
                     return False, {"m": m, "U": names(u), "V": names(v)}
     return True, None
@@ -902,6 +904,53 @@ def test_pseudoequivariant_systems_are_their_orbit_spaces(sweep):
             outcomes["p1"] += 1
             outcomes["smaller"] += qs.space.n < sys.space.n
         assert outcomes["p1"] == p1 and outcomes["smaller"], label
+
+
+def _sgm_condition_by_definition(sys):
+    """The paper's sufficient condition for sgm, less transitivity, from
+    its definition: whether some x has a dense saturated forward orbit,
+    and whether for one such x, W = U_x has f^k(W) meeting G(W) for every
+    k in [p+1, p+q] (past p the images of f^k repeat with period q)."""
+    c, space, action = sys.cache(), sys.space, sys.action
+    p, q = c.preperiod, c.period
+    dense = [x for x in range(space.n) if space.is_dense(action.saturate(c.fwd[x]))]
+
+    def returns(x):
+        w = space.min_open[x]
+        sat = action.saturate(w)
+        return all(any((sat >> c.image(y, k)) & 1 for y in bits(w))
+                   for k in range(p + 1, p + q + 1))
+
+    return bool(dense), any(map(returns, dense))
+
+
+def test_the_sgm_condition_implies_sgm(sweep):
+    # the theorem in the `checkers` docstring: on a pseudoequivariant
+    # system a dense-orbit point whose minimal open returns at every large
+    # exponent makes the map sgm, and an sgm map has such a point.  The
+    # counts show that neither side holds vacuously: many sgm-false
+    # systems have a dense-orbit point, and none of them returns.  With
+    # gt, the condition is what ``sgm_sufficient_condition`` reports
+    on_four = itertools.islice(
+        corpus.enumerate_systems(4, ("Z1", "Z2", "Z3", "Z4", "Z2xZ2")), 0, None, 7)
+    populations = {  # label -> (systems, sgm-false with a dense point, sgm-true)
+        "sweep": (sweep, 528, 517),
+        "generated": (generated_systems(suite_configs(400)), 62, 217),
+        "on four": (on_four, 6535, 4946),
+    }
+    for label, (systems, dense_not_sgm, sgm_true) in populations.items():
+        outcomes = collections.Counter()
+        for sys in systems:
+            if not sys.pseudoequivariant():
+                continue
+            dense, returning = _sgm_condition_by_definition(sys)
+            sgm = ck.Verdicts["sgm"](sys)
+            assert returning is sgm, serialize(sys)
+            applies = ck.Verdicts["gt"](sys) and returning
+            assert ck.sgm_sufficient_condition(sys).applies is applies, serialize(sys)
+            outcomes[sgm, dense] += 1
+        assert outcomes[False, True] == dense_not_sgm, label
+        assert outcomes[True, True] == sgm_true and not outcomes[True, False], label
 
 
 def _quotient_opens_by_fixpoint(action, proj, orbit_masks):
