@@ -68,13 +68,8 @@ G(A') = Min for every atom A', and with m the least point of each atom:
 * tgt, and so sgm, iff f^e(m) is in Min for every m (the tests keep
   sgm's own rule, the cycle of every m lies in Min, as a second route);
 * wgm iff the return sets T(m) = {k >= 1 : f^k(m) in Min} meet
-  pairwise.  Then every two meet infinitely often: were K the largest
-  exponent in both T(a) and T(b), f^K(a) and f^K(b) would be minimal
-  points whose return sets, those of their atoms, share nothing.  So only the
-  exponents k >= d(m) count, where f^k(m) depends on k mod L(m) alone,
-  and T(m) is there a set of residues mod L(m).  Residue sets mod L and
-  L' share an exponent iff, folded mod gcd(L, L'), they share a residue
-  (the Chinese remainder theorem).  Equal residue sets are tested once.
+  pairwise, which ``_meet`` decides on the return sets of f(m).  Equal
+  return sets are tested once.
 
 Each rule walks at most d + L steps per atom.  Past the one-orbit test
 each reads only the map, the least points of the atoms and Min, so its
@@ -132,16 +127,14 @@ G1 x G2 and the map f x h.  The minimal open of (a, b) is U_a x U_b, a
 point lies in the closure of S iff its minimal open meets S, and g.S
 meets W iff S meets g^-1.W.  So (a, b) lies in the closure of the
 saturated orbit of (x, y) iff some k >= 0 has f^k(x) in G1(U_a) and
-h^k(y) in G2(U_b) (G(U_a x U_b) is their product).  Below
-D = max(d(x), d(y)) that is one walk of both tails; from D on, both
-return sets are residue sets on the cycles, which share an exponent iff
-they meet folded mod gcd(L(x), L(y)), as for wgm.  The product is gm iff
+h^k(y) in G2(U_b) (G(U_a x U_b) is their product): the return sets of
+x and y meet, which ``_meet`` decides, as for wgm.  The product is gm iff
 every (x, y) reaches every U_a x U_b so, which enters only through the
 two saturations.  Every forward orbit of f x h runs into a cycle, and a
 superset of a dense set is dense, so one point per cycle of f x h is
 asked: for cycles through c and c' of lengths L and L', (c, h^i(c')) and
-(c, h^j(c')) lie on one cycle iff i = j mod gcd(L, L') (the Chinese
-remainder theorem), so take j < gcd(L, L').  The criterion asks it for
+(c, h^j(c')) lie on one cycle iff i = j mod gcd(L, L') (as in
+``_meet``), so take j < gcd(L, L').  The criterion asks it for
 (g.f(x), y) and (x, g'.h(y)).  Translations are homeomorphisms, so
 U_(g.z) = g.U_z and G1(U_(g.f(x))) = G1(U_f(x)): g and g' drop out,
 leaving two questions per (x, y).  No product is built; the tests build
@@ -150,7 +143,7 @@ it as a second route.
 Each property has one predicate, held in the table ``Verdicts`` (name ->
 bool, cheapest first) that ``profile``, the command-line report, the
 fixture check, the implication suite and the miner read: tgt and sgm
-the tgt rule and wgm the residue rule on the minimal points; gt and gm,
+the tgt rule and wgm the return-set rule on the minimal points; gt and gm,
 a saturated forward reach is dense.  The ``is_*`` reports call the same
 predicates and build a witness on the verdict: a false verdict names a
 failing pair of basis opens (plus the iterate exponent where relevant),
@@ -482,44 +475,51 @@ def _tgt(sys: GSystem) -> bool:
     return entry[0]
 
 
-def _residues(c: IterateCache, m: int, target: int) -> tuple[int, int]:
-    """m's cycle length L and the residues mod L of its return exponents
-    on the cycle: bit j is set iff f^k(m) is in the target for the
-    k >= d(m) with k = j mod L.  One walk of d + L steps."""
-    f, d, size = c.f, c.depth[m], c.length[m]
-    y, out = c.image(m, d), 0
-    for k in range(d, d + size):
-        out |= ((target >> y) & 1) << k % size
-        y = f[y]
-    return size, out
+def _returns(c: IterateCache, x: int, target: int) -> tuple[int, int, int]:
+    """The return set S(x, A) = {k >= 0 : f^k(x) in A} as (d, L, window):
+    x's depth d and cycle length L, and the window mask, bit k for
+    k < d + L set iff f^k(x) is in A.  From d on the set recurs mod L.
+    One walk of d + L steps."""
+    f, d, size, window = c.f, c.depth[x], c.length[x], 0
+    for k in range(d + size):
+        window |= ((target >> x) & 1) << k
+        x = f[x]
+    return d, size, window
 
 
-def _folded(residues: int, g: int) -> int:
-    """A residue mask mod L as residues mod g, a divisor of L."""
-    low, out = (1 << g) - 1, 0
-    while residues:
-        out |= residues & low
-        residues >>= g
-    return out
-
-
-def _meet(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """Whether residue sets (L, mask) and (L', mask') hold a common
-    exponent: folded mod gcd(L, L'), they share a residue."""
-    g = gcd(a[0], b[0])
-    return bool(_folded(a[1], g) & _folded(b[1], g))
+def _meet(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
+    """Whether return sets a and b share an exponent.  They may share one
+    in both windows; below D = max(d, d'), where each is its window with
+    its cycle part repeated up to D; or from D on, where each is a residue
+    set mod its cycle length L taken from the origin D.  Residue sets mod
+    L and L' share an exponent iff, folded mod gcd(L, L'), they share a
+    residue (the Chinese remainder theorem: t = j mod L and t = j' mod L'
+    have a common solution iff j = j' mod gcd(L, L'))."""
+    if a[2] & b[2]:
+        return True
+    top, g = max(a[0], b[0]), gcd(a[1], b[1])
+    below, folded, low = -1, [], (1 << g) - 1
+    for d, size, window in (a, b):
+        cycle, blocks = window >> d, -(-(top - d) // size)  # copies from d to D
+        below &= window | cycle * (((1 << size * blocks) - 1) // ((1 << size) - 1)) << d
+        out, shift = 0, (top - d) % g
+        while cycle:  # fold mod g, then turn to the origin D
+            out, cycle = out | cycle & low, cycle >> g
+        folded.append((out >> shift | out << g - shift) & low)
+    return bool(below & ((1 << top) - 1) or folded[0] & folded[1])
 
 
 def _wgm(sys: GSystem) -> bool:
-    """wgm: Min is one orbit of atoms, and the return sets of the atoms
-    meet pairwise, which they do iff their residues on the cycles do."""
+    """wgm on the atoms: Min is one orbit of atoms, and every two return
+    sets T(m) = {k >= 1 : f^k(m) in Min} of their least points meet, each
+    T(m) being S(f(m), Min) shifted by one."""
     reps, minimal, one_orbit = _atoms(sys.action)
     if not one_orbit:
         return False
     c = sys.cache()
     entry = _on_minimal(c, reps, minimal)
     if entry[1] is None:
-        sets = list(dict.fromkeys(_residues(c, m, minimal) for m in reps))
+        sets = list(dict.fromkeys(_returns(c, c.f[m], minimal) for m in reps))
         entry[1] = all(_meet(a, b) for i, a in enumerate(sets) for b in sets[i:])
     return entry[1]
 
@@ -785,32 +785,26 @@ def product_minimality_criterion(s1: GSystem, s2: GSystem) -> ProductMinimality:
     """Minimality of the product system against the orbit-closure
     membership criterion: for all points x, y and group elements g, k,
     both (g.f(x), y) and (x, k.h(y)) lie in the closure of the saturated
-    product orbit of (x, y).  Decided on the two factors (module
-    docstring, "Products factor"); LimitError past ``MaxCarrier`` point
-    pairs."""
+    product orbit of (x, y).  Decided on the two factors: (a, b) is in
+    that closure iff the return sets of x in G1(U_a) and of y in G2(U_b)
+    meet (module docstring, "Products factor"); LimitError past
+    ``MaxCarrier`` point pairs."""
     n1, n2 = s1.space.n, s2.space.n
     _check_product("product_minimality_criterion", [n1, n2])
     c1, c2 = s1.cache(), s2.cache()
-    residues = lru_cache(None)(_residues)
-
-    def meet(x: int, a: int, y: int, b: int) -> bool:
-        """Whether some k >= 0 has f^k(x) in A and h^k(y) in B."""
-        for _ in range(max(c1.depth[x], c2.depth[y])):
-            if (a >> x) & 1 and (b >> y) & 1:
-                return True
-            x, y = c1.f[x], c2.f[y]
-        return _meet(residues(c1, x, a), residues(c2, y, b))
-
+    returns = lru_cache(None)(_returns)
     sats1, sats2 = ([sat for sat, _, _ in _columns(s.action)[2]] for s in (s1, s2))
     # one point per cycle of f x h (module docstring, "Products factor")
     least1, least2 = ([x for x, d in enumerate(c.depth) if not d and _lowest(c.fwd[x]) == x]
                       for c in (c1, c2))
     loops = [(x, c2.image(y, j)) for x in least1 for y in least2
              for j in range(gcd(c1.length[x], c2.length[y]))]
-    gm = all(meet(x, a, y, b) for x, y in loops for a in sats1 for b in sats2)
+    gm = all(_meet(returns(c1, x, a), returns(c2, y, b))
+             for x, y in loops for a in sats1 for b in sats2)
     # G(U_x) for every point x of each factor
     near1, near2 = ([s.action.saturate(u) for u in s.space.min_open] for s in (s1, s2))
-    crit = all(meet(x, near1[s1.f[x]], y, near2[y]) and meet(x, near1[x], y, near2[s2.f[y]])
+    crit = all(_meet(returns(c1, x, near1[s1.f[x]]), returns(c2, y, near2[y]))
+               and _meet(returns(c1, x, near1[x]), returns(c2, y, near2[s2.f[y]]))
                for x in range(n1) for y in range(n2))
     return ProductMinimality(product_minimal=gm, criterion=crit)
 
@@ -840,6 +834,8 @@ Diagram = ("p1", "p2", "gt", "tgt", "wgm", "sgm", "gm")
 
 def profile(sys: GSystem, props: Iterable[str] = Verdicts) -> dict[str, bool]:
     """Property name -> verdict for each of ``props``, in their order."""
+    if isinstance(props, str):
+        raise ValidationError(f"profile: props must be names, not the string {props!r}")
     try:
         return {name: Verdicts[name](sys) for name in props}
     except KeyError as exc:

@@ -1,7 +1,7 @@
 """Command-line front end.
 
     gdyn validate FILE
-    gdyn check FILE --property gt|tgt|wgm|sgm|gm|cover|equivariant|
+    gdyn check FILE --property p1|p2|gt|tgt|wgm|sgm|gm|cover|equivariant|
                                pseudoequivariant|quotient-minimal|nfold:<n>
     gdyn report FILE
     gdyn minimal-sets FILE
@@ -23,6 +23,7 @@ from pathlib import Path
 from .algebra import equivariance_failure, pseudoequivariance_failure, quotient
 from .checkers import (
     Diagram,
+    Verdicts,
     diagram_violations,
     g_minimal_sets,
     is_g_minimal,
@@ -31,12 +32,11 @@ from .checkers import (
     is_strongly_g_mixing,
     is_totally_g_transitive,
     is_weakly_g_mixing,
-    minimality_cover_criterion,
     profile,
     quotient_minimality,
 )
-from .dynamics import GSystem
-from .errors import Error, GenerationError, ParseError, ValidationError
+from .dynamics import GSystem, MaxCarrier
+from .errors import Error, GenerationError, LimitError, ParseError, ValidationError
 from .sysfile import open_lines, parse, serialize
 
 
@@ -83,10 +83,6 @@ def _emit_witness(fields: dict) -> None:
 def _cmd_check(args) -> int:
     sys_ = _load(args.file)
     prop = args.property
-    if prop == "cover":
-        v = minimality_cover_criterion(sys_)
-        _emit_verdict("cover", v)
-        return 0 if v else 1
     if prop == "equivariant":
         fail = equivariance_failure(sys_.action, sys_.f)
         _emit_verdict("equivariant", fail is None)
@@ -111,11 +107,18 @@ def _cmd_check(args) -> int:
         # ASCII digits only: int() also takes "1_0", " 3" and non-ASCII digits
         if not (count.isascii() and count.isdigit()):
             raise ValidationError(f"check: bad fold count in '{prop}'")
-        n = int(count)
-        rep, keys = is_n_fold_transitive(sys_, n), _Reports["gt"][1]
+        digits, bound = count.lstrip("0") or "0", MaxCarrier.bit_length()
+        # nfold_system's bound, checked on the digits: int() may refuse so many
+        if len(digits) > len(str(bound)):
+            raise LimitError(f"nfold_system: {digits} factors exceed the bound {bound}")
+        rep, keys = is_n_fold_transitive(sys_, int(digits)), _Reports["gt"][1]
     elif prop in _Reports:
         report, keys = _Reports[prop]
         rep = report(sys_)
+    elif prop in Verdicts:  # p1, p2 and cover: a verdict and no witness
+        verdict = profile(sys_, (prop,))[prop]
+        _emit_verdict(prop, verdict)
+        return 0 if verdict else 1
     else:
         raise ValidationError(f"check: unknown property '{prop}'")
     _emit_verdict(rep.prop, rep.verdict)

@@ -381,6 +381,34 @@ class TestProductMinimality:
         assert pm == ck.ProductMinimality(product_minimal=True, criterion=True)
 
 
+class TestReturnSetVerdicts:
+    # wgm and the product criterion decide through return sets
+    # (``_returns`` and ``_meet``); their verdicts are pinned
+
+    def test_wgm_on_four_points_is_pinned(self):
+        # every labelled system on four points, one byte per verdict
+        digest, count, true = hashlib.sha256(), 0, 0
+        for sys in enumerate_systems(4, corpus.DefaultGroupPool):
+            verdict = ck.Verdicts["wgm"](sys)
+            digest.update(b"1" if verdict else b"0")
+            count, true = count + 1, true + verdict
+        assert (count, true) == (254_141, 94_999)
+        assert digest.hexdigest() == (
+            "e80f0dd12b91ed646ef876a90847faef1e1bede1b4a3f3cfd83ee0ddafab58bd")
+
+    def test_product_criterion_on_sweep_pairs_is_pinned(self, sweep):
+        # every seventh sweep system against every eleventh
+        digest, outcomes = hashlib.sha256(), collections.Counter()
+        for s1 in sweep[::7]:
+            for s2 in sweep[::11]:
+                pm = ck.product_minimality_criterion(s1, s2)
+                digest.update(repr(tuple(pm)).encode())
+                outcomes[pm] += 1
+        assert sum(outcomes.values()) == 34_866 and len(outcomes) == 3
+        assert digest.hexdigest() == (
+            "28fdc2eea289c6412c88f856648aa7cbf7161835848a060faaa0732baf6d968a")
+
+
 class TestPreconditionsAndReports:
     def test_flags(self, fixture_map):
         # the diagram's preconditions are verdicts of the property table
@@ -404,6 +432,27 @@ class TestPreconditionsAndReports:
     def test_profile_rejects_an_unknown_property(self, fixture_map, props):
         with pytest.raises(ValidationError, match=f"profile: unknown property {props[-1]!r}"):
             ck.profile(fixture_map["rot4"].system, props)
+
+    def test_profile_rejects_a_bare_string(self, fixture_map):
+        # a string is an iterable of its letters, not a property name
+        with pytest.raises(ValidationError,
+                           match="profile: props must be names, not the string 'gt'"):
+            ck.profile(fixture_map["rot4"].system, "gt")
+
+    def test_three_point_census(self):
+        # the diagram on every labelled system on three points: how often
+        # each verdict pattern occurs, and no implication fails
+        census = collections.Counter()
+        for sys in enumerate_systems(3, corpus.DefaultGroupPool):
+            row = ck.profile(sys, ck.Diagram)
+            assert ck.diagram_violations(row) == ()
+            census["".join("1" if v else "0" for v in row.values())] += 1
+        # the digits follow Diagram: p1, p2, gt, tgt, wgm, sgm, gm
+        assert census == {
+            "0000000": 540, "0100000": 90, "0110001": 120, "0111110": 150,
+            "0111111": 644, "1000000": 1010, "1100000": 220, "1110000": 15,
+            "1110001": 75, "1111110": 460, "1111111": 529,
+        }
 
     def test_profile_consistent_everywhere(self, fixture_map):
         for fx in fixture_map.values():

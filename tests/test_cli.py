@@ -102,6 +102,18 @@ class TestCheck:
             assert main(["check", files["disc2-swap"], "--property", f"nfold:{count}"]) == 2
             assert "bad fold count" in capsys.readouterr().err
 
+    def test_p1_and_p2(self, files, fixture_map, capsys):
+        # decided through the property table: a verdict and no witness
+        seen = set()
+        for name, path in files.items():
+            for prop in ("p1", "p2"):
+                want = fixture_map[name].expected[prop]
+                assert main(["check", path, "--property", prop]) == (0 if want else 1)
+                assert capsys.readouterr().out == (
+                    f"property={prop} verdict={str(want).lower()}\n")
+                seen.add((prop, want))
+        assert len(seen) == 4
+
     def test_cover(self, files, capsys):
         assert main(["check", files["z2swap-id"], "--property", "cover"]) == 0
         assert "property=cover verdict=true" in capsys.readouterr().out
@@ -366,6 +378,15 @@ class TestErrorsExitTwo:
         p.write_text(cycles_text((1,)))
         assert main(["check", str(p), "--property", "nfold:200000"]) == 2
         assert "factors" in capsys.readouterr().err
+        # past the bound on its digits alone: int() refuses 5000 digits on
+        # Python 3.11 and later
+        nines = "9" * 5000
+        assert main(["check", str(p), "--property", f"nfold:{nines}"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: nfold_system: {nines} factors exceed the bound"
+            f" {MaxCarrier.bit_length()}\n")
+        assert main(["check", str(p), "--property", f"nfold:{'0' * 5000}1"]) == 0
+        assert capsys.readouterr().out == "property=nfold:1 verdict=true\n"
         p.write_text(cycles_text((1,), group_order=8))
         assert main(["check", str(p), "--property", "nfold:4"]) == 2
         assert "group of order 8^4" in capsys.readouterr().err

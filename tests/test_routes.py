@@ -29,17 +29,19 @@ verdicts of tgt, wgm and sgm kept on an iterate cache that many systems
 share against fresh systems with caches of their own, over the sweep
 and over random two-level maps under several actions, both fields of
 product minimality, decided on the two factors, against the explicit
-product, and products and n-fold products against the reference
+product, return sets and their meeting against the orbit over random
+maps, and products and n-fold products against the reference
 product that the validating constructors build.  Systems that
 the sweep and the generator build without re-validation are rebuilt
 through the validating constructors."""
 
 import collections
 import itertools
+import math
 import random
 import re
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -516,7 +518,7 @@ def _two_level_system(rng):
 def test_minimal_point_rules_on_two_level_systems():
     # Min is one orbit of atoms on every such system, and its cycles leave
     # Min and come back, so weak mixing without total transitivity occurs
-    # often enough to reach the residue rule of wgm; sgm's cycle rule is
+    # often enough to reach the return-set rule of wgm; sgm's cycle rule is
     # checked alongside
     rng = random.Random(5)
     outcomes = collections.Counter()
@@ -591,6 +593,66 @@ def test_wgm_is_transitivity_of_the_square(sweep):
     for sys in sweep:
         assert (ck.is_weakly_g_mixing(sys).verdict
                 == ck.is_n_fold_transitive(sys, 2).verdict)
+
+
+@st.composite
+def _return_set_input(draw):
+    """A map on up to 12 points, a point x and a target set A.  Half the
+    maps are random, half one tail into one cycle (0 -> 1 -> ... -> n-1
+    -> j), whose depths reach 11."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        table = tuple(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    else:
+        table = tuple(range(1, n)) + (draw(st.integers(0, n - 1)),)
+    return table, draw(st.integers(0, n - 1)), draw(st.integers(0, (1 << n) - 1))
+
+
+def _orbit(table, x, steps):
+    """x, f(x), ..., f^(steps-1)(x)."""
+    out = []
+    for _ in range(steps):
+        out.append(x)
+        x = table[x]
+    return out
+
+
+def _brute_returns(table, x, target):
+    """x's depth and cycle length, read off its first repeated point, and
+    the membership of f^k(x) in the target for k < d + 3L."""
+    orbit = _orbit(table, x, len(table) + 1)
+    j = next(j for j in range(len(orbit)) if orbit[j] in orbit[:j])
+    d, size = orbit.index(orbit[j]), j - orbit.index(orbit[j])
+    return d, size, [(target >> y) & 1 for y in _orbit(table, x, d + 3 * size)]
+
+
+# the exponent 4 lies in both sets below D = 5, past both windows and in
+# the third cycle block of the first set, and the sets share nothing from
+# D on: a meet found only by repeating the first set's cycle up to D
+@example(((1, 0), 0, 0b01), ((1, 2, 3, 4, 5, 5), 0, 1 << 4))
+@given(_return_set_input(), _return_set_input())
+@settings(max_examples=500, deadline=None)
+def test_return_sets_match_brute_force(one, two):
+    # a return set S(x, A) = {k >= 0 : f^k(x) in A} against the orbit, and
+    # two of them meeting against their intersection over
+    # [0, max(d, d') + lcm(L, L')), past which both repeat
+    sets = []
+    for table, x, target in (one, two):
+        got = ck._returns(IterateCache(table), x, target)
+        d, size, members = _brute_returns(table, x, target)
+        assert got[:2] == (d, size)
+        assert all((got[2] >> k) & 1 == members[k] for k in range(d + size))
+        # from d on the set recurs mod L
+        assert all((got[2] >> d + (k - d) % size) & 1 == members[k]
+                   for k in range(d, len(members)))
+        sets.append(got)
+    (d1, l1, _), (d2, l2, _) = sets
+    horizon = max(d1, d2) + math.lcm(l1, l2)
+    orbits = [_orbit(table, x, horizon) for table, x, _ in (one, two)]
+    brute = any((one[2] >> orbits[0][k]) & 1 and (two[2] >> orbits[1][k]) & 1
+                for k in range(horizon))
+    assert ck._meet(*sets) is brute
+    assert ck._meet(*sets[::-1]) is brute
 
 
 def _fresh_verdicts(sys, props):
