@@ -12,7 +12,7 @@ translation a homeomorphism.  Both are immutable value types.
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -29,7 +29,8 @@ from .topology import (
 
 
 class Group:
-    __slots__ = ("name", "elements", "index", "mul", "identity", "inv", "_gens")
+    # ``_mul``: the table, or a function to derive it (see ``_trusted``)
+    __slots__ = ("name", "elements", "index", "_mul", "identity", "inv", "_gens")
 
     def __init__(self, elements: Sequence[str], mul: Sequence[Sequence[int]], name: str = ""):
         elems = tuple(elements)
@@ -79,22 +80,32 @@ class Group:
         self._set(elems, table, ident, tuple(inv), name)
 
     @classmethod
-    def _trusted(cls, elements: tuple[str, ...], mul: tuple[tuple[int, ...], ...],
+    def _trusted(cls, elements: tuple[str, ...],
+                 mul: tuple[tuple[int, ...], ...] | Callable[[], tuple[tuple[int, ...], ...]],
                  identity: int, inv: tuple[int, ...], name: str) -> Group:
-        """A group from tables already known to satisfy the axioms."""
+        """A group from tables already known to satisfy the axioms.  The
+        multiplication table may be a picklable function that derives it,
+        called when ``mul`` is first read."""
         g = cls.__new__(cls)
         g._set(elements, mul, identity, inv, name)
         return g
 
-    def _set(self, elements: tuple[str, ...], mul: tuple[tuple[int, ...], ...],
-             identity: int, inv: tuple[int, ...], name: str) -> None:
+    def _set(self, elements: tuple[str, ...], mul, identity: int,
+             inv: tuple[int, ...], name: str) -> None:
         self.name = name
         self.elements = elements
         self.index = {g: i for i, g in enumerate(elements)}
-        self.mul = mul
+        self._mul = mul
         self.identity = identity
         self.inv = inv
         self._gens: tuple[int, ...] | None = None
+
+    @property
+    def mul(self) -> tuple[tuple[int, ...], ...]:
+        """``mul[a][b]`` is the product a.b."""
+        if callable(self._mul):
+            self._mul = self._mul()
+        return self._mul
 
     @property
     def order(self) -> int:

@@ -41,7 +41,8 @@ pairs at once, so tgt implies wgm on every finite G-space, with no
 precondition; the paper's p1 & p2 & tgt -> wgm follows, and with
 p1 & wgm -> tgt the two are equivalent under p1.  The search for the
 least failing m, which names the false witness, runs only on a false
-verdict.
+verdict.  wgm implies gt: some (g, g').(f x f)^k links the product's
+basis pair (U x U, V x V), so g.f^k(U) meets V.
 
 tgt also implies sgm on every finite G-space.  Call x minimal if its
 minimal open is its class {y : U_y = U_x} (an atom), and let Min be the
@@ -101,9 +102,13 @@ criterion is gm; under the trivial group it is gm of F.  Hence p2, gt,
 tgt, wgm, sgm, gm and cover of a p1 system equal those of its orbit
 space under the trivial group, and ``quotient_minimality`` answers both
 its fields from gm; the tests build the orbit space as a second route.
-Two consequences:
+Three consequences:
 
 * under p1, cover = gm (above);
+* p1 & gt -> p2 reduces to the trivial group.  A nonempty open W
+  contains an atom A, and gt with U = V = A gives k >= 1 with f^k(A)
+  meeting A, so f^k maps the class A into A; the self-map f^k of the
+  finite set A has a periodic point, which lies in W;
 * the paper's p1 & wgm -> tgt reduces to the trivial group.  There the
   orbits of atoms are the atoms, so wgm makes Min one atom A.  For m in
   A, wgm makes T(m) meet itself, so some j >= 1 has f^j(m) in A; f^j
@@ -848,15 +853,18 @@ def profile(sys: GSystem, props: Iterable[str] = Verdicts) -> dict[str, bool]:
 # tgt->wgm and tgt->sgm hold on every finite G-space (see the module
 # docstring), so the paper's p1&p2&tgt->wgm follows; with sgm->tgt, tgt
 # and sgm are equivalent, and with p1&wgm->tgt, tgt and wgm are under p1.
-# p1&wgm->tgt is proved there through the orbit space, where it is the
-# trivial-group case ("Pseudoequivariant systems are their orbit spaces").
+# wgm->gt is proved there too, and p1&wgm->tgt and p1&gt->p2 through the
+# orbit space, where they are trivial-group cases ("Pseudoequivariant
+# systems are their orbit spaces").
 Implications: tuple[tuple[str, tuple[str, ...], str], ...] = (
     ("sgm->wgm", ("sgm",), "wgm"),
+    ("wgm->gt", ("wgm",), "gt"),
     ("sgm->tgt", ("sgm",), "tgt"),
     ("tgt->gt", ("tgt",), "gt"),
     ("tgt->wgm", ("tgt",), "wgm"),
     ("tgt->sgm", ("tgt",), "sgm"),
     ("gm->gt", ("gm",), "gt"),
+    ("p1&gt->p2", ("p1", "gt"), "p2"),
     ("p1&wgm->tgt", ("p1", "wgm"), "tgt"),
     ("p1&p2&tgt->wgm", ("p1", "p2", "tgt"), "wgm"),
 )

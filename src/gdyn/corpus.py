@@ -26,10 +26,9 @@ import itertools
 import random
 from collections import Counter
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
-from . import oracle
 from .algebra import Action, Group, catalog, is_pseudoequivariant
 from .checkers import (
     Implications,
@@ -70,8 +69,7 @@ SuiteMaxPoints = 6
 # -- fixtures -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     name: str
     system: GSystem
     expected: Mapping
@@ -136,8 +134,7 @@ def fixtures(verify: bool = True) -> list[Fixture]:
 # -- random generation --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(NamedTuple):
     seed: int
     max_points: int = 5
     groups: tuple[str, ...] | None = None
@@ -357,7 +354,7 @@ def generate_robust(cfg: GeneratorConfig) -> GSystem:
     last = None
     for r in range(Reseeds):
         try:
-            return generate(replace(cfg, seed=cfg.seed + r * 1_000_003))
+            return generate(cfg._replace(seed=cfg.seed + r * 1_000_003))
         except GenerationError as exc:
             last = exc
     raise GenerationError(f"generation failed after {Reseeds} reseeds: {last}")
@@ -457,6 +454,8 @@ def _matches(sys: GSystem, lits) -> bool:
 
 
 def verify_against_oracle(sys: GSystem, lits) -> None:
+    from . import oracle  # only a found witness needs it
+
     ctx = oracle.OracleContext(sys)
     for name, want in lits:
         if oracle.Verdicts[name](sys, ctx) is not want:
@@ -465,14 +464,13 @@ def verify_against_oracle(sys: GSystem, lits) -> None:
             )
 
 
-@dataclass(frozen=True)
-class MineResult:
+class MineResult(NamedTuple):
     target: str
     found: bool
     system: GSystem | None
     phase: str | None
     detail: str
-    record: Mapping = field(default_factory=dict)
+    record: Mapping
 
 
 def mine(target: str, seed: int = 0, budget: int = 100_000,
@@ -538,8 +536,7 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
 # -- implication suite --------------------------------------------------------
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     systems_checked: int
     antecedents: dict[str, int]
     violations: list[dict]

@@ -15,6 +15,7 @@ periodic points are the cycle points.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import partial
 from math import lcm, prod
 
 from .algebra import Action, Group, is_pseudoequivariant
@@ -227,31 +228,40 @@ def _shape(sizes: list[int]) -> str:
     return "*".join(map(str, sizes))
 
 
+def _pairs(t1: Sequence[int], t2: Sequence[int], width: int) -> tuple[int, ...]:
+    """The pairs (a, b) of t1 x t2 as indices a * width + b."""
+    return tuple(a * width + b for a in t1 for b in t2)
+
+
+def _product_mul(g1: Group, g2: Group) -> tuple[tuple[int, ...], ...]:
+    """The product group's table, componentwise on the factors' tables."""
+    m2 = g2.order
+    return tuple(_pairs(r1, r2, m2) for r1 in g1.mul for r2 in g2.mul)
+
+
 def product_system(s1: GSystem, s2: GSystem) -> GSystem:
     """The product map on the product space with the componentwise action
     of the product group.  The point (x, y) has index x * |X2| + y and name
     "(x,y)", the element (a, b) index a * |G2| + b and name "(a|b)"; minimal
     opens multiply, min_open((x, y)) = min_open(x) x min_open(y).  Products
-    of validated factors satisfy the axioms and skip the checks.  Raises
-    LimitError past the bounds that ``nfold_system`` names."""
+    of validated factors satisfy the axioms and skip the checks.  No
+    decision reads the group's table, so it is derived from the factors'
+    when first read.  Raises LimitError past the bounds that
+    ``nfold_system`` names."""
     sp1, sp2, g1, g2 = s1.space, s2.space, s1.group, s2.group
     n2, m2 = sp2.n, g2.order
     _check_product("product_system", [sp1.n, n2], [g1.order, m2])
-
-    def pairs(t1: Sequence[int], t2: Sequence[int], width: int) -> tuple[int, ...]:
-        return tuple(a * width + b for a in t1 for b in t2)
-
     space = Space._trusted(
         tuple(f"({x},{y})" for x in sp1.points for y in sp2.points),
         tuple(sum(v << a * n2 for a in bits(u)) for u in sp1.min_open for v in sp2.min_open),
     )
     group = Group._trusted(
         tuple(f"({a}|{b})" for a in g1.elements for b in g2.elements),
-        tuple(pairs(r1, r2, m2) for r1 in g1.mul for r2 in g2.mul),
-        g1.identity * m2 + g2.identity, pairs(g1.inv, g2.inv, m2), f"{g1.name}x{g2.name}",
+        partial(_product_mul, g1, g2),
+        g1.identity * m2 + g2.identity, _pairs(g1.inv, g2.inv, m2), f"{g1.name}x{g2.name}",
     )
-    act = tuple(pairs(r1, r2, n2) for r1 in s1.action.act for r2 in s2.action.act)
-    return GSystem._trusted(Action._trusted(group, space, act), pairs(s1.f, s2.f, n2))
+    act = tuple(_pairs(r1, r2, n2) for r1 in s1.action.act for r2 in s2.action.act)
+    return GSystem._trusted(Action._trusted(group, space, act), _pairs(s1.f, s2.f, n2))
 
 
 def nfold_system(sys: GSystem, n: int) -> GSystem:

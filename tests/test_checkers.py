@@ -480,11 +480,13 @@ class TestPreconditionsAndReports:
         for cfg in configs:
             row = ck.profile(corpus.generate_robust(cfg))
             want["sgm->wgm"] += row["sgm"]
+            want["wgm->gt"] += row["wgm"]
             want["sgm->tgt"] += row["sgm"]
             want["tgt->gt"] += row["tgt"]
             want["tgt->wgm"] += row["tgt"]
             want["tgt->sgm"] += row["tgt"]
             want["gm->gt"] += row["gm"]
+            want["p1&gt->p2"] += row["p1"] and row["gt"]
             want["p1&wgm->tgt"] += row["p1"] and row["wgm"]
             want["p1&p2&tgt->wgm"] += row["p1"] and row["p2"] and row["tgt"]
         assert report.ok and report.systems_checked == len(configs)

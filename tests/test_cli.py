@@ -426,8 +426,10 @@ sys.path.insert(0, sys.argv[1])
 from gdyn.cli import main
 main(["report", sys.argv[2]])
 main(["check", sys.argv[2], "--property", "wgm"])
-print("loaded:", [m for m in ("gdyn.corpus", "gdyn.oracle", "dataclasses")
-                  if m in sys.modules])
+modules = ("gdyn.corpus", "gdyn.oracle", "dataclasses", "inspect")
+print("loaded:", [m for m in modules if m in sys.modules])
+main(["gen", "--seed", "1"])
+print("loaded:", [m for m in modules if m in sys.modules])
 """
 
 
@@ -440,4 +442,7 @@ def test_decide_commands_load_only_what_they_run(files):
     assert proc.returncode == 0 and proc.stderr == ""
     lines = proc.stdout.splitlines()
     assert lines[0] == "p1=true" and "property=wgm verdict=false" in lines
-    assert lines[-1] == "loaded: []"
+    # gen loads the generator, not the oracle that only mine's witnesses need
+    first = lines.index("loaded: []")
+    assert lines[first + 1].startswith("points ")
+    assert lines[-1] == "loaded: ['gdyn.corpus']"

@@ -1,12 +1,15 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycles_text, gf_periodic_points, trivialized
-from gdyn.algebra import Action, cyclic_group, trivial_action
-from gdyn.corpus import enumerate_systems
+from conftest import cycles_text, gf_periodic_points, reference_product, trivialized
+from gdyn import checkers
+from gdyn.algebra import Action, catalog, cyclic_group, trivial_action
+from gdyn.checkers import is_n_fold_transitive
+from gdyn.corpus import enumerate_systems, generate_robust, suite_configs
 from gdyn.dynamics import (
     GSystem,
     IterateCache,
@@ -16,7 +19,7 @@ from gdyn.dynamics import (
     product_system,
 )
 from gdyn.errors import LimitError, ValidationError
-from gdyn.sysfile import parse
+from gdyn.sysfile import parse, serialize
 from gdyn.topology import Space, compose, discrete_space, identity_table
 
 
@@ -224,6 +227,64 @@ class TestProducts:
         assert t.group.order == 1
         assert t.f == s.f
         assert t.space is s.space
+
+
+def _on_one_point(group):
+    """The identity map of one point, the group acting trivially."""
+    return GSystem(Action(group, discrete_space(("x",)), [[0]] * group.order), (0,))
+
+
+class TestDerivedGroupTable:
+    """A product group's table is derived from its factors' on first read."""
+
+    def test_catalog_pairs_match_the_reference(self):
+        systems = [_on_one_point(g) for g in catalog().values()]
+        for s1 in systems:
+            for s2 in systems:
+                got = product_system(s1, s2).group.mul
+                assert got == reference_product(s1, s2).group.mul
+
+    def test_threefold_chains_match_the_reference(self, fixture_map):
+        systems = [_on_one_point(g) for g in catalog().values() if g.order <= 6]
+        systems += [fixture_map[name].system for name in ("rot4", "z4mod2", "two-triangles")]
+        for sys in systems:
+            want = reference_product(reference_product(sys, sys), sys)
+            assert nfold_system(sys, 3).group.mul == want.group.mul
+
+    def test_a_product_group_is_a_value(self, fixture_map):
+        s = fixture_map["rot4"].system
+        group = nfold_system(s, 3).group
+        # pickled before and after the table is first read
+        assert not isinstance(group._mul, tuple)
+        before = pickle.loads(pickle.dumps(group))
+        ref = reference_product(reference_product(s, s), s).group
+        assert group == ref and hash(group) == hash(ref)
+        assert before == group and hash(before) == hash(group)
+        assert pickle.loads(pickle.dumps(group)) == group
+        assert nfold_system(s, 3).group.generators() == ref.generators()
+        assert [(g.name, g.identity, g.inv) for g in (before, group)] == [
+            (ref.name, ref.identity, ref.inv)] * 2
+
+    def test_serialize_round_trip(self, fixture_map):
+        s = fixture_map["z4mod2"].system
+        prod = nfold_system(s, 2)
+        back = parse(serialize(prod))
+        assert back == prod
+        assert serialize(back) == serialize(prod)
+
+    def test_nfold_decisions_derive_no_table(self, monkeypatch):
+        # the suite's 3-fold check reads the action, the space and the map
+        built = []
+
+        def nfold(sys, n):
+            built.append(nfold_system(sys, n))
+            return built[-1]
+
+        monkeypatch.setattr(checkers, "nfold_system", nfold)
+        verdicts = [is_n_fold_transitive(generate_robust(cfg), 3).verdict
+                    for cfg in suite_configs(180)]
+        assert sum(verdicts) > 0 and len(built) == 180
+        assert not any(isinstance(p.group._mul, tuple) for p in built)
 
 
 def _composed(f, count):
