@@ -30,7 +30,7 @@ from .topology import (
 
 class Group:
     # ``_mul``: the table, or a function to derive it (see ``_trusted``)
-    __slots__ = ("name", "elements", "index", "_mul", "identity", "inv", "_gens")
+    __slots__ = ("name", "elements", "_mul", "identity", "_gens")
 
     def __init__(self, elements: Sequence[str], mul: Sequence[Sequence[int]], name: str = ""):
         elems = tuple(elements)
@@ -71,33 +71,27 @@ class Group:
                     )
         # inverses: in a finite monoid a.b = e has at most one solution b,
         # and it has b.a = e
-        inv = []
         for a, row in enumerate(table):
-            b = row.index(ident) if ident in row else None
-            if b is None or table[b][a] != ident:
+            if ident not in row or table[row.index(ident)][a] != ident:
                 raise ValidationError(f"group: no inverse for {elems[a]}")
-            inv.append(b)
-        self._set(elems, table, ident, tuple(inv), name)
+        self._set(elems, table, ident, name)
 
     @classmethod
     def _trusted(cls, elements: tuple[str, ...],
                  mul: tuple[tuple[int, ...], ...] | Callable[[], tuple[tuple[int, ...], ...]],
-                 identity: int, inv: tuple[int, ...], name: str) -> Group:
+                 identity: int, name: str) -> Group:
         """A group from tables already known to satisfy the axioms.  The
         multiplication table may be a picklable function that derives it,
         called when ``mul`` is first read."""
         g = cls.__new__(cls)
-        g._set(elements, mul, identity, inv, name)
+        g._set(elements, mul, identity, name)
         return g
 
-    def _set(self, elements: tuple[str, ...], mul, identity: int,
-             inv: tuple[int, ...], name: str) -> None:
+    def _set(self, elements: tuple[str, ...], mul, identity: int, name: str) -> None:
         self.name = name
         self.elements = elements
-        self.index = {g: i for i, g in enumerate(elements)}
         self._mul = mul
         self.identity = identity
-        self.inv = inv
         self._gens: tuple[int, ...] | None = None
 
     @property

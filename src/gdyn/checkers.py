@@ -206,7 +206,7 @@ class _Ctx:
         self.action = action = sys.action
         self.cache = c = sys.cache()
         n = len(sys.f)
-        if not _window_fits(c, n):
+        if not c.fits():
             raise LimitError(
                 f"scan: the exponent window [1, {c.horizon}] on {n} points passes"
                 f" the bound of {MaxTableEntries} mask bits"
@@ -312,12 +312,6 @@ def _scan(sys: GSystem) -> _Ctx:
     return sys._scan
 
 
-def _window_fits(c: IterateCache, n: int) -> bool:
-    """Whether hit masks over the window [1, p+q] on n points stay within
-    ``MaxTableEntries`` bits."""
-    return c.horizon < 2 or c.horizon * n <= MaxTableEntries
-
-
 def _exponent(c: IterateCache) -> int:
     """tgt's exponent e: the least multiple of q with e >= max(p, 1)."""
     return c.period * max(1, -(-c.preperiod // c.period))
@@ -379,7 +373,7 @@ def _witness(sys: GSystem, count: int, summary: str, build: Callable[[], tuple],
              **fixed) -> Mapping:
     """Certificates built on first read, or a summary past the limit or
     where the scan context, which builds them, would refuse the window."""
-    if count > CertificateLimit or not _window_fits(sys.cache(), len(sys.f)):
+    if count > CertificateLimit or not sys.cache().fits():
         return {"summary": f"{count} {summary} verified", **fixed}
     return _Certified(fixed, build)
 

@@ -7,9 +7,10 @@ only on (k - d(x)) mod L(x).  With p the largest depth and q the lcm of
 the cycle lengths, p and q are the minimal pair with f^(p+q) = f^p, so
 every "for all n" or "there exists n" quantifier over iterates is decided
 on the finite window n in [1, p+q], and the eventually-periodic tail is
-exactly the exponents reducing into [p+1, p+q].  No iterate table is
-composed: f^k(x) is a walk of d(x) + (k - d(x)) mod L(x) steps, and the
-periodic points are the cycle points.
+exactly the exponents reducing into [p+1, p+q].  No decision composes
+an iterate table: f^k(x) is a walk of d(x) + (k - d(x)) mod L(x) steps,
+and the periodic points are the cycle points.  Only a read of
+``IterateCache.powers`` composes them, within ``MaxTableEntries``.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from .bitsets import bits
 from .errors import LimitError, ValidationError
 from .topology import Space, check_table, compose, find_discontinuity
 
-# bound on the entries of one system's tables: the checkers' (p+q)-bit
-# exponent masks of a map on |X| points, as if p+q tables of |X| entries,
-# and the group and action tables of a product system
+# bound on the entries of one system's tables: the p+q iterate tables of a
+# map on |X| points (``IterateCache.powers``) and the checkers' (p+q)-bit
+# exponent masks, counted as if tables, and a product system's element
+# names and action rows (``_check_product``)
 MaxTableEntries = 4_000_000
 MaxCarrier = 20000  # product carriers (n-fold ones too) and product minimality's point pairs
 
@@ -98,11 +100,22 @@ class IterateCache:
             x = f[x]
         return x
 
+    def fits(self) -> bool:
+        """Whether p+q tables (or exponent masks) over the carrier stay
+        within ``MaxTableEntries`` entries."""
+        return self.horizon < 2 or self.horizon * len(self.f) <= MaxTableEntries
+
     @property
     def powers(self) -> tuple[tuple[int, ...], ...]:
         """The tables of f^1 .. f^(p+q), composed on first read.  Nothing
-        in the library reads them."""
+        in the library reads them.  Raises LimitError, before composing
+        any, when they would pass ``MaxTableEntries`` entries."""
         if self._powers is None:
+            if not self.fits():
+                raise LimitError(
+                    f"powers: {self.horizon} iterate tables on {len(self.f)} points"
+                    f" pass the bound of {MaxTableEntries} table entries"
+                )
             t, out = self.f, [self.f]
             for _ in range(self.horizon - 1):
                 t = compose(self.f, t)
@@ -118,9 +131,8 @@ class IterateCache:
 class GSystem:
     """An action together with a continuous self-map of its space."""
 
-    # memos: the iterate cache, the pseudoequivariance flag and the
-    # checkers' scan context (built on first use)
-    __slots__ = ("action", "f", "_cache", "_pseudo", "_scan")
+    # memos, built on first use: the iterate cache and the checkers' scan context
+    __slots__ = ("action", "f", "_cache", "_scan")
 
     def __init__(self, action: Action, f: Sequence[int]):
         table = check_table(action.space, f)
@@ -148,7 +160,6 @@ class GSystem:
         self.action = action
         self.f = f
         self._cache = cache
-        self._pseudo: bool | None = None
         self._scan = None
 
     @property
@@ -165,9 +176,7 @@ class GSystem:
         return self._cache
 
     def pseudoequivariant(self) -> bool:
-        if self._pseudo is None:
-            self._pseudo = is_pseudoequivariant(self.action, self.f)
-        return self._pseudo
+        return is_pseudoequivariant(self.action, self.f)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GSystem) and self.action == other.action and self.f == other.f
@@ -209,7 +218,10 @@ def _check_product(who: str, sizes: list[int], orders: list[int] | None = None) 
     """Raise LimitError when a product of carriers of these sizes would
     pass ``MaxCarrier`` points or, given the group orders, its group and
     action tables ``MaxTableEntries`` entries; checked before anything is
-    built."""
+    built.  The group table is derived only when read, but its order^2
+    entries still count: they are what keeps the element names and action
+    rows small on a small carrier, where order * points alone would let a
+    one-point product hold 4,000,000 elements."""
     points = prod(sizes)
     if points > MaxCarrier:
         raise LimitError(f"{who}: {_shape(sizes)} points exceeds the bound {MaxCarrier}")
@@ -257,8 +269,7 @@ def product_system(s1: GSystem, s2: GSystem) -> GSystem:
     )
     group = Group._trusted(
         tuple(f"({a}|{b})" for a in g1.elements for b in g2.elements),
-        partial(_product_mul, g1, g2),
-        g1.identity * m2 + g2.identity, _pairs(g1.inv, g2.inv, m2), f"{g1.name}x{g2.name}",
+        partial(_product_mul, g1, g2), g1.identity * m2 + g2.identity, f"{g1.name}x{g2.name}",
     )
     act = tuple(_pairs(r1, r2, n2) for r1 in s1.action.act for r2 in s2.action.act)
     return GSystem._trusted(Action._trusted(group, space, act), _pairs(s1.f, s2.f, n2))

@@ -42,7 +42,7 @@ class Space:
     """
 
     # memo: the continuity plan of ``find_discontinuity`` (built on first use)
-    __slots__ = ("points", "min_open", "index", "full", "_plan")
+    __slots__ = ("points", "min_open", "full", "_plan")
 
     def __init__(self, points: Sequence[str], min_open: Sequence[int]):
         pts = tuple(points)
@@ -90,7 +90,6 @@ class Space:
     def _set(self, points: tuple[str, ...], min_open: tuple[int, ...]) -> None:
         self.points = points
         self.min_open = min_open
-        self.index = {name: i for i, name in enumerate(points)}
         self.full = (1 << len(points)) - 1
         self._plan: tuple | None = None
 

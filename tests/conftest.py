@@ -62,7 +62,7 @@ def opens(space):
 
 def mask(space, names):
     """The mask of the named points."""
-    return sum(1 << space.index[name] for name in set(names))
+    return sum(1 << space.points.index(name) for name in set(names))
 
 
 def f_orbit(sys, x):
@@ -158,6 +158,15 @@ def gf_periodic_points(sys):
     return out
 
 
+@functools.lru_cache(maxsize=4096)
+def power(f, k):
+    """The table of f^k (k >= 1), composed afresh from the map's table."""
+    t = f
+    for _ in range(k - 1):
+        t = compose(f, t)
+    return t
+
+
 def refute_pair(sys, u_names, v_names, m=1, horizon_pad=4):
     """Confirm by direct search that no translated iterate of f^m sends
     U into contact with V: the definition quantifies over k >= 1 and all
@@ -166,9 +175,7 @@ def refute_pair(sys, u_names, v_names, m=1, horizon_pad=4):
     u = mask(space, u_names)
     v = mask(space, v_names)
     g_rows = sys.action.act
-    t = sys.f
-    for _ in range(m - 1):
-        t = compose(sys.f, t)
+    t = power(sys.f, m)
     cur = u
     for _ in range(sys.cache().horizon + horizon_pad):
         cur = map_image(t, cur)
@@ -177,6 +184,25 @@ def refute_pair(sys, u_names, v_names, m=1, horizon_pad=4):
             for x in bits(cur):
                 tr |= 1 << row[x]
             assert not (tr & v), "witness pair is actually reachable"
+
+
+def check_gt_certificate(sys, cert):
+    """A certificate (U, V, k, g) of gt, or of sgm, holds: g.f^k(U) meets V."""
+    u_names, v_names, k, g_name = cert
+    g = sys.group.elements.index(g_name)
+    img = map_image(power(sys.f, k), mask(sys.space, u_names))
+    assert sys.action.translate(g, img) & mask(sys.space, v_names)
+
+
+def check_wgm_certificate(sys, cert):
+    """A wgm certificate (U, V, E, F, k, g1, g2) holds: g1.f^k(U) meets E
+    and g2.f^k(V) meets F."""
+    u_names, v_names, e_names, f_names, k, g1_name, g2_name = cert
+    t = power(sys.f, k)
+    img_u, img_v = (map_image(t, mask(sys.space, names)) for names in (u_names, v_names))
+    g1, g2 = (sys.group.elements.index(g) for g in (g1_name, g2_name))
+    assert sys.action.translate(g1, img_u) & mask(sys.space, e_names)
+    assert sys.action.translate(g2, img_v) & mask(sys.space, f_names)
 
 
 @functools.lru_cache(maxsize=None)

@@ -17,40 +17,23 @@ from gdyn.dynamics import GSystem, MaxTableEntries, nfold_system
 from gdyn.errors import LimitError, PreconditionError, ValidationError
 from gdyn.sysfile import parse
 from gdyn.topology import compose, discrete_space, map_image, space_from_subbasis
-from tests.conftest import DATA, cycles_text, mask, refute_pair, shifted_cycles, trivialized
+from tests.conftest import (
+    DATA,
+    check_gt_certificate,
+    check_wgm_certificate,
+    cycles_text,
+    generated_systems,
+    mask,
+    power,
+    refute_pair,
+    shifted_cycles,
+    trivialized,
+)
 from tests.test_routes import sgm_by_cycles
 
 
 def _one_point_system():
     return GSystem(trivial_action(discrete_space(("x",))), (0,))
-
-
-def _iterate(sys, k):
-    """The table of f^k, composed afresh."""
-    t = sys.f
-    for _ in range(k - 1):
-        t = compose(sys.f, t)
-    return t
-
-
-def _check_gt_certificate(sys, cert):
-    u_names, v_names, k, g_name = cert
-    u = mask(sys.space, u_names)
-    v = mask(sys.space, v_names)
-    t = _iterate(sys, k)
-    g = sys.group.index[g_name]
-    assert sys.action.translate(g, map_image(t, u)) & v
-
-
-def _check_wgm_certificate(sys, cert):
-    u_names, v_names, e_names, f_names, k, g1_name, g2_name = cert
-    t = _iterate(sys, k)
-    img_u = map_image(t, mask(sys.space, u_names))
-    img_v = map_image(t, mask(sys.space, v_names))
-    g1 = sys.group.index[g1_name]
-    g2 = sys.group.index[g2_name]
-    assert sys.action.translate(g1, img_u) & mask(sys.space, e_names)
-    assert sys.action.translate(g2, img_v) & mask(sys.space, f_names)
 
 
 class TestTransitivity:
@@ -80,14 +63,14 @@ class TestTransitivity:
             rep = ck.is_g_transitive(sys)
             assert rep.verdict
             for cert in rep.witness["certificates"]:
-                _check_gt_certificate(sys, cert)
+                check_gt_certificate(sys, cert)
 
     def test_true_tgt_certificates_replay(self, fixture_map):
         sys = fixture_map["z2swap-id"].system
         rep = ck.is_totally_g_transitive(sys)
         assert rep.verdict
         for m, u_names, v_names, k, g_name in rep.witness["certificates"]:
-            _check_gt_certificate(sys, (u_names, v_names, k, g_name))
+            check_gt_certificate(sys, (u_names, v_names, k, g_name))
 
     def test_false_gt_witness_is_genuine(self, fixture_map):
         sys = fixture_map["double-mod5"].system
@@ -114,7 +97,7 @@ class TestMixing:
         u = mask(sys.space, rep.witness["U"])
         v = mask(sys.space, rep.witness["V"])
         k = rep.witness["missing_exponent"]
-        img = map_image(_iterate(sys, k), u)
+        img = map_image(power(sys.f, k), u)
         assert not (img & sys.action.saturate(v))
         c = sys.cache()
         assert c.preperiod < k <= c.horizon
@@ -125,7 +108,7 @@ class TestMixing:
         assert rep.verdict
         assert rep.witness["threshold"] == 1
         for u_names, v_names, k, g_name in rep.witness["certificates"]:
-            _check_gt_certificate(sys, (u_names, v_names, k, g_name))
+            check_gt_certificate(sys, (u_names, v_names, k, g_name))
 
     def test_wgm_witness_pair_fails_jointly(self, fixture_map):
         # the reported 4-tuple admits no single exponent serving both pairs
@@ -137,7 +120,7 @@ class TestMixing:
         e = sys.action.saturate(mask(sys.space, w["E"]))
         f = sys.action.saturate(mask(sys.space, w["F"]))
         for k in range(1, c.horizon + 1):
-            t = _iterate(sys, k)
+            t = power(sys.f, k)
             assert not (map_image(t, u) & e and map_image(t, v) & f)
 
     def test_true_wgm_certificates_replay(self, fixture_map, sweep):
@@ -147,7 +130,7 @@ class TestMixing:
             rep = ck.is_weakly_g_mixing(sys)
             if rep.verdict:
                 for cert in rep.witness["certificates"]:
-                    _check_wgm_certificate(sys, cert)
+                    check_wgm_certificate(sys, cert)
                     replayed += 1
         assert replayed
 
@@ -521,6 +504,58 @@ class TestWitnesses:
         assert h.hexdigest() == (
             "5310ce20b233ca887035074e19f0080ba91dc2f6385026515bb646f331f2a5b6"
         )
+
+    def test_sweep_and_suite_witnesses_replay(self, sweep, fixture_map):
+        # every witness of the four scans on the sweep, the generated suite
+        # systems, the fixtures and the test data files (the wgm&!tgt one)
+        # holds against the definitions, replayed on tables composed
+        # afresh: false witnesses by direct search past the horizon,
+        # certificates element by element
+        systems = sweep + list(generated_systems(corpus.suite_configs(200)))
+        systems += [fx.system for fx in fixture_map.values()]
+        systems += [parse(path.read_text()) for path in sorted(DATA.glob("*.gds"))]
+        replayed = collections.Counter()
+        for sys in systems:
+            c, sp, sat = sys.cache(), sys.space, sys.action.saturate
+            iterates = {}  # m -> the tables of (f^m)^j, j in [1, p+q]
+            gt, tgt, wgm, sgm = (decide(sys) for decide in _SCANS)
+            for rep in (gt, tgt, wgm, sgm):
+                replayed[rep.prop, rep.verdict] += 1
+            if not gt.verdict:
+                refute_pair(sys, gt.witness["U"], gt.witness["V"])
+            if not tgt.verdict:
+                refute_pair(sys, tgt.witness["U"], tgt.witness["V"], m=tgt.witness["m"])
+            if not wgm.verdict:
+                w = wgm.witness
+                u, v = mask(sp, w["U"]), mask(sp, w["V"])
+                e, f = sat(mask(sp, w["E"])), sat(mask(sp, w["F"]))
+                for k in range(1, c.horizon + 5):
+                    t = power(sys.f, k)
+                    assert not (map_image(t, u) & e and map_image(t, v) & f)
+            if not sgm.verdict:
+                w = sgm.witness
+                u, v, k = mask(sp, w["U"]), sat(mask(sp, w["V"])), w["missing_exponent"]
+                assert c.preperiod < k <= c.horizon
+                for j in (k, k + c.period):
+                    assert not map_image(power(sys.f, j), u) & v
+            for rep in (gt, sgm):
+                for cert in rep.witness.get("certificates", ()):
+                    check_gt_certificate(sys, cert)
+                    replayed["certificate", rep.prop] += 1
+            for m, *cert in tgt.witness.get("certificates", ()):
+                if m not in iterates:
+                    t = power(sys.f, m)
+                    iterates[m] = [t]
+                    for _ in range(c.horizon - 1):
+                        iterates[m].append(compose(t, iterates[m][-1]))
+                assert power(sys.f, cert[2]) in iterates[m]
+                check_gt_certificate(sys, cert)
+                replayed["certificate", "tgt"] += 1
+            for cert in wgm.witness.get("certificates", ()):
+                check_wgm_certificate(sys, cert)
+                replayed["certificate", "wgm"] += 1
+        assert all(replayed[p, v] for p in ("gt", "tgt", "wgm", "sgm") for v in (False, True))
+        assert all(replayed["certificate", p] for p in ("gt", "tgt", "wgm", "sgm"))
 
     def test_certificates_are_built_on_first_read(self, fixture_map, monkeypatch):
         images = []

@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -66,12 +67,24 @@ class TestIterateCache:
     def test_cache_has_no_horizon_bound(self):
         # cycles of every length 2..19: horizon lcm(1..19) = 232,792,560 on
         # 189 points; the walk is O(|X|) and reads no window (the scan
-        # context bounds it, see test_checkers)
+        # context and ``powers`` bound it, see below and test_checkers)
         sys = parse(cycles_text(range(2, 20)))
         c = sys.cache()
         assert (sys.space.n, c.preperiod, c.period) == (189, 0, 232_792_560)
         assert c.image(188, c.period + 1) == sys.f[188]
         assert periodic_points(sys) == sys.space.full
+
+    def test_powers_past_the_bound_compose_nothing(self):
+        # the same cycles: 232,792,560 tables of 189 entries would pass
+        # MaxTableEntries, so reading them raises before composing one
+        c = parse(cycles_text(range(2, 20))).cache()
+        start = time.perf_counter()
+        with pytest.raises(LimitError, match="232792560 iterate tables on 189 points"):
+            c.powers
+        assert time.perf_counter() - start < 1.0
+        # 2,310 tables of 28 entries stay within it
+        c = parse(cycles_text((2, 3, 5, 7, 11))).cache()
+        assert len(c.powers) == 2310 and c.powers[-1] == identity_table(28)
 
     def test_horizon_bound_admits_long_period(self):
         sys = parse(cycles_text((2, 3, 5, 7, 11)))
@@ -115,7 +128,7 @@ class TestOrbits:
         sys = fixture_map["interval-tails"].system
         sp, fwd = sys.space, sys.cache().fwd
         for ell in ("-1", "0", "1"):
-            x = sp.index[ell]
+            x = sp.points.index(ell)
             assert fwd[x] == 1 << x
             assert sys.action.saturate(fwd[x]) == 1 << x
 
@@ -142,7 +155,7 @@ class TestPeriodicity:
     def test_gf_periodic_two_triangles(self, fixture_map):
         sys = fixture_map["two-triangles"].system
         pts = dict(gf_periodic_points(sys))
-        a = sys.space.index["a"]
+        a = sys.space.points.index("a")
         assert pts[a] == 2
         assert gf_periodic_mask(sys) == sys.space.full
 
@@ -262,8 +275,8 @@ class TestDerivedGroupTable:
         assert before == group and hash(before) == hash(group)
         assert pickle.loads(pickle.dumps(group)) == group
         assert nfold_system(s, 3).group.generators() == ref.generators()
-        assert [(g.name, g.identity, g.inv) for g in (before, group)] == [
-            (ref.name, ref.identity, ref.inv)] * 2
+        assert [(g.name, g.identity) for g in (before, group)] == [
+            (ref.name, ref.identity)] * 2
 
     def test_serialize_round_trip(self, fixture_map):
         s = fixture_map["z4mod2"].system
