@@ -63,7 +63,8 @@ basis open V contains an atom A', and G(A') <= G(V); f^k maps an atom
 into one class, which lies in Min or outside it.  So each property holds
 iff it holds on atoms.  If Min is two or more orbits of atoms, no point
 lies in G(A) and in G(A') for atoms of different orbits, and all three
-fail (for wgm take U = V, and E, F in different orbits).  Otherwise
+fail (for wgm take U = V, and E, F in different orbits), whatever the
+map: ``action_admits`` lets the miner skip such actions.  Otherwise
 G(A') = Min for every atom A', and with m the least point of each atom:
 
 * tgt, and so sgm, iff f^e(m) is in Min for every m (the tests keep
@@ -331,6 +332,19 @@ def _atoms(action: Action) -> tuple[tuple[int, ...], int, bool]:
         action._atoms = (tuple(map(_lowest, atoms)), minimal,
                          action.saturate(atoms[0]) == minimal)
     return action._atoms
+
+
+# the properties that fail on every map where Min is two or more orbits
+# of atoms (module docstring)
+_OneOrbit = frozenset(("tgt", "wgm", "sgm"))
+
+
+def action_admits(action: Action, lits: Iterable[tuple[str, bool]]) -> bool:
+    """Whether some map could meet these (property, wanted verdict)
+    literals on this action, as far as the action alone decides: False
+    iff a literal asks tgt, wgm or sgm to hold and Min is two or more
+    orbits of atoms, where all three fail on every map."""
+    return _atoms(action)[2] or not any(want and name in _OneOrbit for name, want in lits)
 
 
 class _Certified(Mapping):

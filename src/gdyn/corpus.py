@@ -33,6 +33,7 @@ from .algebra import Action, Group, catalog, is_pseudoequivariant
 from .checkers import (
     Implications,
     Verdicts,
+    action_admits,
     g_minimal_sets,
     is_n_fold_transitive,
     profile,
@@ -321,17 +322,17 @@ def _catalog_groups(names, where: str) -> tuple[Group, ...]:
     return tuple(cat[name] for name in names)
 
 
-def _draw(rng: random.Random, max_points: int, groups: tuple[Group, ...],
-          discrete: bool, pseudo_only: bool) -> tuple[Action, tuple[int, ...]]:
-    """The action and map of the system ``generate`` makes from arguments
-    it has validated, and ``rng`` seeded with the config seed: the size,
-    the space, the group, the action and the map, drawn in that order."""
+def _draw_action(rng: random.Random, max_points: int, groups: tuple[Group, ...],
+                 discrete: bool) -> Action:
+    """The action of the system ``generate`` makes from arguments it has
+    validated, and ``rng`` seeded with the config seed: the size, the
+    space, the group and the action, drawn in that order.  The map is
+    drawn next, from the same ``rng`` (``_sample_map``)."""
     getrandbits = rng.getrandbits
     n = 1 + _below(getrandbits, max_points)
     min_open = _DiscreteOpens[n] if discrete else _random_preorder(rng.random, n)
     group = groups[_below(getrandbits, len(groups))]
-    action = _sample_action(getrandbits, group, min_open)
-    return action, _sample_map(rng, action, pseudo_only)
+    return _sample_action(getrandbits, group, min_open)
 
 
 def generate(cfg: GeneratorConfig) -> GSystem:
@@ -343,8 +344,9 @@ def generate(cfg: GeneratorConfig) -> GSystem:
         raise ValidationError(f"generator: unknown mode '{cfg.mode}'")
     pool = cfg.groups if cfg.groups is not None else DefaultGroupPool
     groups = _catalog_groups(pool, "generator")
-    return GSystem._trusted(*_draw(random.Random(cfg.seed), m, groups,
-                                   cfg.mode == "discrete", cfg.pseudoequivariant_only))
+    rng = random.Random(cfg.seed)
+    action = _draw_action(rng, m, groups, cfg.mode == "discrete")
+    return GSystem._trusted(action, _sample_map(rng, action, cfg.pseudoequivariant_only))
 
 
 def generate_robust(cfg: GeneratorConfig) -> GSystem:
@@ -477,9 +479,13 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
          sweep: bool = True) -> MineResult:
     """Search for a system matching the target expression: first an
     exhaustive sweep of all systems on up to three points over Z1, Z2
-    and Z3, then seeded random trials.  A found witness is re-verified
-    literal by literal against the brute-force oracle.  The returned
-    record makes an exhausted search reproducible."""
+    and Z3, then seeded random trials.  A trial draws its action, and
+    its map only where ``action_admits`` leaves the target possible on
+    that action; a trial it rejects, like one whose map draw fails or
+    that draws a system already decided, is counted but not decided.  A
+    found witness is re-verified literal by literal against the
+    brute-force oracle.  The returned record makes an exhausted search
+    reproducible."""
     lits = parse_target(target)
     _check_int("mine", "seed", seed, 0)
     _check_int("mine", "budget", budget, 0)
@@ -500,8 +506,10 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
                 return result(sys, "sweep", f"sweep index {sweep_checked - 1}")
     # each trial is generate(GeneratorConfig(seed=rng.randrange(1 << 62),
     # max_points=rng.randint(2, 5), groups=(pool[t % len(pool)],),
-    # mode=("discrete", "preorder")[t % 2])), drawn without the config.
-    # The trial generator is reseeded by ``_random.Random.seed``, which is
+    # mode=("discrete", "preorder")[t % 2])), drawn without the config;
+    # the map, drawn last, is drawn only after the action test, so a
+    # rejected trial leaves every later trial's draws as they were.  The
+    # trial generator is reseeded by ``_random.Random.seed``, which is
     # what ``Random.seed`` does with an int seed, less the reset of the
     # ``gauss`` state, which no draw here reads
     getrandbits = random.Random(seed).getrandbits
@@ -515,8 +523,11 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
         trial_seed = _below(getrandbits, 1 << 62)
         max_points = 2 + _below(getrandbits, 4)
         reseed(trial_rng, trial_seed)
+        action = _draw_action(trial_rng, max_points, pools[t % len(pools)], t % 2 == 0)
+        if not action_admits(action, lits):
+            continue  # the target fails on every map of this action
         try:
-            action, f = _draw(trial_rng, max_points, pools[t % len(pools)], t % 2 == 0, False)
+            f = _sample_map(trial_rng, action, False)
         except GenerationError:
             continue
         key = (action.group.name, action.space.min_open, action.act, f)

@@ -51,7 +51,7 @@ def parse(text: str) -> GSystem:
     points: list[str] | None = None
     opens: list[tuple[int, list[str]]] = []
     group_names: list[str] | None = None
-    identity: str | None = None
+    identity: tuple[int, str] | None = None
     mul_rows: dict[str, tuple[int, list[str]]] = {}
     act_entries: dict[tuple[str, str], tuple[int, str]] = {}
     map_entries: dict[str, tuple[int, str]] = {}
@@ -89,7 +89,7 @@ def parse(text: str) -> GSystem:
                 raise ParseError("duplicate identity line", ln)
             if len(args) != 1:
                 raise ParseError("identity: exactly one element expected", ln)
-            identity = args[0]
+            identity = (ln, args[0])
         elif kw == "mul":
             if len(args) < 2:
                 raise ParseError("mul: expected a left element and its products", ln)
@@ -144,10 +144,13 @@ def parse(text: str) -> GSystem:
     gidx = {g: i for i, g in enumerate(group_names)}
     mul = tuple(tuple(gidx[r] for r in mul_rows[g][1]) for g in group_names)
     group = Group(tuple(group_names), mul)
-    if group.elements[group.identity] != identity:
+    id_ln, declared = identity
+    if declared not in gset:
+        raise ParseError(f"identity: unknown element '{declared}'", id_ln)
+    if group.elements[group.identity] != declared:
         raise ParseError(
             f"identity: table identity is {group.elements[group.identity]},"
-            f" declared {identity}"
+            f" declared {declared}", id_ln
         )
 
     for (g, x), (ln, y) in act_entries.items():

@@ -430,6 +430,7 @@ class TestPreconditionsAndReports:
             row = ck.profile(sys, ck.Diagram)
             assert ck.diagram_violations(row) == ()
             census["".join("1" if v else "0" for v in row.values())] += 1
+        assert sum(census.values()) == 3853 and len(census) == 11
         # the digits follow Diagram: p1, p2, gt, tgt, wgm, sgm, gm
         assert census == {
             "0000000": 540, "0100000": 90, "0110001": 120, "0111110": 150,
@@ -906,6 +907,20 @@ class TestFiniteDiagram:
 
 
 class TestMinimalPoints:
+    @pytest.mark.parametrize("target", ["tgt", "wgm&!gm", "sgm&!p1", "gt&!tgt", "!wgm&!sgm", "gm"])
+    def test_a_rejected_action_admits_no_map(self, sweep, target):
+        # an action is rejected only on a literal asking tgt, wgm or sgm to
+        # hold, and on it the oracle finds the target false for the map
+        lits = corpus.parse_target(target)
+        asks = any(want and name in ("tgt", "wgm", "sgm") for name, want in lits)
+        rejected = 0
+        for sys in sweep:
+            if not ck.action_admits(sys.action, lits):
+                rejected += 1
+                ctx = oracle.OracleContext(sys)
+                assert not all(oracle.Verdicts[name](sys, ctx) is want for name, want in lits)
+        assert bool(rejected) is asks
+
     def test_every_cycle_length_to_19(self):
         # 189 points under the trivial group, horizon 232,792,560: every
         # point is an atom of its own orbit, so Min is 189 orbits of atoms

@@ -36,6 +36,16 @@ class TestValidate:
         assert main(["validate", str(p)]) == 2
         assert "duplicate name" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("declared, message", [
+        ("g", "table identity is e, declared g"), ("x", "unknown element 'x'")])
+    def test_bad_identity(self, tmp_path, capsys, declared, message):
+        # both identity errors name the identity line
+        p = tmp_path / "bad.gds"
+        p.write_text(f"points a\ngroup e g\nidentity {declared}\nmul e e g\nmul g g e\n"
+                     "act e a a\nact g a a\nmap a a\n")
+        assert main(["validate", str(p)]) == 2
+        assert capsys.readouterr() == ("", f"error: line 3: identity: {message}\n")
+
 
 class TestCheck:
     def test_true_verdict(self, files, capsys):

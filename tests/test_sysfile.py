@@ -130,7 +130,13 @@ class TestParseErrors:
             "act g a a\n"
             "map a a\n"
         )
-        with pytest.raises(ParseError, match="table identity is e, declared g"):
+        with pytest.raises(ParseError, match="^line 3: identity: table identity is e, declared g$"):
+            parse(bad)
+
+    def test_identity_unknown(self):
+        # a declared identity that is not on the group line
+        bad = MINIMAL.replace("identity e", "# the identity\nidentity x")
+        with pytest.raises(ParseError, match="^line 4: identity: unknown element 'x'$"):
             parse(bad)
 
     def test_missing_sections(self):
