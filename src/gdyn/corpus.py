@@ -65,6 +65,10 @@ MemoEntries = 4096
 GeneratorMaxPoints = 8
 # the largest size in the implication suite's rotation of sizes
 SuiteMaxPoints = 6
+# the bounds of the miner's exhaustive sweep: every system on at most
+# SweepPoints points over the SweepGroups
+SweepPoints = 3
+SweepGroups = ("Z1", "Z2", "Z3")
 
 
 # -- fixtures -----------------------------------------------------------------
@@ -322,14 +326,14 @@ def _catalog_groups(names, where: str) -> tuple[Group, ...]:
     return tuple(cat[name] for name in names)
 
 
-def _draw_action(rng: random.Random, max_points: int, groups: tuple[Group, ...],
+def _draw_action(rng: random.Random, n: int, groups: tuple[Group, ...],
                  discrete: bool) -> Action:
     """The action of the system ``generate`` makes from arguments it has
-    validated, and ``rng`` seeded with the config seed: the size, the
-    space, the group and the action, drawn in that order.  The map is
-    drawn next, from the same ``rng`` (``_sample_map``)."""
+    validated, ``rng`` seeded with the config seed and n its drawn size:
+    the space, the group and the action, drawn in that order after the
+    size.  The map is drawn next, from the same ``rng``
+    (``_sample_map``)."""
     getrandbits = rng.getrandbits
-    n = 1 + _below(getrandbits, max_points)
     min_open = _DiscreteOpens[n] if discrete else _random_preorder(rng.random, n)
     group = groups[_below(getrandbits, len(groups))]
     return _sample_action(getrandbits, group, min_open)
@@ -345,7 +349,8 @@ def generate(cfg: GeneratorConfig) -> GSystem:
     pool = cfg.groups if cfg.groups is not None else DefaultGroupPool
     groups = _catalog_groups(pool, "generator")
     rng = random.Random(cfg.seed)
-    action = _draw_action(rng, m, groups, cfg.mode == "discrete")
+    n = 1 + _below(rng.getrandbits, m)
+    action = _draw_action(rng, n, groups, cfg.mode == "discrete")
     return GSystem._trusted(action, _sample_map(rng, action, cfg.pseudoequivariant_only))
 
 
@@ -392,8 +397,8 @@ def all_spaces(n: int) -> Iterator[Space]:
     return extend(0)
 
 
-def enumerate_systems(max_points: int = 3,
-                      group_names: tuple[str, ...] = ("Z1", "Z2", "Z3"),
+def enumerate_systems(max_points: int = SweepPoints,
+                      group_names: tuple[str, ...] = SweepGroups,
                       ) -> Iterator[GSystem]:
     """Every system on at most max_points points over the named groups:
     all topologies, all actions, all continuous maps.  Deterministic
@@ -478,14 +483,19 @@ class MineResult(NamedTuple):
 def mine(target: str, seed: int = 0, budget: int = 100_000,
          sweep: bool = True) -> MineResult:
     """Search for a system matching the target expression: first an
-    exhaustive sweep of all systems on up to three points over Z1, Z2
-    and Z3, then seeded random trials.  A trial draws its action, and
-    its map only where ``action_admits`` leaves the target possible on
-    that action; a trial it rejects, like one whose map draw fails or
-    that draws a system already decided, is counted but not decided.  A
-    found witness is re-verified literal by literal against the
-    brute-force oracle.  The returned record makes an exhausted search
-    reproducible."""
+    exhaustive sweep of every system on at most ``SweepPoints`` points
+    over the ``SweepGroups``, then seeded random trials.  Every trial is
+    counted; it stops at the first draw that settles it.  After an
+    exhausted sweep, a trial over a sweep group whose size (or size bound)
+    is within ``SweepPoints`` stops there: the sweep decided its system
+    already.  A one-point trial draws nothing more: its system is the
+    group's trivial action on one point with the map (0,).  Otherwise the
+    trial draws its action, and its map only where ``action_admits``
+    leaves the target possible on that action.  A trial that stops early,
+    like one whose map draw fails or that draws a system already decided,
+    is not decided.  A found witness is re-verified literal by literal
+    against the brute-force oracle.  The returned record makes an
+    exhausted search reproducible."""
     lits = parse_target(target)
     _check_int("mine", "seed", seed, 0)
     _check_int("mine", "budget", budget, 0)
@@ -499,37 +509,54 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
         )
 
     if sweep:
-        for sys in enumerate_systems():
+        for sys in enumerate_systems(SweepPoints, SweepGroups):
             sweep_checked += 1
             if _matches(sys, lits):
                 verify_against_oracle(sys, lits)
                 return result(sys, "sweep", f"sweep index {sweep_checked - 1}")
     # each trial is generate(GeneratorConfig(seed=rng.randrange(1 << 62),
     # max_points=rng.randint(2, 5), groups=(pool[t % len(pool)],),
-    # mode=("discrete", "preorder")[t % 2])), drawn without the config;
-    # the map, drawn last, is drawn only after the action test, so a
-    # rejected trial leaves every later trial's draws as they were.  The
-    # trial generator is reseeded by ``_random.Random.seed``, which is
+    # mode=("discrete", "preorder")[t % 2])), drawn without the config.
+    # Each trial reseeds its own generator, so a trial may stop at the
+    # first draw that settles it and leave every later trial's draws as
+    # they were:
+    # - over a sweep group, after an exhausted sweep, every system on at
+    #   most SweepPoints points was decided there: the trial stops at its
+    #   size bound, before the reseed, or else at its size;
+    # - a one-point system is the group's trivial action with the map (0,)
+    #   (one topology, one automorphism, one map), keyed as any other;
+    # - the map is drawn only where the action admits the target.
+    # The trial generator is reseeded by ``_random.Random.seed``, which is
     # what ``Random.seed`` does with an int seed, less the reset of the
     # ``gauss`` state, which no draw here reads
     getrandbits = random.Random(seed).getrandbits
     cat = catalog()
-    pools = tuple((cat[name],) for name in DefaultGroupPool)
+    pools = tuple(((cat[name],), sweep and name in SweepGroups) for name in DefaultGroupPool)
     trial_rng, reseed = random.Random(), _random.Random.seed
+    trial_bits = trial_rng.getrandbits
     decided: set[tuple] = set()  # a repeated system is counted, not decided again
     caches: dict[tuple[int, ...], IterateCache] = {}  # one per map table
     for t in range(budget):
         trials += 1
         trial_seed = _below(getrandbits, 1 << 62)
         max_points = 2 + _below(getrandbits, 4)
-        reseed(trial_rng, trial_seed)
-        action = _draw_action(trial_rng, max_points, pools[t % len(pools)], t % 2 == 0)
-        if not action_admits(action, lits):
-            continue  # the target fails on every map of this action
-        try:
-            f = _sample_map(trial_rng, action, False)
-        except GenerationError:
+        groups, swept = pools[t % len(pools)]
+        if swept and max_points <= SweepPoints:
             continue
+        reseed(trial_rng, trial_seed)
+        n = 1 + _below(trial_bits, max_points)
+        if swept and n <= SweepPoints:
+            continue
+        if n == 1:
+            action, f = _drawn_action(groups[0].name, _DiscreteOpens[1], None), (0,)
+        else:
+            action = _draw_action(trial_rng, n, groups, t % 2 == 0)
+            if not action_admits(action, lits):
+                continue  # the target fails on every map of this action
+            try:
+                f = _sample_map(trial_rng, action, False)
+            except GenerationError:
+                continue
         key = (action.group.name, action.space.min_open, action.act, f)
         if key in decided:
             continue

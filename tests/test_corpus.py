@@ -309,7 +309,10 @@ class TestEnumeration:
         ]
 
     def test_system_count(self):
-        assert sum(1 for _ in corpus.enumerate_systems()) == 1637
+        # the miner's sweep, read from the bounds that its random phase
+        # also skips by
+        swept = corpus.enumerate_systems(corpus.SweepPoints, corpus.SweepGroups)
+        assert sum(1 for _ in swept) == 1637
 
     def test_systems_with_one_map_share_its_cache(self, sweep):
         # one iterate cache per map table, equal to a fresh walk of it
@@ -404,11 +407,17 @@ class TestMining:
         assert res.phase == "random"
 
 
-def _mine_every_trial(target, seed, budget):
+def _key(sys):
+    return (sys.group.name, sys.space.min_open, sys.action.act, sys.f)
+
+
+def _mine_every_trial(target, seed, budget, swept=frozenset()):
     """``mine``'s random phase with no system skipped: (system, detail,
     trials, distinct systems decided).  ``mine`` decides a system only
-    where ``action_admits`` leaves the target possible on its action, so
-    only those systems are counted; every trial is still decided here."""
+    where ``action_admits`` leaves the target possible on its action and,
+    after an exhausted sweep, only where the sweep has not decided it, so
+    only those systems are counted: swept holds the keys of the sweep's
+    systems.  Every trial is still decided here."""
     lits = corpus.parse_target(target)
     rng = random.Random(seed)
     pool, modes = corpus.DefaultGroupPool, ("discrete", "preorder")
@@ -420,11 +429,50 @@ def _mine_every_trial(target, seed, budget):
             sys = corpus.generate(cfg)
         except GenerationError:
             continue
-        if ck.action_admits(sys.action, lits):
-            keys.add((sys.group.name, sys.space.min_open, sys.action.act, sys.f))
-        if all(ck.Verdicts[name](sys) is want for name, want in lits):
+        if ck.action_admits(sys.action, lits) and _key(sys) not in swept:
+            keys.add(_key(sys))
+        if _holds(sys, lits):
             return sys, f"seed {seed} trial {t}", t + 1, len(keys)
     return None, "exhausted", budget, len(keys)
+
+
+def _holds(sys, lits):
+    return all(ck.Verdicts[name](sys) is want for name, want in lits)
+
+
+def _mine_each_seed(target, seeds, monkeypatch, sweep=None):
+    """Run ``mine`` on each seed, after the sweep where sweep holds its
+    systems, and assert that it finds, names and counts exactly what the
+    sweep and then deciding every trial find.  Yields, per seed, the
+    result, the trials run and the systems the random phase decided."""
+    budget = 400
+    lits = corpus.parse_target(target)
+    swept = frozenset()
+    if sweep is not None:
+        assert not any(_holds(sys, lits) for sys in sweep)
+        swept = frozenset(map(_key, sweep))
+    decided = []
+    matches = corpus._matches
+    monkeypatch.setattr(corpus, "_matches",
+                        lambda sys, lits: decided.append(sys) or matches(sys, lits))
+    for seed in seeds:
+        decided.clear()
+        res = corpus.mine(target, seed=seed, budget=budget, sweep=sweep is not None)
+        system, detail, trials, distinct = _mine_every_trial(target, seed, budget, swept)
+        assert res.detail == detail
+        assert res.found is (system is not None)
+        assert res.system == system
+        if system is not None:
+            assert res.phase == "random"
+            assert serialize(res.system) == serialize(system)
+        assert dict(res.record) == {"target": target, "seed": seed, "budget": budget,
+                                    "sweep_checked": len(swept), "random_trials": trials}
+        random_phase = decided[len(swept):]
+        assert len(random_phase) == distinct <= trials
+        # one point has one system per group, decided once
+        one_point = [sys.group.name for sys in random_phase if sys.space.n == 1]
+        assert len(one_point) == len(set(one_point))
+        yield res, trials, random_phase
 
 
 class TestMiningSkip:
@@ -435,26 +483,25 @@ class TestMiningSkip:
     @pytest.mark.parametrize("target", ["tgt&!wgm", "wgm&!sgm", "sgm&!gm", "p1&!equivariant&gm",
                                         "tgt&!equivariant&!gm"])
     def test_random_phase_matches_every_trial(self, target, monkeypatch):
-        budget = 400
-        decided = []
-        matches = corpus._matches
-        monkeypatch.setattr(corpus, "_matches",
-                            lambda sys, lits: decided.append(sys) or matches(sys, lits))
-        skipped = 0
-        for seed in range(3):
-            decided.clear()
-            res = corpus.mine(target, seed=seed, budget=budget, sweep=False)
-            system, detail, trials, distinct = _mine_every_trial(target, seed, budget)
-            assert res.detail == detail
-            assert res.found is (system is not None)
-            assert res.system == system
-            if system is not None:
-                assert serialize(res.system) == serialize(system)
-            assert dict(res.record) == {"target": target, "seed": seed, "budget": budget,
-                                        "sweep_checked": 0, "random_trials": trials}
-            assert len(decided) == distinct <= trials
-            skipped += trials - distinct
+        skipped = sum(trials - len(decided)
+                      for _, trials, decided in _mine_each_seed(target, range(3), monkeypatch))
         assert skipped
+
+    # after an exhausted sweep the random phase skips every system on at
+    # most three points over Z1, Z2 and Z3; it must still find, name and
+    # count what the sweep and then deciding every trial find (the two
+    # targets that exhaust, and one that the random phase finds at seed 3
+    # trial 144 on four points)
+    @pytest.mark.parametrize("target, seeds, finds", [
+        ("tgt&!wgm", (0, 1, 2), 0), ("wgm&!sgm", (0, 1, 2), 0),
+        ("p1&!equivariant&p2&gt&gm&!sgm&cover&!tgt&!wgm", (3,), 1)])
+    def test_full_search_matches_every_trial(self, target, seeds, finds, sweep, monkeypatch):
+        found = 0
+        for res, _, decided in _mine_each_seed(target, seeds, monkeypatch, sweep):
+            found += res.found
+            assert not any(sys.space.n <= 3 and sys.group.name in ("Z1", "Z2", "Z3")
+                           for sys in decided)
+        assert found == finds
 
 
 class TestImplicationSuite:
