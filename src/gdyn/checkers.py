@@ -64,7 +64,13 @@ into one class, which lies in Min or outside it.  So each property holds
 iff it holds on atoms.  If Min is two or more orbits of atoms, no point
 lies in G(A) and in G(A') for atoms of different orbits, and all three
 fail (for wgm take U = V, and E, F in different orbits), whatever the
-map: ``action_admits`` lets the miner skip such actions.  Otherwise
+map: ``action_admits`` lets the miner skip such actions.  The count of
+atoms alone can settle this before an action is drawn.  G acts by
+homeomorphisms, which map each class onto a class and each minimal open
+onto a minimal open, so G permutes the k atoms of the space.  By the
+orbit-stabilizer theorem an orbit of atoms has |G| / |Stab(A)| members,
+so one orbit of k atoms needs k to divide |G|; where it does not,
+``atom_count`` lets the miner skip the space under that group.  Otherwise
 G(A') = Min for every atom A', and with m the least point of each atom:
 
 * tgt, and so sgm, iff f^e(m) is in Min for every m (the tests keep
@@ -324,14 +330,28 @@ def _atoms(action: Action) -> tuple[tuple[int, ...], int, bool]:
     that minimal open), the mask Min of the minimal points, and whether
     Min is one orbit of atoms."""
     if action._atoms is None:
-        classes: dict[int, int] = {}  # minimal open -> the points that have it
-        for x, m in enumerate(action.space.min_open):
-            classes[m] = classes.get(m, 0) | 1 << x
-        atoms = [m for m, cls in classes.items() if cls == m]
+        atoms = _atom_masks(action.space.min_open)
         minimal = reduce(or_, atoms)
         action._atoms = (tuple(map(_lowest, atoms)), minimal,
                          action.saturate(atoms[0]) == minimal)
     return action._atoms
+
+
+def _atom_masks(min_open: tuple[int, ...]) -> list[int]:
+    """The atoms of the space with these minimal opens, by least point:
+    each minimal open m whose least point x has it and that is the
+    minimal open of as many points as it has.  The points with minimal
+    open m lie in m, so then they are all of m."""
+    return [m for x, m in enumerate(min_open)
+            if m & -m == 1 << x and min_open.count(m) == m.bit_count()]
+
+
+def atom_count(min_open: tuple[int, ...]) -> int:
+    """The number k of atoms of the space with these minimal opens.  Min
+    is one orbit of atoms under G only if k divides |G| (module
+    docstring), so where it does not, ``asks_one_orbit`` literals fail
+    on every action of G on the space and every map."""
+    return len(_atom_masks(min_open))
 
 
 # the properties that fail on every map where Min is two or more orbits
@@ -339,12 +359,20 @@ def _atoms(action: Action) -> tuple[tuple[int, ...], int, bool]:
 _OneOrbit = frozenset(("tgt", "wgm", "sgm"))
 
 
+def asks_one_orbit(lits: Iterable[tuple[str, bool]]) -> bool:
+    """Whether one of these (property, wanted verdict) literals asks tgt,
+    wgm or sgm to hold, which needs Min to be one orbit of atoms."""
+    return any(want and name in _OneOrbit for name, want in lits)
+
+
 def action_admits(action: Action, lits: Iterable[tuple[str, bool]]) -> bool:
     """Whether some map could meet these (property, wanted verdict)
     literals on this action, as far as the action alone decides: False
     iff a literal asks tgt, wgm or sgm to hold and Min is two or more
-    orbits of atoms, where all three fail on every map."""
-    return _atoms(action)[2] or not any(want and name in _OneOrbit for name, want in lits)
+    orbits of atoms, where all three fail on every map.  That holds in
+    particular where the space has k atoms and k does not divide |G|
+    (``atom_count``)."""
+    return _atoms(action)[2] or not asks_one_orbit(lits)
 
 
 class _Certified(Mapping):

@@ -34,6 +34,8 @@ from .checkers import (
     Implications,
     Verdicts,
     action_admits,
+    asks_one_orbit,
+    atom_count,
     g_minimal_sets,
     is_n_fold_transitive,
     profile,
@@ -326,15 +328,19 @@ def _catalog_groups(names, where: str) -> tuple[Group, ...]:
     return tuple(cat[name] for name in names)
 
 
-def _draw_action(rng: random.Random, n: int, groups: tuple[Group, ...],
-                 discrete: bool) -> Action:
-    """The action of the system ``generate`` makes from arguments it has
-    validated, ``rng`` seeded with the config seed and n its drawn size:
-    the space, the group and the action, drawn in that order after the
-    size.  The map is drawn next, from the same ``rng``
-    (``_sample_map``)."""
+def _draw_space(rng: random.Random, n: int, discrete: bool) -> tuple[int, ...]:
+    """The minimal opens of the space of a system that ``generate``
+    makes, ``rng`` seeded with the config seed and n its drawn size: the
+    discrete space draws nothing, a random preorder draws its arrows.
+    The group and the action are drawn next (``_draw_action``)."""
+    return _DiscreteOpens[n] if discrete else _random_preorder(rng.random, n)
+
+
+def _draw_action(rng: random.Random, groups: tuple[Group, ...],
+                 min_open: tuple[int, ...]) -> Action:
+    """The group, then its action on the space ``_draw_space`` drew, from
+    the same ``rng``.  The map is drawn next (``_sample_map``)."""
     getrandbits = rng.getrandbits
-    min_open = _DiscreteOpens[n] if discrete else _random_preorder(rng.random, n)
     group = groups[_below(getrandbits, len(groups))]
     return _sample_action(getrandbits, group, min_open)
 
@@ -350,7 +356,8 @@ def generate(cfg: GeneratorConfig) -> GSystem:
     groups = _catalog_groups(pool, "generator")
     rng = random.Random(cfg.seed)
     n = 1 + _below(rng.getrandbits, m)
-    action = _draw_action(rng, n, groups, cfg.mode == "discrete")
+    min_open = _draw_space(rng, n, cfg.mode == "discrete")
+    action = _draw_action(rng, groups, min_open)
     return GSystem._trusted(action, _sample_map(rng, action, cfg.pseudoequivariant_only))
 
 
@@ -405,6 +412,16 @@ def enumerate_systems(max_points: int = SweepPoints,
     order, suitable for exhaustive sweeps.  Systems with the same map
     share one iterate cache, built on the map's first use in the call,
     and each action is the generator's memoised one for its draw."""
+    for action, maps in _enumerate_actions(max_points, group_names):
+        for f, cache in maps:
+            yield GSystem._trusted(action, f, cache)
+
+
+def _enumerate_actions(max_points: int, group_names: tuple[str, ...],
+                       ) -> Iterator[tuple[Action, list[tuple[tuple[int, ...], IterateCache]]]]:
+    """``enumerate_systems``' systems grouped by action, in the same
+    order: each action with the continuous maps of its space and their
+    iterate caches."""
     _check_int("enumerate", "max_points", max_points, 1)
     groups = _catalog_groups(group_names, "enumerate")
     for n in range(1, max_points + 1):
@@ -424,8 +441,7 @@ def enumerate_systems(max_points: int = SweepPoints,
                 for drawn in itertools.product(picks, repeat=len(gens)):
                     action = _drawn_action(group.name, space.min_open, drawn)
                     if action is not None:
-                        for f, cache in conts:
-                            yield GSystem._trusted(action, f, cache)
+                        yield action, conts
 
 
 # -- property miner -----------------------------------------------------------
@@ -484,18 +500,35 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
          sweep: bool = True) -> MineResult:
     """Search for a system matching the target expression: first an
     exhaustive sweep of every system on at most ``SweepPoints`` points
-    over the ``SweepGroups``, then seeded random trials.  Every trial is
-    counted; it stops at the first draw that settles it.  After an
-    exhausted sweep, a trial over a sweep group whose size (or size bound)
-    is within ``SweepPoints`` stops there: the sweep decided its system
-    already.  A one-point trial draws nothing more: its system is the
-    group's trivial action on one point with the map (0,).  Otherwise the
-    trial draws its action, and its map only where ``action_admits``
-    leaves the target possible on that action.  A trial that stops early,
-    like one whose map draw fails or that draws a system already decided,
-    is not decided.  A found witness is re-verified literal by literal
-    against the brute-force oracle.  The returned record makes an
-    exhausted search reproducible."""
+    over the ``SweepGroups``, then seeded random trials.  Every system of
+    the sweep and every trial is counted, and three rules leave some of
+    them undecided:
+
+    A. the sweep decides no map of an action that ``action_admits``
+       rejects: where a literal asks tgt, wgm or sgm to hold and Min is
+       two or more orbits of atoms, all three fail on every map;
+    B. where such a literal is asked, a trial stops after its space draw,
+       before its action, if the space's k atoms cannot form one orbit: k
+       does not divide |G| (``checkers.atom_count``);
+    C. a trial whose every size is settled stops before its reseed, and
+       else at a settled size after its size draw.  A size is settled
+       where it is at most ``SweepPoints`` over a sweep group after an
+       exhausted sweep, which decided those systems; where it is one
+       point and the group's one system there (one topology, one
+       automorphism, the map (0,)) is decided; and where it is two or
+       more, the space discrete and rule B rejects it, the points of a
+       discrete space being its atoms.
+
+    A trial past these draws its action, and its map only where
+    ``action_admits`` leaves the target possible.  A trial that stops
+    early, like one whose map draw fails or that draws a system already
+    decided, is not decided.  The rules are exact: a settled system cannot
+    match, and each trial reseeds its own generator, so the draws a trial
+    never makes change nothing for later trials.  Finds, sweep indices,
+    trial indices and records are those of deciding every system.  A
+    found witness is re-verified literal by literal against the
+    brute-force oracle.  The returned record makes an exhausted search
+    reproducible."""
     lits = parse_target(target)
     _check_int("mine", "seed", seed, 0)
     _check_int("mine", "budget", budget, 0)
@@ -509,29 +542,40 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
         )
 
     if sweep:
-        for sys in enumerate_systems(SweepPoints, SweepGroups):
-            sweep_checked += 1
-            if _matches(sys, lits):
-                verify_against_oracle(sys, lits)
-                return result(sys, "sweep", f"sweep index {sweep_checked - 1}")
+        for action, maps in _enumerate_actions(SweepPoints, SweepGroups):
+            if not action_admits(action, lits):
+                sweep_checked += len(maps)  # rule A
+                continue
+            for f, cache in maps:
+                sweep_checked += 1
+                sys = GSystem._trusted(action, f, cache)
+                if _matches(sys, lits):
+                    verify_against_oracle(sys, lits)
+                    return result(sys, "sweep", f"sweep index {sweep_checked - 1}")
     # each trial is generate(GeneratorConfig(seed=rng.randrange(1 << 62),
     # max_points=rng.randint(2, 5), groups=(pool[t % len(pool)],),
-    # mode=("discrete", "preorder")[t % 2])), drawn without the config.
-    # Each trial reseeds its own generator, so a trial may stop at the
-    # first draw that settles it and leave every later trial's draws as
-    # they were:
-    # - over a sweep group, after an exhausted sweep, every system on at
-    #   most SweepPoints points was decided there: the trial stops at its
-    #   size bound, before the reseed, or else at its size;
-    # - a one-point system is the group's trivial action with the map (0,)
-    #   (one topology, one automorphism, one map), keyed as any other;
-    # - the map is drawn only where the action admits the target.
-    # The trial generator is reseeded by ``_random.Random.seed``, which is
-    # what ``Random.seed`` does with an int seed, less the reset of the
-    # ``gauss`` state, which no draw here reads
+    # mode=("discrete", "preorder")[t % 2])), drawn without the config,
+    # and stops at the first draw that settles it (rules B and C).  Its
+    # group and mode come from t and its size bound from this stream, so
+    # whether every size it can draw is settled is known before its
+    # reseed: settled[i][t % 2] has bit n set where size n is settled for
+    # the group pool[i] in that mode.  The trial generator is reseeded by
+    # ``_random.Random.seed``, which is what ``Random.seed`` does with an
+    # int seed, less the reset of the ``gauss`` state, which no draw here
+    # reads
     getrandbits = random.Random(seed).getrandbits
     cat = catalog()
-    pools = tuple(((cat[name],), sweep and name in SweepGroups) for name in DefaultGroupPool)
+    pools = tuple((cat[name],) for name in DefaultGroupPool)
+    one_orbit = asks_one_orbit(lits)
+
+    def settled_sizes(group: Group, discrete: bool) -> int:
+        # the sizes settled before any trial: those the sweep decided and
+        # the discrete ones that rule B rejects (order % 1 is 0)
+        swept = sweep and group.name in SweepGroups
+        return sum(1 << n for n in range(1, 6)  # max_points is at most 5
+                   if swept and n <= SweepPoints or discrete and one_orbit and group.order % n)
+
+    settled = [[settled_sizes(group, True), settled_sizes(group, False)] for group, in pools]
     trial_rng, reseed = random.Random(), _random.Random.seed
     trial_bits = trial_rng.getrandbits
     decided: set[tuple] = set()  # a repeated system is counted, not decided again
@@ -540,17 +584,24 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
         trials += 1
         trial_seed = _below(getrandbits, 1 << 62)
         max_points = 2 + _below(getrandbits, 4)
-        groups, swept = pools[t % len(pools)]
-        if swept and max_points <= SweepPoints:
-            continue
+        i = t % len(pools)
+        done = settled[i][t % 2]
+        if not ~done & ((2 << max_points) - 2):
+            continue  # every size from 1 to max_points is settled
         reseed(trial_rng, trial_seed)
         n = 1 + _below(trial_bits, max_points)
-        if swept and n <= SweepPoints:
+        if done >> n & 1:
             continue
+        groups = pools[i]
         if n == 1:
+            settled[i][0] |= 2  # decided below, in either mode
+            settled[i][1] |= 2
             action, f = _drawn_action(groups[0].name, _DiscreteOpens[1], None), (0,)
         else:
-            action = _draw_action(trial_rng, n, groups, t % 2 == 0)
+            min_open = _draw_space(trial_rng, n, t % 2 == 0)
+            if one_orbit and groups[0].order % atom_count(min_open):
+                continue  # rule B
+            action = _draw_action(trial_rng, groups, min_open)
             if not action_admits(action, lits):
                 continue  # the target fails on every map of this action
             try:

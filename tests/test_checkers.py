@@ -921,6 +921,20 @@ class TestMinimalPoints:
                 assert not all(oracle.Verdicts[name](sys, ctx) is want for name, want in lits)
         assert bool(rejected) is asks
 
+    def test_atoms_that_cannot_form_one_orbit(self):
+        # G permutes the k atoms, so one orbit of them needs k to divide |G|:
+        # on every action of the enumeration on at most four points over the
+        # miner's groups where it does not, Min is two or more orbits
+        rejected = 0
+        for action, _ in corpus._enumerate_actions(4, corpus.DefaultGroupPool):
+            mo = action.space.min_open
+            k = ck.atom_count(mo)
+            assert k == len({m for m in mo if all(mo[y] == m for y in bits(m))})
+            if action.group.order % k:
+                rejected += 1
+                assert not ck._atoms(action)[2]
+        assert rejected
+
     def test_every_cycle_length_to_19(self):
         # 189 points under the trivial group, horizon 232,792,560: every
         # point is an atom of its own orbit, so Min is 189 orbits of atoms

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import example, given, settings
@@ -367,6 +368,31 @@ class TestTargets:
 
 
 class TestMining:
+    # the sweep decides no map of an action that action_admits rejects, and
+    # counts it; it must find, name and count what deciding every system
+    # finds (the two targets that exhaust, and finds at sweep indices 445,
+    # 364 and 20)
+    @pytest.mark.parametrize("target", ["tgt&!wgm", "wgm&!sgm", "tgt&cover&!gm", "sgm&!gm&!p1",
+                                        "wgm&!gm"])
+    def test_sweep_matches_every_system(self, target, sweep, monkeypatch):
+        lits = corpus.parse_target(target)
+        index = next((i for i, sys in enumerate(sweep) if _holds(sys, lits)), None)
+        checked = len(sweep) if index is None else index + 1
+        decided = []
+        matches = corpus._matches
+        monkeypatch.setattr(corpus, "_matches",
+                            lambda sys, lits: decided.append(sys) or matches(sys, lits))
+        res = corpus.mine(target, budget=0)
+        assert dict(res.record) == {"target": target, "seed": 0, "budget": 0,
+                                    "sweep_checked": checked, "random_trials": 0}
+        if index is None:
+            assert (res.found, res.system, res.detail) == (False, None, "exhausted")
+        else:
+            assert res.detail == f"sweep index {index}"
+            assert serialize(res.system) == serialize(sweep[index])
+        assert decided == [sys for sys in sweep[:checked] if ck.action_admits(sys.action, lits)]
+        assert len(decided) < checked
+
     def test_separation_found_in_sweep(self):
         res = corpus.mine("gt&!tgt", budget=0)
         assert res.found
@@ -447,10 +473,11 @@ def _mine_each_seed(target, seeds, monkeypatch, sweep=None):
     result, the trials run and the systems the random phase decided."""
     budget = 400
     lits = corpus.parse_target(target)
-    swept = frozenset()
+    swept, admitted = frozenset(), []
     if sweep is not None:
         assert not any(_holds(sys, lits) for sys in sweep)
         swept = frozenset(map(_key, sweep))
+        admitted = [sys for sys in sweep if ck.action_admits(sys.action, lits)]
     decided = []
     matches = corpus._matches
     monkeypatch.setattr(corpus, "_matches",
@@ -467,7 +494,9 @@ def _mine_each_seed(target, seeds, monkeypatch, sweep=None):
             assert serialize(res.system) == serialize(system)
         assert dict(res.record) == {"target": target, "seed": seed, "budget": budget,
                                     "sweep_checked": len(swept), "random_trials": trials}
-        random_phase = decided[len(swept):]
+        # the sweep decides only the systems whose action admits the target
+        assert decided[:len(admitted)] == admitted
+        random_phase = decided[len(admitted):]
         assert len(random_phase) == distinct <= trials
         # one point has one system per group, decided once
         one_point = [sys.group.name for sys in random_phase if sys.space.n == 1]
@@ -479,13 +508,23 @@ class TestMiningSkip:
     # the random phase decides each distinct system once; it must find,
     # name and count exactly what deciding every trial finds
     # (the two targets that exhaust, and three that the random phase
-    # finds, one of them past trials whose action it rejects)
+    # finds, one of them past trials whose action it rejects).  A trial
+    # whose every size is settled is not reseeded; with no sweep that takes
+    # a target asking tgt, wgm or sgm to hold: a discrete space of k >= 2
+    # points is not one orbit of atoms unless k divides |G|, so once Z1's
+    # one-point system is decided every discrete Z1 trial is settled
     @pytest.mark.parametrize("target", ["tgt&!wgm", "wgm&!sgm", "sgm&!gm", "p1&!equivariant&gm",
                                         "tgt&!equivariant&!gm"])
     def test_random_phase_matches_every_trial(self, target, monkeypatch):
-        skipped = sum(trials - len(decided)
-                      for _, trials, decided in _mine_each_seed(target, range(3), monkeypatch))
-        assert skipped
+        reseeds = []
+        seed = _random.Random.seed
+        monkeypatch.setattr(corpus, "_random", types.SimpleNamespace(Random=types.SimpleNamespace(
+            seed=lambda rng, n: reseeds.append(n) or seed(rng, n))))
+        runs = list(_mine_each_seed(target, range(3), monkeypatch))
+        total = sum(trials for _, trials, _ in runs)
+        assert sum(trials - len(decided) for _, trials, decided in runs)
+        asks = ck.asks_one_orbit(corpus.parse_target(target))
+        assert len(reseeds) < total if asks else len(reseeds) == total
 
     # after an exhausted sweep the random phase skips every system on at
     # most three points over Z1, Z2 and Z3; it must still find, name and
