@@ -70,14 +70,25 @@ homeomorphisms, which map each class onto a class and each minimal open
 onto a minimal open, so G permutes the k atoms of the space.  By the
 orbit-stabilizer theorem an orbit of atoms has |G| / |Stab(A)| members,
 so one orbit of k atoms needs k to divide |G|; where it does not,
-``atom_count`` lets the miner skip the space under that group.  Otherwise
-G(A') = Min for every atom A', and with m the least point of each atom:
+``space_admits`` lets the miner skip the space under that group.
+Otherwise G(A') = Min for every atom A', and with m the least point of
+each atom:
 
 * tgt, and so sgm, iff f^e(m) is in Min for every m (the tests keep
   sgm's own rule, the cycle of every m lies in Min, as a second route);
 * wgm iff the return sets T(m) = {k >= 1 : f^k(m) in Min} meet
   pairwise, which ``_meet`` decides on the return sets of f(m).  Equal
   return sets are tested once.
+
+Where every point is minimal (Min = X: the atoms cover X, as in every
+discrete space), f^k(m) is in Min for every k, so f^e(m) is in Min and
+T(m) is all of k >= 1 for every m, and any two such sets meet: where
+Min is one orbit of atoms all three hold by the rules above, and where
+it is two or more all three fail.  So tgt, wgm and sgm each hold iff
+Min is one orbit of atoms, whatever the map.  Literals that ask two of
+them to differ then fail on every action and every map:
+``space_admits`` lets the miner skip such a space under any group, and
+``action_admits`` such an action.
 
 Each rule walks at most d + L steps per atom.  Past the one-orbit test
 each reads only the map, the least points of the atoms and Min, so its
@@ -168,7 +179,7 @@ definitions, in a table with the same names; the tests keep them agreed.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache, reduce
 from math import gcd
 from operator import or_
@@ -346,16 +357,8 @@ def _atom_masks(min_open: tuple[int, ...]) -> list[int]:
             if m & -m == 1 << x and min_open.count(m) == m.bit_count()]
 
 
-def atom_count(min_open: tuple[int, ...]) -> int:
-    """The number k of atoms of the space with these minimal opens.  Min
-    is one orbit of atoms under G only if k divides |G| (module
-    docstring), so where it does not, ``asks_one_orbit`` literals fail
-    on every action of G on the space and every map."""
-    return len(_atom_masks(min_open))
-
-
 # the properties that fail on every map where Min is two or more orbits
-# of atoms (module docstring)
+# of atoms, and that coincide where Min is X (module docstring)
 _OneOrbit = frozenset(("tgt", "wgm", "sgm"))
 
 
@@ -365,14 +368,39 @@ def asks_one_orbit(lits: Iterable[tuple[str, bool]]) -> bool:
     return any(want and name in _OneOrbit for name, want in lits)
 
 
-def action_admits(action: Action, lits: Iterable[tuple[str, bool]]) -> bool:
+def asks_apart(lits: Iterable[tuple[str, bool]]) -> bool:
+    """Whether these (property, wanted verdict) literals ask two of tgt,
+    wgm and sgm to differ, which needs a point outside Min."""
+    return len({want for name, want in lits if name in _OneOrbit}) == 2
+
+
+def space_admits(min_open: tuple[int, ...], order: int,
+                 lits: Sequence[tuple[str, bool]]) -> bool:
+    """Whether some action of a group of this order on the space with
+    these minimal opens, and some map, could meet these (property,
+    wanted verdict) literals, as far as the space alone decides: False
+    iff a literal asks tgt, wgm or sgm to hold and the k atoms cannot
+    form one orbit, k not dividing |G|, or the literals ask two of the
+    three to differ and the atoms cover X, where the three coincide
+    (module docstring)."""
+    if not asks_one_orbit(lits):
+        return True
+    atoms = _atom_masks(min_open)
+    if order % len(atoms):
+        return False
+    return not asks_apart(lits) or sum(m.bit_count() for m in atoms) < len(min_open)
+
+
+def action_admits(action: Action, lits: Sequence[tuple[str, bool]]) -> bool:
     """Whether some map could meet these (property, wanted verdict)
     literals on this action, as far as the action alone decides: False
     iff a literal asks tgt, wgm or sgm to hold and Min is two or more
-    orbits of atoms, where all three fail on every map.  That holds in
-    particular where the space has k atoms and k does not divide |G|
-    (``atom_count``)."""
-    return _atoms(action)[2] or not asks_one_orbit(lits)
+    orbits of atoms, where all three fail on every map, or the literals
+    ask two of the three to differ and Min is X, where they coincide."""
+    _, minimal, one_orbit = _atoms(action)
+    if minimal == action.space.full and asks_apart(lits):
+        return False
+    return one_orbit or not asks_one_orbit(lits)
 
 
 class _Certified(Mapping):

@@ -34,12 +34,11 @@ from .checkers import (
     Implications,
     Verdicts,
     action_admits,
-    asks_one_orbit,
-    atom_count,
     g_minimal_sets,
     is_n_fold_transitive,
     profile,
     quotient_minimality,
+    space_admits,
 )
 from .dynamics import GSystem, IterateCache, periodic_points
 from .errors import GenerationError, ValidationError
@@ -501,23 +500,28 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
     """Search for a system matching the target expression: first an
     exhaustive sweep of every system on at most ``SweepPoints`` points
     over the ``SweepGroups``, then seeded random trials.  Every system of
-    the sweep and every trial is counted, and three rules leave some of
+    the sweep and every trial is counted, and four rules leave some of
     them undecided:
 
     A. the sweep decides no map of an action that ``action_admits``
        rejects: where a literal asks tgt, wgm or sgm to hold and Min is
-       two or more orbits of atoms, all three fail on every map;
+       two or more orbits of atoms, all three fail on every map, and
+       where the literals ask two of them to differ and Min is X, the
+       three coincide;
     B. where such a literal is asked, a trial stops after its space draw,
        before its action, if the space's k atoms cannot form one orbit: k
-       does not divide |G| (``checkers.atom_count``);
+       does not divide |G| (``checkers.space_admits``);
     C. a trial whose every size is settled stops before its reseed, and
        else at a settled size after its size draw.  A size is settled
        where it is at most ``SweepPoints`` over a sweep group after an
        exhausted sweep, which decided those systems; where it is one
        point and the group's one system there (one topology, one
-       automorphism, the map (0,)) is decided; and where it is two or
-       more, the space discrete and rule B rejects it, the points of a
-       discrete space being its atoms.
+       automorphism, the map (0,)) is decided; and where the space is
+       discrete, as a one-point space is in either mode, and rule B or
+       D rejects it, the points of a discrete space being its atoms;
+    D. where the literals ask two of tgt, wgm and sgm to differ, a trial
+       stops after its space draw, before its action, if the atoms cover
+       X, where the three coincide (``checkers.space_admits``).
 
     A trial past these draws its action, and its map only where
     ``action_admits`` leaves the target possible.  A trial that stops
@@ -555,7 +559,7 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
     # each trial is generate(GeneratorConfig(seed=rng.randrange(1 << 62),
     # max_points=rng.randint(2, 5), groups=(pool[t % len(pool)],),
     # mode=("discrete", "preorder")[t % 2])), drawn without the config,
-    # and stops at the first draw that settles it (rules B and C).  Its
+    # and stops at the first draw that settles it (rules B to D).  Its
     # group and mode come from t and its size bound from this stream, so
     # whether every size it can draw is settled is known before its
     # reseed: settled[i][t % 2] has bit n set where size n is settled for
@@ -566,14 +570,15 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
     getrandbits = random.Random(seed).getrandbits
     cat = catalog()
     pools = tuple((cat[name],) for name in DefaultGroupPool)
-    one_orbit = asks_one_orbit(lits)
 
     def settled_sizes(group: Group, discrete: bool) -> int:
         # the sizes settled before any trial: those the sweep decided and
-        # the discrete ones that rule B rejects (order % 1 is 0)
+        # the discrete ones that rules B and D reject, one point being
+        # discrete in either mode
         swept = sweep and group.name in SweepGroups
         return sum(1 << n for n in range(1, 6)  # max_points is at most 5
-                   if swept and n <= SweepPoints or discrete and one_orbit and group.order % n)
+                   if swept and n <= SweepPoints or (discrete or n == 1)
+                   and not space_admits(_DiscreteOpens[n], group.order, lits))
 
     settled = [[settled_sizes(group, True), settled_sizes(group, False)] for group, in pools]
     trial_rng, reseed = random.Random(), _random.Random.seed
@@ -599,8 +604,8 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
             action, f = _drawn_action(groups[0].name, _DiscreteOpens[1], None), (0,)
         else:
             min_open = _draw_space(trial_rng, n, t % 2 == 0)
-            if one_orbit and groups[0].order % atom_count(min_open):
-                continue  # rule B
+            if not space_admits(min_open, groups[0].order, lits):
+                continue  # rules B and D
             action = _draw_action(trial_rng, groups, min_open)
             if not action_admits(action, lits):
                 continue  # the target fails on every map of this action

@@ -907,7 +907,8 @@ class TestFiniteDiagram:
 
 
 class TestMinimalPoints:
-    @pytest.mark.parametrize("target", ["tgt", "wgm&!gm", "sgm&!p1", "gt&!tgt", "!wgm&!sgm", "gm"])
+    @pytest.mark.parametrize("target", ["tgt", "wgm&!gm", "sgm&!p1", "gt&!tgt", "!wgm&!sgm", "gm",
+                                        "gt&wgm&!tgt", "wgm&!sgm&gm"])
     def test_a_rejected_action_admits_no_map(self, sweep, target):
         # an action is rejected only on a literal asking tgt, wgm or sgm to
         # hold, and on it the oracle finds the target false for the map
@@ -921,19 +922,57 @@ class TestMinimalPoints:
                 assert not all(oracle.Verdicts[name](sys, ctx) is want for name, want in lits)
         assert bool(rejected) is asks
 
+    @pytest.mark.parametrize("target", ["tgt", "gt&!tgt", "!wgm&!sgm", "gm", "tgt&!wgm",
+                                        "wgm&!sgm", "gt&wgm&!tgt", "wgm&!sgm&gm"])
+    def test_a_rejected_space_admits_no_action(self, target):
+        # space_admits reads only the space and |G|: where it rejects,
+        # action_admits rejects every action of the group on the space
+        lits = corpus.parse_target(target)
+        rejected = 0
+        for action, _ in corpus._enumerate_actions(4, corpus.DefaultGroupPool):
+            if not ck.space_admits(action.space.min_open, action.group.order, lits):
+                rejected += 1
+                assert not ck.action_admits(action, lits)
+        assert bool(rejected) is ck.asks_one_orbit(lits)
+
     def test_atoms_that_cannot_form_one_orbit(self):
         # G permutes the k atoms, so one orbit of them needs k to divide |G|:
         # on every action of the enumeration on at most four points over the
-        # miner's groups where it does not, Min is two or more orbits
+        # miner's groups, space_admits rejects a target asking tgt to hold
+        # exactly where it does not, and there Min is two or more orbits
+        lits = corpus.parse_target("tgt")
         rejected = 0
         for action, _ in corpus._enumerate_actions(4, corpus.DefaultGroupPool):
-            mo = action.space.min_open
-            k = ck.atom_count(mo)
-            assert k == len({m for m in mo if all(mo[y] == m for y in bits(m))})
-            if action.group.order % k:
+            mo, order = action.space.min_open, action.group.order
+            k = len({m for m in mo if all(mo[y] == m for y in bits(m))})
+            admits = ck.space_admits(mo, order, lits)
+            assert admits is not bool(order % k)
+            if not admits:
                 rejected += 1
                 assert not ck._atoms(action)[2]
         assert rejected
+
+    def test_every_point_minimal(self):
+        # where the atoms cover X, f^e maps every atom into Min and every
+        # return set is all of k >= 1, so tgt, wgm and sgm each equal the
+        # one-orbit test on every map: by the checker on at most four
+        # points (80,059 systems) and by the oracle on at most three (1,723)
+        props = ("tgt", "wgm", "sgm")
+        checked, by_oracle, orbits = 0, 0, set()
+        for action, maps in corpus._enumerate_actions(4, corpus.DefaultGroupPool):
+            _, minimal, one_orbit = ck._atoms(action)
+            if minimal != action.space.full:
+                continue
+            orbits.add(one_orbit)
+            for f, cache in maps:
+                sys = GSystem._trusted(action, f, cache)
+                checked += 1
+                assert [ck.Verdicts[p](sys) for p in props] == [one_orbit] * 3
+                if sys.space.n <= 3:
+                    by_oracle += 1
+                    ctx = oracle.OracleContext(sys)
+                    assert [oracle.Verdicts[p](sys, ctx) for p in props] == [one_orbit] * 3
+        assert (checked, by_oracle, orbits) == (80_059, 1_723, {False, True})
 
     def test_every_cycle_length_to_19(self):
         # 189 points under the trivial group, horizon 232,792,560: every

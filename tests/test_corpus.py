@@ -370,10 +370,10 @@ class TestTargets:
 class TestMining:
     # the sweep decides no map of an action that action_admits rejects, and
     # counts it; it must find, name and count what deciding every system
-    # finds (the two targets that exhaust, and finds at sweep indices 445,
-    # 364 and 20)
-    @pytest.mark.parametrize("target", ["tgt&!wgm", "wgm&!sgm", "tgt&cover&!gm", "sgm&!gm&!p1",
-                                        "wgm&!gm"])
+    # finds (the three targets that exhaust, and finds at sweep indices
+    # 445, 364 and 20)
+    @pytest.mark.parametrize("target", ["tgt&!wgm", "wgm&!sgm", "gt&wgm&!tgt", "tgt&cover&!gm",
+                                        "sgm&!gm&!p1", "wgm&!gm"])
     def test_sweep_matches_every_system(self, target, sweep, monkeypatch):
         lits = corpus.parse_target(target)
         index = next((i for i, sys in enumerate(sweep) if _holds(sys, lits)), None)
@@ -443,7 +443,10 @@ def _mine_every_trial(target, seed, budget, swept=frozenset()):
     where ``action_admits`` leaves the target possible on its action and,
     after an exhausted sweep, only where the sweep has not decided it, so
     only those systems are counted: swept holds the keys of the sweep's
-    systems.  Every trial is still decided here."""
+    systems.  The trials that ``mine`` stops at their space, by rules B
+    to D, draw no action, but ``action_admits`` rejects every action on
+    such a space, so they are not counted here either.  Every trial is
+    still decided here."""
     lits = corpus.parse_target(target)
     rng = random.Random(seed)
     pool, modes = corpus.DefaultGroupPool, ("discrete", "preorder")
@@ -507,32 +510,43 @@ def _mine_each_seed(target, seeds, monkeypatch, sweep=None):
 class TestMiningSkip:
     # the random phase decides each distinct system once; it must find,
     # name and count exactly what deciding every trial finds
-    # (the two targets that exhaust, and three that the random phase
+    # (the three targets that exhaust, and three that the random phase
     # finds, one of them past trials whose action it rejects).  A trial
     # whose every size is settled is not reseeded; with no sweep that takes
-    # a target asking tgt, wgm or sgm to hold: a discrete space of k >= 2
-    # points is not one orbit of atoms unless k divides |G|, so once Z1's
-    # one-point system is decided every discrete Z1 trial is settled
-    @pytest.mark.parametrize("target", ["tgt&!wgm", "wgm&!sgm", "sgm&!gm", "p1&!equivariant&gm",
-                                        "tgt&!equivariant&!gm"])
+    # a target asking tgt, wgm or sgm to hold.  The points of a discrete
+    # space are its atoms, k of them: they are not one orbit unless k
+    # divides |G|, so once Z1's one-point system is decided every discrete
+    # Z1 trial is settled; and they cover X, where tgt, wgm and sgm
+    # coincide, so a target asking two of them to differ settles every
+    # discrete-mode trial, and only the preorder half is reseeded
+    @pytest.mark.parametrize("target", ["tgt&!wgm", "wgm&!sgm", "gt&wgm&!tgt", "sgm&!gm",
+                                        "p1&!equivariant&gm", "tgt&!equivariant&!gm"])
     def test_random_phase_matches_every_trial(self, target, monkeypatch):
         reseeds = []
         seed = _random.Random.seed
         monkeypatch.setattr(corpus, "_random", types.SimpleNamespace(Random=types.SimpleNamespace(
             seed=lambda rng, n: reseeds.append(n) or seed(rng, n))))
-        runs = list(_mine_each_seed(target, range(3), monkeypatch))
-        total = sum(trials for _, trials, _ in runs)
-        assert sum(trials - len(decided) for _, trials, decided in runs)
-        asks = ck.asks_one_orbit(corpus.parse_target(target))
-        assert len(reseeds) < total if asks else len(reseeds) == total
+        runs = []  # per seed: budget, trials, systems decided, reseeds
+        for res, trials, decided in _mine_each_seed(target, range(3), monkeypatch):
+            runs.append((res.record["budget"], trials, len(decided), len(reseeds)))
+            reseeds.clear()
+        assert sum(trials - decided for _, trials, decided, _ in runs)
+        lits = corpus.parse_target(target)
+        reseeded = [n for *_, n in runs]
+        if ck.asks_apart(lits):
+            assert reseeded == [budget // 2 for budget, *_ in runs]
+        elif ck.asks_one_orbit(lits):
+            assert sum(reseeded) < sum(trials for _, trials, *_ in runs)
+        else:
+            assert reseeded == [trials for _, trials, *_ in runs]
 
     # after an exhausted sweep the random phase skips every system on at
     # most three points over Z1, Z2 and Z3; it must still find, name and
-    # count what the sweep and then deciding every trial find (the two
+    # count what the sweep and then deciding every trial find (the three
     # targets that exhaust, and one that the random phase finds at seed 3
     # trial 144 on four points)
     @pytest.mark.parametrize("target, seeds, finds", [
-        ("tgt&!wgm", (0, 1, 2), 0), ("wgm&!sgm", (0, 1, 2), 0),
+        ("tgt&!wgm", (0, 1, 2), 0), ("wgm&!sgm", (0, 1, 2), 0), ("gt&wgm&!tgt", (0, 1, 2), 0),
         ("p1&!equivariant&p2&gt&gm&!sgm&cover&!tgt&!wgm", (3,), 1)])
     def test_full_search_matches_every_trial(self, target, seeds, finds, sweep, monkeypatch):
         found = 0
