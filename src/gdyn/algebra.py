@@ -149,8 +149,8 @@ def _generating_set(mul: tuple[tuple[int, ...], ...], identity: int) -> tuple[in
 
 
 def cyclic_group(n: int) -> Group:
-    if n < 1:
-        raise ValidationError("cyclic_group: order must be >= 1")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValidationError(f"cyclic_group: order must be an int >= 1, got {n!r}")
     elems = tuple(str(i) for i in range(n))
     mul = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     return Group(elems, mul, name=f"Z{n}")

@@ -64,13 +64,10 @@ into one class, which lies in Min or outside it.  So each property holds
 iff it holds on atoms.  If Min is two or more orbits of atoms, no point
 lies in G(A) and in G(A') for atoms of different orbits, and all three
 fail (for wgm take U = V, and E, F in different orbits), whatever the
-map: ``action_admits`` lets the miner skip such actions.  The count of
-atoms alone can settle this before an action is drawn.  G acts by
-homeomorphisms, which map each class onto a class and each minimal open
-onto a minimal open, so G permutes the k atoms of the space.  By the
-orbit-stabilizer theorem an orbit of atoms has |G| / |Stab(A)| members,
-so one orbit of k atoms needs k to divide |G|; where it does not,
-``space_admits`` lets the miner skip the space under that group.
+map.  G acts by homeomorphisms, which map each class onto a class and
+each minimal open onto a minimal open, so G permutes the k atoms of the
+space.  By the orbit-stabilizer theorem an orbit of atoms has
+|G| / |Stab(A)| members, so one orbit of k atoms needs k to divide |G|.
 Otherwise G(A') = Min for every atom A', and with m the least point of
 each atom:
 
@@ -85,10 +82,22 @@ discrete space), f^k(m) is in Min for every k, so f^e(m) is in Min and
 T(m) is all of k >= 1 for every m, and any two such sets meet: where
 Min is one orbit of atoms all three hold by the rules above, and where
 it is two or more all three fail.  So tgt, wgm and sgm each hold iff
-Min is one orbit of atoms, whatever the map.  Literals that ask two of
-them to differ then fail on every action and every map:
-``space_admits`` lets the miner skip such a space under any group, and
-``action_admits`` such an action.
+Min is one orbit of atoms, whatever the map.
+
+Hence what literals demand of the atoms (``atom_demand``): 1 where one
+asks tgt, wgm or sgm to hold, as Min must be one orbit of atoms; 2 where
+they ask two of the three to differ, as Min must also miss a point; else
+0.  The miner (``corpus.mine``) asks three questions of a demand, each
+before a draw it would spend, and none needs the map:
+
+* size: the points of a discrete space are its atoms and cover X, so
+  ``space_admits`` on the discrete space of n points settles every
+  discrete draw of size n under that group;
+* space: ``space_admits`` reads the minimal opens and |G|, and rejects
+  where the k atoms cannot be one orbit, k not dividing |G|, or at
+  demand 2 where they cover X;
+* action: ``action_admits`` rejects where Min, the union of the atoms,
+  is two or more orbits of atoms.
 
 Each rule walks at most d + L steps per atom.  Past the one-orbit test
 each reads only the map, the least points of the atoms and Min, so its
@@ -179,7 +188,7 @@ definitions, in a table with the same names; the tests keep them agreed.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import lru_cache, reduce
 from math import gcd
 from operator import or_
@@ -362,45 +371,32 @@ def _atom_masks(min_open: tuple[int, ...]) -> list[int]:
 _OneOrbit = frozenset(("tgt", "wgm", "sgm"))
 
 
-def asks_one_orbit(lits: Iterable[tuple[str, bool]]) -> bool:
-    """Whether one of these (property, wanted verdict) literals asks tgt,
-    wgm or sgm to hold, which needs Min to be one orbit of atoms."""
-    return any(want and name in _OneOrbit for name, want in lits)
+def atom_demand(lits: Iterable[tuple[str, bool]]) -> int:
+    """What these (property, wanted verdict) literals demand of the
+    atoms (module docstring): 0 nothing, 1 that Min be one orbit of atoms
+    (a literal asks tgt, wgm or sgm to hold), 2 that it also miss a point
+    (the literals ask two of the three to differ)."""
+    wants = {want for name, want in lits if name in _OneOrbit}
+    return len(wants) if True in wants else 0
 
 
-def asks_apart(lits: Iterable[tuple[str, bool]]) -> bool:
-    """Whether these (property, wanted verdict) literals ask two of tgt,
-    wgm and sgm to differ, which needs a point outside Min."""
-    return len({want for name, want in lits if name in _OneOrbit}) == 2
-
-
-def space_admits(min_open: tuple[int, ...], order: int,
-                 lits: Sequence[tuple[str, bool]]) -> bool:
+def space_admits(min_open: tuple[int, ...], order: int, need: int) -> bool:
     """Whether some action of a group of this order on the space with
-    these minimal opens, and some map, could meet these (property,
-    wanted verdict) literals, as far as the space alone decides: False
-    iff a literal asks tgt, wgm or sgm to hold and the k atoms cannot
-    form one orbit, k not dividing |G|, or the literals ask two of the
-    three to differ and the atoms cover X, where the three coincide
-    (module docstring)."""
-    if not asks_one_orbit(lits):
+    these minimal opens could meet the demand ``need`` on the atoms: its
+    k atoms can form one orbit, k dividing |G|, and at demand 2 they miss
+    a point of X (module docstring)."""
+    if not need:
         return True
     atoms = _atom_masks(min_open)
-    if order % len(atoms):
-        return False
-    return not asks_apart(lits) or sum(m.bit_count() for m in atoms) < len(min_open)
+    return (not order % len(atoms)
+            and (need < 2 or sum(m.bit_count() for m in atoms) < len(min_open)))
 
 
-def action_admits(action: Action, lits: Sequence[tuple[str, bool]]) -> bool:
-    """Whether some map could meet these (property, wanted verdict)
-    literals on this action, as far as the action alone decides: False
-    iff a literal asks tgt, wgm or sgm to hold and Min is two or more
-    orbits of atoms, where all three fail on every map, or the literals
-    ask two of the three to differ and Min is X, where they coincide."""
-    _, minimal, one_orbit = _atoms(action)
-    if minimal == action.space.full and asks_apart(lits):
-        return False
-    return one_orbit or not asks_one_orbit(lits)
+def action_admits(action: Action, need: int) -> bool:
+    """Whether this action could meet the demand ``need`` on the atoms,
+    past ``space_admits`` on its space: Min is one orbit of atoms where
+    anything is demanded (module docstring)."""
+    return not need or _atoms(action)[2]
 
 
 class _Certified(Mapping):

@@ -34,6 +34,7 @@ from .checkers import (
     Implications,
     Verdicts,
     action_admits,
+    atom_demand,
     g_minimal_sets,
     is_n_fold_transitive,
     profile,
@@ -382,6 +383,7 @@ def all_spaces(n: int) -> Iterator[Space]:
     base condition relates two points at a time, so each point's choice
     is checked against the points chosen before it and a choice that
     fails cuts off every extension."""
+    _check_int("enumerate", "n", n, 1)
     names = tuple(f"x{i}" for i in range(n))
     choices = [
         [m for m in range(1 << n) if (m >> x) & 1] for x in range(n)
@@ -411,36 +413,40 @@ def enumerate_systems(max_points: int = SweepPoints,
     order, suitable for exhaustive sweeps.  Systems with the same map
     share one iterate cache, built on the map's first use in the call,
     and each action is the generator's memoised one for its draw."""
-    for action, maps in _enumerate_actions(max_points, group_names):
-        for f, cache in maps:
-            yield GSystem._trusted(action, f, cache)
+    return (GSystem._trusted(action, f, cache)
+            for action, maps in _enumerate_actions(max_points, group_names)
+            for f, cache in maps)
 
 
 def _enumerate_actions(max_points: int, group_names: tuple[str, ...],
                        ) -> Iterator[tuple[Action, list[tuple[tuple[int, ...], IterateCache]]]]:
     """``enumerate_systems``' systems grouped by action, in the same
     order: each action with the continuous maps of its space and their
-    iterate caches."""
+    iterate caches.  The arguments are checked on the call."""
     _check_int("enumerate", "max_points", max_points, 1)
     groups = _catalog_groups(group_names, "enumerate")
-    for n in range(1, max_points + 1):
-        caches: dict[tuple[int, ...], IterateCache] = {}
-        for space in all_spaces(n):
-            picks = range(len(_autos(space.min_open)))
-            conts = []
-            for t in itertools.product(range(n), repeat=n):
-                if find_discontinuity(space, t) is None:
-                    cache = caches.get(t)
-                    if cache is None:
-                        cache = caches[t] = IterateCache(t)
-                    conts.append((t, cache))
-            for group in groups:
-                # every draw of generator images, in product order
-                gens = group.generators()
-                for drawn in itertools.product(picks, repeat=len(gens)):
-                    action = _drawn_action(group.name, space.min_open, drawn)
-                    if action is not None:
-                        yield action, conts
+
+    def actions() -> Iterator[tuple[Action, list[tuple[tuple[int, ...], IterateCache]]]]:
+        for n in range(1, max_points + 1):
+            caches: dict[tuple[int, ...], IterateCache] = {}
+            for space in all_spaces(n):
+                picks = range(len(_autos(space.min_open)))
+                conts = []
+                for t in itertools.product(range(n), repeat=n):
+                    if find_discontinuity(space, t) is None:
+                        cache = caches.get(t)
+                        if cache is None:
+                            cache = caches[t] = IterateCache(t)
+                        conts.append((t, cache))
+                for group in groups:
+                    # every draw of generator images, in product order
+                    gens = group.generators()
+                    for drawn in itertools.product(picks, repeat=len(gens)):
+                        action = _drawn_action(group.name, space.min_open, drawn)
+                        if action is not None:
+                            yield action, conts
+
+    return actions()
 
 
 # -- property miner -----------------------------------------------------------
@@ -449,6 +455,8 @@ def _enumerate_actions(max_points: int, group_names: tuple[str, ...],
 def parse_target(expr: str) -> tuple[tuple[str, bool], ...]:
     """Conjunction of property literals, e.g. 'gt&!tgt', in the order of
     the property table (cheapest first)."""
+    if not isinstance(expr, str):
+        raise ValidationError(f"target: expected a string, got {expr!r}")
     lits: dict[str, bool] = {}
     for part in expr.split("&"):
         part = part.strip()
@@ -500,40 +508,19 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
     """Search for a system matching the target expression: first an
     exhaustive sweep of every system on at most ``SweepPoints`` points
     over the ``SweepGroups``, then seeded random trials.  Every system of
-    the sweep and every trial is counted, and four rules leave some of
-    them undecided:
-
-    A. the sweep decides no map of an action that ``action_admits``
-       rejects: where a literal asks tgt, wgm or sgm to hold and Min is
-       two or more orbits of atoms, all three fail on every map, and
-       where the literals ask two of them to differ and Min is X, the
-       three coincide;
-    B. where such a literal is asked, a trial stops after its space draw,
-       before its action, if the space's k atoms cannot form one orbit: k
-       does not divide |G| (``checkers.space_admits``);
-    C. a trial whose every size is settled stops before its reseed, and
-       else at a settled size after its size draw.  A size is settled
-       where it is at most ``SweepPoints`` over a sweep group after an
-       exhausted sweep, which decided those systems; where it is one
-       point and the group's one system there (one topology, one
-       automorphism, the map (0,)) is decided; and where the space is
-       discrete, as a one-point space is in either mode, and rule B or
-       D rejects it, the points of a discrete space being its atoms;
-    D. where the literals ask two of tgt, wgm and sgm to differ, a trial
-       stops after its space draw, before its action, if the atoms cover
-       X, where the three coincide (``checkers.space_admits``).
-
-    A trial past these draws its action, and its map only where
-    ``action_admits`` leaves the target possible.  A trial that stops
-    early, like one whose map draw fails or that draws a system already
-    decided, is not decided.  The rules are exact: a settled system cannot
-    match, and each trial reseeds its own generator, so the draws a trial
-    never makes change nothing for later trials.  Finds, sweep indices,
-    trial indices and records are those of deciding every system.  A
-    found witness is re-verified literal by literal against the
-    brute-force oracle.  The returned record makes an exhausted search
-    reproducible."""
+    the sweep and every trial is counted, but none is decided that the
+    target's demand on the atoms rules out: the sweep asks the space and
+    action questions of the ``checkers`` docstring, and a trial asks the
+    size, space and action questions and stops at the first draw that
+    one settles.  A trial also stops at a size the exhausted sweep
+    decided, after a failed map draw, and at a system already decided.
+    The questions are exact and each trial reseeds its own generator, so
+    finds, sweep indices, trial indices and records are those of deciding
+    every system.  A found witness is re-verified literal by literal
+    against the brute-force oracle.  The returned record makes an
+    exhausted search reproducible."""
     lits = parse_target(target)
+    need = atom_demand(lits)
     _check_int("mine", "seed", seed, 0)
     _check_int("mine", "budget", budget, 0)
     sweep_checked = trials = 0
@@ -547,8 +534,9 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
 
     if sweep:
         for action, maps in _enumerate_actions(SweepPoints, SweepGroups):
-            if not action_admits(action, lits):
-                sweep_checked += len(maps)  # rule A
+            if not (space_admits(action.space.min_open, action.group.order, need)
+                    and action_admits(action, need)):
+                sweep_checked += len(maps)  # the target fails on every map
                 continue
             for f, cache in maps:
                 sweep_checked += 1
@@ -559,7 +547,7 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
     # each trial is generate(GeneratorConfig(seed=rng.randrange(1 << 62),
     # max_points=rng.randint(2, 5), groups=(pool[t % len(pool)],),
     # mode=("discrete", "preorder")[t % 2])), drawn without the config,
-    # and stops at the first draw that settles it (rules B to D).  Its
+    # and stops at the first draw that settles it.  Its
     # group and mode come from t and its size bound from this stream, so
     # whether every size it can draw is settled is known before its
     # reseed: settled[i][t % 2] has bit n set where size n is settled for
@@ -573,12 +561,12 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
 
     def settled_sizes(group: Group, discrete: bool) -> int:
         # the sizes settled before any trial: those the sweep decided and
-        # the discrete ones that rules B and D reject, one point being
+        # the discrete ones that space_admits rejects, one point being
         # discrete in either mode
         swept = sweep and group.name in SweepGroups
         return sum(1 << n for n in range(1, 6)  # max_points is at most 5
                    if swept and n <= SweepPoints or (discrete or n == 1)
-                   and not space_admits(_DiscreteOpens[n], group.order, lits))
+                   and not space_admits(_DiscreteOpens[n], group.order, need))
 
     settled = [[settled_sizes(group, True), settled_sizes(group, False)] for group, in pools]
     trial_rng, reseed = random.Random(), _random.Random.seed
@@ -604,10 +592,10 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
             action, f = _drawn_action(groups[0].name, _DiscreteOpens[1], None), (0,)
         else:
             min_open = _draw_space(trial_rng, n, t % 2 == 0)
-            if not space_admits(min_open, groups[0].order, lits):
-                continue  # rules B and D
+            if not space_admits(min_open, groups[0].order, need):
+                continue
             action = _draw_action(trial_rng, groups, min_open)
-            if not action_admits(action, lits):
+            if not action_admits(action, need):
                 continue  # the target fails on every map of this action
             try:
                 f = _sample_map(trial_rng, action, False)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from gdyn import checkers as ck
 from gdyn import corpus, fixtures
 from gdyn.algebra import Action, Group, cyclic_group, trivial_action
 from gdyn.bitsets import bits
@@ -27,6 +28,14 @@ def sweep():
     """Every system on up to three points over Z1, Z2 and Z3, in the
     order of ``enumerate_systems()``."""
     return list(enumerate_systems())
+
+
+def mine_admits(action, lits):
+    """Whether ``mine`` decides a map of this action: ``space_admits`` on
+    its space and |G|, then ``action_admits``, at the target's demand."""
+    need = ck.atom_demand(lits)
+    return (ck.space_admits(action.space.min_open, action.group.order, need)
+            and ck.action_admits(action, need))
 
 
 def all_homs(group, autos, n):

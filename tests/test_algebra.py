@@ -71,6 +71,11 @@ class TestGroupValidation:
 
 
 class TestCatalog:
+    @pytest.mark.parametrize("n", [True, 2.0, 0, -1, "3"])
+    def test_cyclic_group_rejects_a_bad_order(self, n):
+        with pytest.raises(ValidationError, match="order must be an int >= 1"):
+            cyclic_group(n)
+
     def test_orders(self):
         cat = catalog()
         assert [cat[f"Z{n}"].order for n in range(1, 9)] == list(range(1, 9))

@@ -24,6 +24,7 @@ from tests.conftest import (
     cycles_text,
     generated_systems,
     mask,
+    mine_admits,
     power,
     refute_pair,
     shifted_cycles,
@@ -906,7 +907,32 @@ class TestFiniteDiagram:
             assert not ck.is_n_fold_transitive(sys, true_fold + 1).verdict
 
 
+def _rejects_every_map(action, lits):
+    """Whether the literals rule out every map of the action, read from
+    them and the action's atoms with no demand: a literal asks tgt, wgm
+    or sgm to hold and Min is two or more orbits of atoms, or the
+    literals ask two of them to differ and Min is X."""
+    wants = {want for name, want in lits if name in ("tgt", "wgm", "sgm")}
+    _, minimal, one_orbit = ck._atoms(action)
+    return (True in wants and not one_orbit
+            or len(wants) == 2 and minimal == action.space.full)
+
+
 class TestMinimalPoints:
+    @pytest.mark.parametrize("target, need", [
+        ("tgt&!wgm", 2), ("wgm&!sgm", 2), ("gt&wgm&!tgt", 2), ("wgm&!sgm&gm", 2),
+        ("wgm&!tgt&!sgm&!p1", 2), (" sgm & ! wgm ", 2),
+        ("tgt", 1), ("tgt&!gm", 1), ("tgt&!gt", 1), ("wgm&!gm", 1), ("sgm&!p1", 1),
+        ("sgm&!gm", 1), ("sgm&!gm&!p1", 1), ("tgt&cover&!gm", 1), ("tgt&!equivariant&!gm", 1),
+        ("p2&gt&tgt", 1),
+        ("gt&!tgt&!gm", 0), ("gm&!gt", 0), ("gt&!tgt", 0), ("!wgm&!sgm", 0), ("gm", 0),
+        ("gt", 0), ("p1&!equivariant&gm", 0),
+        ("p1&!equivariant&p2&gt&gm&!sgm&cover&!tgt&!wgm", 0)])
+    def test_atom_demand(self, target, need):
+        # 1 where a literal asks tgt, wgm or sgm to hold, 2 where two of
+        # them are asked to differ, 0 where none is asked to hold
+        assert ck.atom_demand(corpus.parse_target(target)) == need
+
     @pytest.mark.parametrize("target", ["tgt", "wgm&!gm", "sgm&!p1", "gt&!tgt", "!wgm&!sgm", "gm",
                                         "gt&wgm&!tgt", "wgm&!sgm&gm"])
     def test_a_rejected_action_admits_no_map(self, sweep, target):
@@ -916,7 +942,7 @@ class TestMinimalPoints:
         asks = any(want and name in ("tgt", "wgm", "sgm") for name, want in lits)
         rejected = 0
         for sys in sweep:
-            if not ck.action_admits(sys.action, lits):
+            if not mine_admits(sys.action, lits):
                 rejected += 1
                 ctx = oracle.OracleContext(sys)
                 assert not all(oracle.Verdicts[name](sys, ctx) is want for name, want in lits)
@@ -925,27 +951,46 @@ class TestMinimalPoints:
     @pytest.mark.parametrize("target", ["tgt", "gt&!tgt", "!wgm&!sgm", "gm", "tgt&!wgm",
                                         "wgm&!sgm", "gt&wgm&!tgt", "wgm&!sgm&gm"])
     def test_a_rejected_space_admits_no_action(self, target):
-        # space_admits reads only the space and |G|: where it rejects,
-        # action_admits rejects every action of the group on the space
+        # space_admits reads only the space and |G|: where it rejects, the
+        # literals rule out every map of every action of the group there
         lits = corpus.parse_target(target)
+        need = ck.atom_demand(lits)
         rejected = 0
         for action, _ in corpus._enumerate_actions(4, corpus.DefaultGroupPool):
-            if not ck.space_admits(action.space.min_open, action.group.order, lits):
+            if not ck.space_admits(action.space.min_open, action.group.order, need):
                 rejected += 1
-                assert not ck.action_admits(action, lits)
-        assert bool(rejected) is ck.asks_one_orbit(lits)
+                assert _rejects_every_map(action, lits)
+        assert bool(rejected) is bool(need)
+
+    @pytest.mark.parametrize("target", ["gt", "!wgm&!sgm", "tgt", "sgm&!p1", "tgt&!wgm",
+                                        "gt&wgm&!tgt"])
+    def test_demand_rejects_what_the_literals_rule_out(self, target):
+        # on every action of the enumeration on at most four points over
+        # the miner's groups, space_admits and then action_admits at the
+        # target's demand reject exactly the actions on which the literals
+        # rule out every map; at demand 1 or 2 each of them rejects some
+        lits = corpus.parse_target(target)
+        need = ck.atom_demand(lits)
+        by_space = by_action = 0
+        for action, _ in corpus._enumerate_actions(4, corpus.DefaultGroupPool):
+            assert mine_admits(action, lits) is not _rejects_every_map(action, lits)
+            if not ck.space_admits(action.space.min_open, action.group.order, need):
+                by_space += 1
+            elif not ck.action_admits(action, need):
+                by_action += 1
+        assert (bool(by_space), bool(by_action)) == (bool(need), bool(need))
 
     def test_atoms_that_cannot_form_one_orbit(self):
         # G permutes the k atoms, so one orbit of them needs k to divide |G|:
         # on every action of the enumeration on at most four points over the
         # miner's groups, space_admits rejects a target asking tgt to hold
         # exactly where it does not, and there Min is two or more orbits
-        lits = corpus.parse_target("tgt")
+        need = ck.atom_demand(corpus.parse_target("tgt"))
         rejected = 0
         for action, _ in corpus._enumerate_actions(4, corpus.DefaultGroupPool):
             mo, order = action.space.min_open, action.group.order
             k = len({m for m in mo if all(mo[y] == m for y in bits(m))})
-            admits = ck.space_admits(mo, order, lits)
+            admits = ck.space_admits(mo, order, need)
             assert admits is not bool(order % k)
             if not admits:
                 rejected += 1

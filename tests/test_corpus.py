@@ -14,6 +14,7 @@ from gdyn import corpus
 from gdyn.dynamics import IterateCache
 from gdyn.errors import GenerationError, ValidationError
 from gdyn.sysfile import serialize
+from tests.conftest import mine_admits
 
 
 class TestFixtures:
@@ -301,6 +302,28 @@ class TestBadInputs:
         with pytest.raises(ValidationError, match="max_points must be an int >= 1"):
             next(corpus.enumerate_systems(max_points))
 
+    # checked on the call, not at the first system drawn
+    @pytest.mark.parametrize("max_points", [0, -1, True])
+    def test_enumerate_rejects_a_bad_size_on_the_call(self, max_points):
+        with pytest.raises(ValidationError, match="max_points must be an int >= 1"):
+            corpus.enumerate_systems(max_points)
+
+    # the public Space refuses an empty carrier, so no zero-point space is
+    # enumerated either
+    @pytest.mark.parametrize("n", [0, -1, True, 2.0])
+    def test_all_spaces_rejects_a_bad_size(self, n):
+        with pytest.raises(ValidationError, match="n must be an int >= 1"):
+            corpus.all_spaces(n)
+
+    @pytest.mark.parametrize("target", [123, None, ("gt",)])
+    def test_parse_target_rejects_a_non_string(self, target):
+        with pytest.raises(ValidationError, match="target: expected a string"):
+            corpus.parse_target(target)
+
+    def test_mine_rejects_a_non_string_target(self):
+        with pytest.raises(ValidationError, match="target: expected a string"):
+            corpus.mine(None)
+
 
 class TestEnumeration:
     def test_space_counts(self):
@@ -368,7 +391,7 @@ class TestTargets:
 
 
 class TestMining:
-    # the sweep decides no map of an action that action_admits rejects, and
+    # the sweep decides no map of an action that mine_admits rejects, and
     # counts it; it must find, name and count what deciding every system
     # finds (the three targets that exhaust, and finds at sweep indices
     # 445, 364 and 20)
@@ -390,7 +413,7 @@ class TestMining:
         else:
             assert res.detail == f"sweep index {index}"
             assert serialize(res.system) == serialize(sweep[index])
-        assert decided == [sys for sys in sweep[:checked] if ck.action_admits(sys.action, lits)]
+        assert decided == [sys for sys in sweep[:checked] if mine_admits(sys.action, lits)]
         assert len(decided) < checked
 
     def test_separation_found_in_sweep(self):
@@ -440,13 +463,13 @@ def _key(sys):
 def _mine_every_trial(target, seed, budget, swept=frozenset()):
     """``mine``'s random phase with no system skipped: (system, detail,
     trials, distinct systems decided).  ``mine`` decides a system only
-    where ``action_admits`` leaves the target possible on its action and,
+    where ``mine_admits`` leaves the target possible on its action and,
     after an exhausted sweep, only where the sweep has not decided it, so
     only those systems are counted: swept holds the keys of the sweep's
-    systems.  The trials that ``mine`` stops at their space, by rules B
-    to D, draw no action, but ``action_admits`` rejects every action on
-    such a space, so they are not counted here either.  Every trial is
-    still decided here."""
+    systems.  The trials that ``mine`` stops at their space draw no
+    action, but ``mine_admits`` rejects every action on such a space, so
+    they are not counted here either.  Every trial is still decided
+    here."""
     lits = corpus.parse_target(target)
     rng = random.Random(seed)
     pool, modes = corpus.DefaultGroupPool, ("discrete", "preorder")
@@ -458,7 +481,7 @@ def _mine_every_trial(target, seed, budget, swept=frozenset()):
             sys = corpus.generate(cfg)
         except GenerationError:
             continue
-        if ck.action_admits(sys.action, lits) and _key(sys) not in swept:
+        if mine_admits(sys.action, lits) and _key(sys) not in swept:
             keys.add(_key(sys))
         if _holds(sys, lits):
             return sys, f"seed {seed} trial {t}", t + 1, len(keys)
@@ -480,7 +503,7 @@ def _mine_each_seed(target, seeds, monkeypatch, sweep=None):
     if sweep is not None:
         assert not any(_holds(sys, lits) for sys in sweep)
         swept = frozenset(map(_key, sweep))
-        admitted = [sys for sys in sweep if ck.action_admits(sys.action, lits)]
+        admitted = [sys for sys in sweep if mine_admits(sys.action, lits)]
     decided = []
     matches = corpus._matches
     monkeypatch.setattr(corpus, "_matches",
@@ -531,11 +554,11 @@ class TestMiningSkip:
             runs.append((res.record["budget"], trials, len(decided), len(reseeds)))
             reseeds.clear()
         assert sum(trials - decided for _, trials, decided, _ in runs)
-        lits = corpus.parse_target(target)
+        need = ck.atom_demand(corpus.parse_target(target))
         reseeded = [n for *_, n in runs]
-        if ck.asks_apart(lits):
+        if need == 2:
             assert reseeded == [budget // 2 for budget, *_ in runs]
-        elif ck.asks_one_orbit(lits):
+        elif need == 1:
             assert sum(reseeded) < sum(trials for _, trials, *_ in runs)
         else:
             assert reseeded == [trials for _, trials, *_ in runs]
