@@ -36,11 +36,11 @@ class Group:
         elems = tuple(elements)
         if not elems:
             raise ValidationError("group: no elements")
-        if len(set(elems)) != len(elems):
-            raise ValidationError("group: duplicate element names")
         for g in elems:
             if not writable_name(g):
                 raise ValidationError(f"group: bad element name {g!r}")
+        if len(set(elems)) != len(elems):
+            raise ValidationError("group: duplicate element names")
         n = len(elems)
         table = tuple(tuple(row) for row in mul)
         if len(table) != n or any(len(row) != n for row in table):

@@ -24,12 +24,13 @@ point of U is walked for the tail depth d and cycle length L that the
 iterate cache records, a cycle point first met at k recurring at k + L,
 k + 2L, ...; only the rows are kept.  The deduplicated basis, its
 saturation columns and the atoms depend on the action alone and are
-memoised on it; the scan context is memoised on the system.  The
-context bounds the masks: a window [1, p+q] on |X| points past
-``MaxTableEntries`` raises LimitError, and past it a true verdict
-carries a summary instead of certificates.  No verdict reads the
-window, so every property answers past that bound; only the false
-witnesses of wgm and sgm, and tgt's on a gt-true system, stop there.
+memoised on it; each report builds the scan context it reads, and the
+certificates theirs when first read.  The context bounds the masks: a
+window [1, p+q] on |X| points past ``MaxTableEntries`` raises
+LimitError, and past it a true verdict carries a summary instead of
+certificates.  No verdict reads the window, so every property answers
+past that bound; only the false witnesses of wgm and sgm, and tgt's on
+a gt-true system, stop there.
 
 Total transitivity is decided on one exponent.  Let e be the least
 multiple of q with e >= max(p, 1).  For every m >= 1, m*e is >= p and
@@ -217,16 +218,12 @@ class PropertyReport(NamedTuple):
 
 
 class _Ctx:
-    """Shared per-system scan state: the action's scan columns and the
-    hit-mask table, one row per basis open, for the false witnesses and
-    the certificates (``element``) of the ``is_*`` reports, no verdict.
-
-    It keeps the map, the action and the iterate cache, not the system:
-    the system holds its context (``_scan``), and a reference back would
-    make a cycle that only the garbage collector frees."""
+    """A report's scan state: the action's scan columns and the hit-mask
+    table, one row per basis open, for the false witnesses and the
+    certificates (``element``) of the ``is_*`` reports, no verdict."""
 
     __slots__ = ("f", "action", "cache", "basis", "window", "cycle_window",
-                 "_sats", "_col", "_steps", "_rows", "_elements")
+                 "_sats", "_col", "_rows")
 
     def __init__(self, sys: GSystem):
         self.f = sys.f
@@ -242,9 +239,7 @@ class _Ctx:
         self.basis, self._col, self._sats = _columns(action)
         self.window = ((1 << c.horizon) - 1) << 1  # exponents [1, p+q]
         self.cycle_window = ((1 << c.period) - 1) << (c.preperiod + 1)
-        self._steps: dict[int, int] = {}
         self._rows: dict[int, list[int]] = {}
-        self._elements: dict[tuple[int, int, int], str] = {}
 
     def reach(self, u: int) -> dict[int, int]:
         """Point y -> mask of the exponents k in [1, p+q] with y in f^k(U).
@@ -253,7 +248,7 @@ class _Ctx:
         in the cache: the tail points f^k(x), k < max(d, 1), are met once,
         and each of the L cycle points after them, first met at k, recurs
         at k + L, ...  Not memoised: the rows built from it are."""
-        c, f, window, steps = self.cache, self.f, self.window, self._steps
+        c, f, window = self.cache, self.f, self.window
         out: dict[int, int] = {}
         get = out.get
         for x in bits(u):
@@ -262,9 +257,7 @@ class _Ctx:
             for k in range(1, entry):
                 y = f[y]
                 out[y] = get(y, 0) | 1 << k
-            every = steps.get(step)
-            if every is None:
-                every = steps[step] = _every(step, c.horizon)
+            every = _every(step, c.horizon)
             for k in range(entry, entry + step):
                 y = f[y]
                 out[y] = get(y, 0) | (every << k) & window
@@ -275,23 +268,15 @@ class _Ctx:
         bit k, for k in [1, p+q], is set iff f^k(U) meets G(V)."""
         out = self._rows.get(u)
         if out is None:
-            reach = self.reach(u)
-            get = reach.get
-            size = len(reach)
+            get = self.reach(u).get
             masks = []
-            for sat, points, count in self._sats:
-                if count == 1:
+            for _, points in self._sats:
+                if len(points) == 1:
                     masks.append(get(points[0], 0))
                     continue
                 h = 0
-                # walk the smaller side: the points U reaches or those of G(V)
-                if size < count:
-                    for y, ks in reach.items():
-                        if (sat >> y) & 1:
-                            h |= ks
-                else:
-                    for y in points:
-                        h |= get(y, 0)
+                for y in points:
+                    h |= get(y, 0)
                 masks.append(h)
             col = self._col
             out = masks if col is None else [masks[i] for i in col]
@@ -300,43 +285,30 @@ class _Ctx:
 
     def element(self, u: int, k: int, v: int) -> str:
         """The first group element g with g.f^k(U) meeting V."""
-        key = (u, k, v)
-        out = self._elements.get(key)
-        if out is None:
-            image, action = self.cache.image, self.action
-            img = 0
-            for x in bits(u):
-                img |= 1 << image(x, k)
-            for g in range(action.group.order):
-                if action.translate(g, img) & v:
-                    break
-            else:
-                raise RuntimeError("internal: saturation hit without a witnessing element")
-            out = self._elements[key] = action.group.elements[g]
-        return out
+        image, action = self.cache.image, self.action
+        img = 0
+        for x in bits(u):
+            img |= 1 << image(x, k)
+        for g in range(action.group.order):
+            if action.translate(g, img) & v:
+                return action.group.elements[g]
+        raise RuntimeError("internal: saturation hit without a witnessing element")
 
 
 def _columns(action: Action) -> tuple:
     """The action's part of the scan, memoised on it: the basis opens
     deduplicated in order, each one's column (the index of its saturation
     among the distinct ones; None if all are distinct) and the distinct
-    saturations as (mask, points, count)."""
+    saturations as (mask, points)."""
     if action._columns is None:
         basis = tuple(dict.fromkeys(action.space.min_open))
         sats: dict[int, int] = {}
         col = [sats.setdefault(action.saturate(v), len(sats)) for v in basis]
         action._columns = (
             basis, None if len(sats) == len(col) else col,
-            [(sat, pts, len(pts)) for sat in sats for pts in (tuple(bits(sat)),)],
+            [(sat, tuple(bits(sat))) for sat in sats],
         )
     return action._columns
-
-
-def _scan(sys: GSystem) -> _Ctx:
-    """The system's scan context, built on first use and kept on it."""
-    if sys._scan is None:
-        sys._scan = _Ctx(sys)
-    return sys._scan
 
 
 def _exponent(c: IterateCache) -> int:
@@ -473,7 +445,7 @@ def _dense_saturation(sys: GSystem) -> Callable[[int], bool]:
     def dense(a: int) -> bool:
         d = memo.get(a)
         if d is None:
-            d = memo[a] = all(a & sat for sat, _, _ in sats)
+            d = memo[a] = all(a & sat for sat, _ in sats)
         return d
 
     return dense
@@ -499,7 +471,7 @@ def _transitivity(sys: GSystem) -> tuple[bool, Mapping]:
         return False, {"U": names(miss[0]), "V": names(next(v for v in basis if not v & sat))}
 
     def build() -> tuple:
-        ctx, out = _scan(sys), []
+        ctx, out = _Ctx(sys), []
         for u, v, h in _pairs(ctx):
             k = _lowest(h)
             out.append((names(u), names(v), k, ctx.element(u, k, v)))
@@ -628,7 +600,7 @@ def is_totally_g_transitive(sys: GSystem) -> PropertyReport:
     if not _tgt(sys):
         gt, witness = _transitivity(sys)
         if gt:
-            m, u, v = _least_failing_iterate(_scan(sys))
+            m, u, v = _least_failing_iterate(_Ctx(sys))
             return PropertyReport("tgt", False, {"m": m, "U": names(u), "V": names(v)})
         return PropertyReport("tgt", False, {"m": 1, **witness})
     c = sys.cache()
@@ -637,7 +609,7 @@ def is_totally_g_transitive(sys: GSystem) -> PropertyReport:
     ms = range(1, c.horizon + 1 if c.preperiod == 0 else c.horizon)
 
     def build() -> tuple:
-        ctx, out = _scan(sys), []
+        ctx, out = _Ctx(sys), []
         for m in ms:
             for u, v, h in _pairs(ctx):
                 k = next(k for k in (c.reduce(m * j) for j in range(1, c.horizon + 1))
@@ -662,14 +634,14 @@ def is_weakly_g_mixing(sys: GSystem) -> PropertyReport:
     if not _wgm(sys):
         # the ordered scan names the first failing 4-tuple: every two hit
         # masks intersect iff wgm holds
-        ctx = _scan(sys)
+        ctx = _Ctx(sys)
         (u, e, _), (v, w, _) = next((a, b) for a in _pairs(ctx) for b in _pairs(ctx)
                                     if not a[2] & b[2])
         witness = {"U": names(u), "V": names(v), "E": names(e), "F": names(w)}
         return PropertyReport("wgm", False, witness)
 
     def build() -> tuple:
-        ctx, out = _scan(sys), []
+        ctx, out = _Ctx(sys), []
         for u, e, m1 in _pairs(ctx):
             for v, w, m2 in _pairs(ctx):
                 k = (m1 & m2).bit_length() - 1
@@ -696,14 +668,14 @@ def is_strongly_g_mixing(sys: GSystem) -> PropertyReport:
     hit mask misses a recurring exponent in [p+1, p+q]."""
     names, c = sys.space.names, sys.cache()
     if not _tgt(sys):
-        ctx = _scan(sys)
+        ctx = _Ctx(sys)
         window = ctx.cycle_window
         u, v, h = next(t for t in _pairs(ctx) if window & ~t[2])
         witness = {"U": names(u), "V": names(v), "missing_exponent": _lowest(window & ~h)}
         return PropertyReport("sgm", False, witness)
 
     def build() -> tuple:
-        ctx = _scan(sys)
+        ctx = _Ctx(sys)
         return tuple((names(u), names(v), k, ctx.element(u, k, v))
                      for u, v, _ in _pairs(ctx) for k in range(c.preperiod + 1, c.horizon + 1))
 
@@ -858,7 +830,7 @@ def product_minimality_criterion(s1: GSystem, s2: GSystem) -> ProductMinimality:
     _check_product("product_minimality_criterion", [n1, n2])
     c1, c2 = s1.cache(), s2.cache()
     returns = lru_cache(None)(_returns)
-    sats1, sats2 = ([sat for sat, _, _ in _columns(s.action)[2]] for s in (s1, s2))
+    sats1, sats2 = ([sat for sat, _ in _columns(s.action)[2]] for s in (s1, s2))
     # one point per cycle of f x h (module docstring, "Products factor")
     least1, least2 = ([x for x, d in enumerate(c.depth) if not d and _lowest(c.fwd[x]) == x]
                       for c in (c1, c2))

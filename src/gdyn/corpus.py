@@ -314,6 +314,12 @@ def _check_int(where: str, name: str, value, low: int, high: int | None = None) 
         raise ValidationError(f"{where}: {name} must be an int {bounds}, got {value!r}")
 
 
+def _check_bool(where: str, name: str, value) -> None:
+    """Raise ValidationError unless value is a bool."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{where}: {name} must be a bool, got {value!r}")
+
+
 def _catalog_groups(names, where: str) -> tuple[Group, ...]:
     """The catalog groups of these names, at least one."""
     if not names:
@@ -352,6 +358,7 @@ def generate(cfg: GeneratorConfig) -> GSystem:
     _check_int("generator", "max_points", m, 1, GeneratorMaxPoints)
     if cfg.mode not in ("discrete", "preorder"):
         raise ValidationError(f"generator: unknown mode '{cfg.mode}'")
+    _check_bool("generator", "pseudoequivariant_only", cfg.pseudoequivariant_only)
     pool = cfg.groups if cfg.groups is not None else DefaultGroupPool
     groups = _catalog_groups(pool, "generator")
     rng = random.Random(cfg.seed)
@@ -523,6 +530,7 @@ def mine(target: str, seed: int = 0, budget: int = 100_000,
     need = atom_demand(lits)
     _check_int("mine", "seed", seed, 0)
     _check_int("mine", "budget", budget, 0)
+    _check_bool("mine", "sweep", sweep)
     sweep_checked = trials = 0
 
     def result(system: GSystem | None, phase: str | None, detail: str) -> MineResult:

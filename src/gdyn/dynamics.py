@@ -131,8 +131,8 @@ class IterateCache:
 class GSystem:
     """An action together with a continuous self-map of its space."""
 
-    # memos, built on first use: the iterate cache and the checkers' scan context
-    __slots__ = ("action", "f", "_cache", "_scan")
+    # memo, built on first use: the iterate cache
+    __slots__ = ("action", "f", "_cache")
 
     def __init__(self, action: Action, f: Sequence[int]):
         table = check_table(action.space, f)
@@ -160,7 +160,6 @@ class GSystem:
         self.action = action
         self.f = f
         self._cache = cache
-        self._scan = None
 
     @property
     def space(self) -> Space:

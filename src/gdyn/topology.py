@@ -30,8 +30,9 @@ MaxAutomorphismPoints = 8
 
 def writable_name(name: str) -> bool:
     """Whether a point or element name can stand in a system file: it is
-    nonempty and holds no whitespace and no comment sign ``#``."""
-    return bool(name) and "#" not in name and not any(c.isspace() for c in name)
+    a nonempty str and holds no whitespace and no comment sign ``#``."""
+    return (isinstance(name, str) and bool(name) and "#" not in name
+            and not any(c.isspace() for c in name))
 
 
 class Space:
@@ -49,11 +50,11 @@ class Space:
         mo = tuple(min_open)
         if not pts:
             raise ValidationError("space: carrier must be nonempty")
-        if len(set(pts)) != len(pts):
-            raise ValidationError("space: duplicate point names")
         for name in pts:
             if not writable_name(name):
                 raise ValidationError(f"space: bad point name {name!r}")
+        if len(set(pts)) != len(pts):
+            raise ValidationError("space: duplicate point names")
         n = len(pts)
         full = (1 << n) - 1
         if len(mo) != n:

@@ -69,6 +69,17 @@ class TestGroupValidation:
         with pytest.raises(ValidationError, match="bad element name"):
             Group(("e", name), ((0, 1), (1, 0)))
 
+    # 0 was refused only because it is falsy, and 1 raised a TypeError
+    @pytest.mark.parametrize("elements, mul", [
+        (["e", 1], [[0, 1], [1, 0]]),
+        ([0], [[0]]),
+        ([1], [[0]]),
+        ([["e"]], [[0]]),
+    ])
+    def test_names_must_be_strings(self, elements, mul):
+        with pytest.raises(ValidationError, match="bad element name"):
+            Group(elements, mul)
+
 
 class TestCatalog:
     @pytest.mark.parametrize("n", [True, 2.0, 0, -1, "3"])

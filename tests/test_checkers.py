@@ -266,16 +266,17 @@ class TestSgmCondition:
         assert not cond.applies
         assert cond.note == "system is not transitive"
 
-    def test_known_sgm_past_the_mask_bound(self):
+    def test_known_sgm_past_the_mask_bound(self, monkeypatch):
         # the prime cycles to 19 under Z77: sgm holds, so the condition
         # applies without the return test, which could not read its hit
         # masks past the bound
+        built = _count_contexts(monkeypatch)
         sys = shifted_cycles((2, 3, 5, 7, 11, 13, 17, 19))
         cond = ck.sgm_sufficient_condition(sys)
         assert cond[:2] == (True, True)
-        assert sys._scan is None
+        assert not built
 
-    def test_sgm_false_past_the_mask_bound(self):
+    def test_sgm_false_past_the_mask_bound(self, monkeypatch):
         # a 2001-cycle on a discrete space under the trivial group is p1
         # and gt but not sgm, and its window of 2001 exponents on 2001
         # points passes the mask bound: the verdicts answer all the same
@@ -283,9 +284,10 @@ class TestSgmCondition:
         sys = GSystem(trivial_action(discrete_space(tuple(f"p{x}" for x in range(n)))),
                       tuple((x + 1) % n for x in range(n)))
         assert n * n > MaxTableEntries
+        built = _count_contexts(monkeypatch)
         assert ck.sgm_sufficient_condition(sys) == (
             False, None, "no dense-orbit point whose neighbourhood eventually returns")
-        assert sys._scan is None
+        assert not built
 
     def test_sound_on_sweep(self):
         # whenever the condition applies the conclusion holds
@@ -604,6 +606,19 @@ def _report_and_read(sys):
             rep.witness["certificates"]
 
 
+def _count_contexts(monkeypatch):
+    """The systems that scan contexts are built on from here on, in order."""
+    built = []
+    init = ck._Ctx.__init__
+
+    def counted(self, sys):
+        built.append(sys)
+        init(self, sys)
+
+    monkeypatch.setattr(ck._Ctx, "__init__", counted)
+    return built
+
+
 def _count_report_parts(monkeypatch):
     """Counts, by name, the calls of what a report builds on a verdict."""
     calls = collections.Counter()
@@ -617,31 +632,26 @@ def _count_report_parts(monkeypatch):
 
 
 class TestScanContext:
-    def test_one_context_per_system(self, fixture_map, monkeypatch):
+    def test_profile_and_condition_build_no_context(self, fixture_map, monkeypatch):
         # neither a profile nor the sgm condition builds a context (both
         # read only verdicts), and only the p2 entry reads the G-periodic
         # points, once
-        calls = {"ctx": 0, "periodic": 0}
-        init, periodic = ck._Ctx.__init__, ck.gf_periodic_mask
-
-        def counted_init(self, sys):
-            calls["ctx"] += 1
-            init(self, sys)
+        built, periodic_calls = _count_contexts(monkeypatch), []
+        periodic = ck.gf_periodic_mask
 
         def counted_periodic(sys):
-            calls["periodic"] += 1
+            periodic_calls.append(sys)
             return periodic(sys)
 
-        monkeypatch.setattr(ck._Ctx, "__init__", counted_init)
         monkeypatch.setattr(ck, "gf_periodic_mask", counted_periodic)
         for fx in fixture_map.values():
             sys = _fresh(fx.system)
-            calls.update(ctx=0, periodic=0)
+            periodic_calls.clear()
             ck.profile(sys)
-            assert calls == {"ctx": 0, "periodic": 1}, fx.name
+            assert not built and periodic_calls == [sys], fx.name
             ck.sgm_sufficient_condition(sys)
             ck.sgm_sufficient_condition(sys)
-            assert calls == {"ctx": 0, "periodic": 1}, fx.name
+            assert not built and periodic_calls == [sys], fx.name
 
     def test_mining_computes_flags_once(self, fixture_map, monkeypatch):
         # the miner's p2 literal computes the G-periodic points once; the
@@ -681,7 +691,7 @@ class TestScanContext:
         sys = parse(cycles_text((2, 3, 5, 7, 11, 13, 17, 19)))
         assert sys.cache().period == 9_699_690
         with pytest.raises(LimitError, match="exponent window"):
-            ck._scan(sys)
+            ck._Ctx(sys)
 
     def test_horizon_bound_is_exact(self):
         # LimitError iff (p+q) * |X| > MaxTableEntries: a 2000-cycle on
@@ -690,10 +700,10 @@ class TestScanContext:
             f = tuple((i + 1) % 2000 for i in range(2000)) + tuple(range(2000, n))
             return GSystem(trivial_action(discrete_space(tuple(map(str, range(n))))), f)
 
-        ctx = ck._scan(cycle(2000))
+        ctx = ck._Ctx(cycle(2000))
         assert ctx.cache.horizon * 2000 == MaxTableEntries
         with pytest.raises(LimitError, match=r"\[1, 2000\] on 2001 points.*at most 1999 exponents"):
-            ck._scan(cycle(2001))
+            ck._Ctx(cycle(2001))
 
     def test_scan_keeps_no_per_point_table(self):
         # an indiscrete 400-cycle has one basis open, which reaches every
@@ -705,7 +715,7 @@ class TestScanContext:
         sys = GSystem(trivial_action(space), tuple((i + 1) % n for i in range(n)))
         tracemalloc.start()
         try:
-            ctx = ck._scan(sys)
+            ctx = ck._Ctx(sys)
             assert ctx.basis == (space.full,) and ctx.row(space.full) == [ctx.window]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -752,14 +762,7 @@ class TestScanContext:
         # gt's table entry and report, and n-fold transitivity on the
         # product, decide and name a false witness without the scan
         # context; a true verdict builds it when its certificates are read
-        built = []
-        init = ck._Ctx.__init__
-
-        def counted(self, sys):
-            built.append(sys)
-            init(self, sys)
-
-        monkeypatch.setattr(ck._Ctx, "__init__", counted)
+        built = _count_contexts(monkeypatch)
         falses = 0
         for sys in [fx.system for fx in fixture_map.values()] + sweep:
             sys = _fresh(sys)
@@ -794,14 +797,15 @@ class TestScanContext:
     def test_action_memo_is_not_part_of_equality(self, fixture_map):
         for fx in fixture_map.values():
             a = fx.system.action
-            ck._scan(GSystem._trusted(a, fx.system.f))
+            ck._Ctx(GSystem._trusted(a, fx.system.f))
             b = Action._trusted(a.group, a.space, a.act)
             assert a._columns is not None and b._columns is None
             assert a == b and hash(a) == hash(b)
             assert GSystem._trusted(b, fx.system.f) == fx.system
 
     def test_memo_adds_no_cycle(self, fixture_map):
-        # a system and its context are freed by reference counting alone
+        # a system and the contexts its reports build are freed by
+        # reference counting alone
         enabled, debug = gc.isenabled(), gc.get_debug()
         gc.collect()
         gc.disable()
@@ -831,16 +835,27 @@ class TestScanContext:
                 falses[name] += not verdict
         assert all(0 < falses[name] < len(sweep) + 500 for name in _REPORTS)
 
-    def test_decider_order_does_not_matter(self, sweep):
-        for sys in sweep:
-            forward = _read_reports(_fresh(sys), _SCANS)
-            assert _read_reports(_fresh(sys), _SCANS[::-1]) == forward
+    def test_decider_order_does_not_matter(self, fixture_map, sweep):
+        # each report builds its own context, and what the memos of the
+        # action and the iterate cache keep leaks into no later report:
+        # on one system, the reports read in reverse after a forward pass
+        # and in reverse first give the witnesses, certificates included,
+        # of a forward pass and of a fresh copy
+        data = [parse(path.read_text()) for path in sorted(DATA.glob("*.gds"))]
+        for sys in [fx.system for fx in fixture_map.values()] + data + sweep:
+            once = _fresh(sys)
+            forward = _read_reports(once, _SCANS)
+            assert _read_reports(once, _SCANS[::-1]) == forward
+            reverse_first = _fresh(sys)
+            assert _read_reports(reverse_first, _SCANS[::-1]) == forward
+            assert _read_reports(reverse_first, _SCANS) == forward
+            assert _read_reports(_fresh(sys), _SCANS) == forward
 
     def test_reach_matches_table_walk(self, sweep):
         systems = sweep + [nfold_system(s, 2) for s in sweep[::16][:100]]
         checked = 0
         for sys in systems:
-            ctx = ck._scan(sys)
+            ctx = ck._Ctx(sys)
             tables = [sys.f]
             while len(tables) < sys.cache().horizon:
                 tables.append(compose(sys.f, tables[-1]))
@@ -1049,18 +1064,19 @@ class TestMinimalPoints:
         assert reps[2].witness["threshold"] == 1
         assert all("summary" in r.witness for r in reps)
 
-    def test_certificates_past_the_mask_bound(self):
+    def test_certificates_past_the_mask_bound(self, monkeypatch):
         # the prime cycles to 19 under Z77 (77 points, horizon 9,699,690):
         # gt offers 77^2 certificates, which the scan context cannot build
         # past the mask bound, so its true verdict carries the summary;
-        # tgt, wgm and sgm answer true
+        # tgt, wgm and sgm answer true, and no report tries a context
         sys = shifted_cycles((2, 3, 5, 7, 11, 13, 17, 19))
         with pytest.raises(LimitError, match="exponent window"):
             ck._Ctx(sys)
+        built = _count_contexts(monkeypatch)
         gt = ck.is_g_transitive(sys)
         assert gt.verdict and gt.witness == {"summary": "5929 basis pairs verified"}
         assert "summary" in repr(gt)
         reps = [decide(sys) for decide in _SCANS[1:]]
         assert [r.verdict for r in reps] == [True, True, True]
         assert all("summary" in r.witness for r in reps)
-        assert sys._scan is None
+        assert not built

@@ -272,6 +272,21 @@ class TestBadInputs:
         with pytest.raises(ValidationError, match="budget"):
             corpus.mine("gt", budget=budget, sweep=False)
 
+    # a truthy non-bool flag used to run the sweep
+    @pytest.mark.parametrize("sweep", ["no", 0, 1, None])
+    def test_mine_rejects_a_non_bool_sweep(self, sweep):
+        with pytest.raises(ValidationError, match="mine: sweep must be a bool"):
+            corpus.mine("tgt&!gt", budget=1, sweep=sweep)
+
+    # a truthy non-bool flag used to generate as True does
+    @pytest.mark.parametrize("flag", ["no", 0, 1, None])
+    def test_generate_rejects_a_non_bool_flag(self, flag):
+        cfg = corpus.GeneratorConfig(seed=5, pseudoequivariant_only=flag)
+        with pytest.raises(ValidationError, match="pseudoequivariant_only must be a bool"):
+            corpus.generate(cfg)
+        with pytest.raises(ValidationError, match="pseudoequivariant_only must be a bool"):
+            corpus.generate_robust(cfg)
+
     # random.Random drops a seed's sign, so a negative seed would replay the
     # stream of its absolute value under a record that names another seed
     @pytest.mark.parametrize("seed", [-1, -7, 1.5, "x", None, True])

@@ -549,7 +549,7 @@ def _tgt_every_iterate(sys):
     """Total transitivity by the m x j loop: f^m hits U -> V at some
     reduced exponent of m*j, j in [1, p+q], for every distinct table f^m.
     Returns the verdict and the first failing (m, U, V)."""
-    ctx = ck._scan(sys)
+    ctx = ck._Ctx(sys)
     c = sys.cache()
     ms = range(1, c.horizon + 1 if c.preperiod == 0 else c.horizon)
     for m in ms:

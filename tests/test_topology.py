@@ -51,6 +51,19 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Space(("a b",), (0b1,))
 
+    # a non-str name is refused by validation, not by a TypeError inside it
+    @pytest.mark.parametrize("build", [
+        lambda: Space(["a", 1], [1, 2]),
+        lambda: discrete_space([1, 2]),
+        lambda: space_from_subbasis([1, 2], []),
+        lambda: Space([0], [1]),
+        lambda: Space([("a",)], [1]),
+        lambda: Space([["a"]], [1]),
+    ])
+    def test_names_must_be_strings(self, build):
+        with pytest.raises(ValidationError, match="bad point name"):
+            build()
+
     def test_point_outside_own_neighbourhood(self):
         with pytest.raises(ValidationError, match="b"):
             Space(("a", "b"), (0b01, 0b01))
