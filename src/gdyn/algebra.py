@@ -188,10 +188,11 @@ class Action:
     """A left action of a finite group on a finite space, every
     translation a homeomorphism.  ``act[g][x]`` is the point g.x."""
 
-    # memos, not part of equality: each point's orbit, and the checkers'
-    # scan columns (the basis and its saturations) and minimal points,
-    # built on first use
-    __slots__ = ("group", "space", "act", "_orbit_of", "_columns", "_atoms")
+    # ``_act``: the table, or a function to derive it (see ``_trusted``).
+    # Memos, not part of equality: each point's orbit, built with the
+    # action unless given, and the checkers' scan columns (the basis and
+    # its saturations) and minimal points, built on first use
+    __slots__ = ("group", "space", "_act", "_orbit_of", "_columns", "_atoms")
 
     def __init__(self, group: Group, space: Space, act: Sequence[Sequence[int]]):
         table = tuple(tuple(row) for row in act)
@@ -232,25 +233,39 @@ class Action:
         self._set(group, space, table)
 
     @classmethod
-    def _trusted(cls, group: Group, space: Space, act: tuple[tuple[int, ...], ...]) -> Action:
-        """An action from a table already known to satisfy the axioms."""
+    def _trusted(cls, group: Group, space: Space,
+                 act: tuple[tuple[int, ...], ...] | Callable[[], tuple[tuple[int, ...], ...]],
+                 orbits: tuple[int, ...] | None = None) -> Action:
+        """An action from a table already known to satisfy the axioms.  The
+        table may be a picklable function that derives it, called when
+        ``act`` is first read; it then needs ``orbits``, each point's orbit
+        mask, which are otherwise read off the table."""
         a = cls.__new__(cls)
-        a._set(group, space, act)
+        a._set(group, space, act, orbits)
         return a
 
-    def _set(self, group: Group, space: Space, act: tuple[tuple[int, ...], ...]) -> None:
+    def _set(self, group: Group, space: Space, act, orbits: tuple[int, ...] | None = None) -> None:
         self.group = group
         self.space = space
-        self.act = act
-        orbit_of = []
-        for x in range(space.n):
-            o = 0
-            for row in act:
-                o |= 1 << row[x]
-            orbit_of.append(o)
-        self._orbit_of = tuple(orbit_of)
+        self._act = act
+        if orbits is None:
+            orbit_of = []
+            for x in range(space.n):
+                o = 0
+                for row in act:
+                    o |= 1 << row[x]
+                orbit_of.append(o)
+            orbits = tuple(orbit_of)
+        self._orbit_of = orbits
         self._columns = None
         self._atoms = None
+
+    @property
+    def act(self) -> tuple[tuple[int, ...], ...]:
+        """The table, derived on first read when given as a function."""
+        if callable(self._act):
+            self._act = self._act()
+        return self._act
 
     def orbit(self, x: int) -> int:
         """Bitmask of G(x)."""

@@ -27,7 +27,8 @@ from .topology import Space, check_table, compose, find_discontinuity
 # bound on the entries of one system's tables: the p+q iterate tables of a
 # map on |X| points (``IterateCache.powers``) and the checkers' (p+q)-bit
 # exponent masks, counted as if tables, and a product system's element
-# names and action rows (``_check_product``)
+# names and action rows (``_check_product``), the rows counted though they
+# are derived only when read
 MaxTableEntries = 4_000_000
 MaxCarrier = 20000  # product carriers (n-fold ones too) and product minimality's point pairs
 
@@ -217,10 +218,11 @@ def _check_product(who: str, sizes: list[int], orders: list[int] | None = None) 
     """Raise LimitError when a product of carriers of these sizes would
     pass ``MaxCarrier`` points or, given the group orders, its group and
     action tables ``MaxTableEntries`` entries; checked before anything is
-    built.  The group table is derived only when read, but its order^2
-    entries still count: they are what keeps the element names and action
-    rows small on a small carrier, where order * points alone would let a
-    one-point product hold 4,000,000 elements."""
+    built.  The group table and the action rows are derived only when
+    read, but their entries still count: the order^2 group entries are
+    what keeps the element names and action rows small on a small carrier,
+    where order * points alone would let a one-point product hold
+    4,000,000 elements."""
     points = prod(sizes)
     if points > MaxCarrier:
         raise LimitError(f"{who}: {_shape(sizes)} points exceeds the bound {MaxCarrier}")
@@ -244,34 +246,47 @@ def _pairs(t1: Sequence[int], t2: Sequence[int], width: int) -> tuple[int, ...]:
     return tuple(a * width + b for a in t1 for b in t2)
 
 
+def _blocks(masks1: Sequence[int], masks2: Sequence[int], width: int) -> tuple[int, ...]:
+    """The products U x V of the masks, as masks over the indices a * width + b."""
+    return tuple(sum(v << a * width for a in bits(u)) for u in masks1 for v in masks2)
+
+
 def _product_mul(g1: Group, g2: Group) -> tuple[tuple[int, ...], ...]:
     """The product group's table, componentwise on the factors' tables."""
     m2 = g2.order
     return tuple(_pairs(r1, r2, m2) for r1 in g1.mul for r2 in g2.mul)
 
 
+def _product_act(a1: Action, a2: Action) -> tuple[tuple[int, ...], ...]:
+    """The product action's table, componentwise on the factors' tables."""
+    n2 = a2.space.n
+    return tuple(_pairs(r1, r2, n2) for r1 in a1.act for r2 in a2.act)
+
+
 def product_system(s1: GSystem, s2: GSystem) -> GSystem:
     """The product map on the product space with the componentwise action
     of the product group.  The point (x, y) has index x * |X2| + y and name
     "(x,y)", the element (a, b) index a * |G2| + b and name "(a|b)"; minimal
-    opens multiply, min_open((x, y)) = min_open(x) x min_open(y).  Products
-    of validated factors satisfy the axioms and skip the checks.  No
-    decision reads the group's table, so it is derived from the factors'
-    when first read.  Raises LimitError past the bounds that
-    ``nfold_system`` names."""
-    sp1, sp2, g1, g2 = s1.space, s2.space, s1.group, s2.group
+    opens and orbits multiply, min_open((x, y)) = min_open(x) x min_open(y)
+    and G(x, y) = G1(x) x G2(y).  Products of validated factors satisfy the
+    axioms and skip the checks.  No decision reads the group's table or the
+    action's translation rows, so both are derived from the factors' when
+    first read.  Raises LimitError past the bounds that ``nfold_system``
+    names."""
+    sp1, sp2, g1, g2, a1, a2 = s1.space, s2.space, s1.group, s2.group, s1.action, s2.action
     n2, m2 = sp2.n, g2.order
     _check_product("product_system", [sp1.n, n2], [g1.order, m2])
     space = Space._trusted(
         tuple(f"({x},{y})" for x in sp1.points for y in sp2.points),
-        tuple(sum(v << a * n2 for a in bits(u)) for u in sp1.min_open for v in sp2.min_open),
+        _blocks(sp1.min_open, sp2.min_open, n2),
     )
     group = Group._trusted(
         tuple(f"({a}|{b})" for a in g1.elements for b in g2.elements),
         partial(_product_mul, g1, g2), g1.identity * m2 + g2.identity, f"{g1.name}x{g2.name}",
     )
-    act = tuple(_pairs(r1, r2, n2) for r1 in s1.action.act for r2 in s2.action.act)
-    return GSystem._trusted(Action._trusted(group, space, act), _pairs(s1.f, s2.f, n2))
+    orbits = _blocks([a1.orbit(x) for x in range(sp1.n)], [a2.orbit(y) for y in range(n2)], n2)
+    action = Action._trusted(group, space, partial(_product_act, a1, a2), orbits)
+    return GSystem._trusted(action, _pairs(s1.f, s2.f, n2))
 
 
 def nfold_system(sys: GSystem, n: int) -> GSystem:

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import subprocess
 import sys
 import time
@@ -456,3 +457,23 @@ def test_decide_commands_load_only_what_they_run(files):
     first = lines.index("loaded: []")
     assert lines[first + 1].startswith("points ")
     assert lines[-1] == "loaded: ['gdyn.corpus']"
+
+
+def _run_module(module, *argv):
+    """``python -m module argv...`` in a fresh interpreter on this tree."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_python_m_gdyn_keeps_the_exit_codes(files):
+    # 0 for a true verdict, 1 for a false one, 2 for an error, as the CLI
+    proc = _run_module("gdyn", "check", files["rot4"], "--property", "gt")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "property=gt verdict=true\n", "")
+    argv = ("check", files["skew3"], "--property", "tgt")
+    proc, ref = _run_module("gdyn", *argv), _run_module("gdyn.cli", *argv)
+    assert proc.returncode == ref.returncode == 1
+    assert proc.stdout == ref.stdout and proc.stderr == ref.stderr == ""
+    proc = _run_module("gdyn", "check", files["rot4"], "--property", "frob")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: check: unknown property 'frob'\n"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import cycles_text, gf_periodic_points, reference_product, trivialized
 from gdyn import checkers
-from gdyn.algebra import Action, catalog, cyclic_group, trivial_action
+from gdyn.algebra import Action, catalog, cyclic_group, is_equivariant, trivial_action
 from gdyn.checkers import is_n_fold_transitive
 from gdyn.corpus import enumerate_systems, generate_robust, suite_configs
 from gdyn.dynamics import (
@@ -278,6 +278,22 @@ class TestDerivedGroupTable:
         assert [(g.name, g.identity) for g in (before, group)] == [
             (ref.name, ref.identity)] * 2
 
+    def test_a_product_action_is_a_value(self, fixture_map):
+        s = fixture_map["rot4"].system
+        prod = nfold_system(s, 3)
+        action, ref = prod.action, reference_product(reference_product(s, s), s)
+        # the orbits come from the factors', and agree with the table's
+        assert not isinstance(action._act, tuple)
+        assert [action.orbit(x) for x in range(prod.space.n)] == [
+            ref.action.orbit(x) for x in range(ref.space.n)]
+        # pickled before and after the table is first read
+        before = pickle.loads(pickle.dumps(action))
+        assert action.act == ref.action.act
+        assert action == ref.action and hash(action) == hash(ref.action)
+        assert before == action and hash(before) == hash(action)
+        assert pickle.loads(pickle.dumps(action)) == action
+        assert is_equivariant(action, prod.f) == is_equivariant(ref.action, ref.f)
+
     def test_serialize_round_trip(self, fixture_map):
         s = fixture_map["z4mod2"].system
         prod = nfold_system(s, 2)
@@ -286,7 +302,7 @@ class TestDerivedGroupTable:
         assert serialize(back) == serialize(prod)
 
     def test_nfold_decisions_derive_no_table(self, monkeypatch):
-        # the suite's 3-fold check reads the action, the space and the map
+        # the suite's 3-fold check reads the orbits, the space and the map
         built = []
 
         def nfold(sys, n):
@@ -298,6 +314,7 @@ class TestDerivedGroupTable:
                     for cfg in suite_configs(180)]
         assert sum(verdicts) > 0 and len(built) == 180
         assert not any(isinstance(p.group._mul, tuple) for p in built)
+        assert not any(isinstance(p.action._act, tuple) for p in built)
 
 
 def _composed(f, count):
